@@ -45,7 +45,10 @@ def _build_parser():
 
     p_suite = sub.add_parser("suite", help="run presets and the subspace sweep")
     p_suite.add_argument("names", nargs="*", help="subset of presets/sweeps (default: all)")
-    p_suite.add_argument("--workers", type=int, default=1)
+    p_suite.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted and ignored: experiments run one after another",
+    )
     _common(p_suite)
 
     sub.add_parser("presets", help="list built-in presets")

@@ -53,9 +53,6 @@ class FixedPointOperator:
         """The closed sets this operator is built from, in (a, b) order."""
         return ()
 
-    def fixed_at(self, x, tol=1e-12):
-        return float(np.linalg.norm(self.step(x) - x)) <= tol
-
 
 def _dedup_sorted(points, cap):
     out = []

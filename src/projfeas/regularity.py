@@ -15,26 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
+from .linalg import (  # noqa: F401  complement_basis: perfbench/tracing.py counts calls through it
     complement_basis,
     largest_principal_cosine,
     orthonormalize,
     subspace_intersection,
 )
 from .sampling import ball_points, on_set_points
-from .sets import (
-    AffineSubspace,
-    Ball,
-    ClosedSet,
-    KinkedRegion,
-    Sphere,
-    UnionOfSubspaces,
-)
+from .sets import AffineSubspace, ClosedSet
 from .solution import SolutionSet
 
 DEFAULT_SAMPLES = 4096
 SAFETY_INFLATION = 1.05
 STRONG_REGULARITY_TOL = 1e-6
+BLOCK_PAIRS = 1 << 16  # sample x target pairs per kernel block: bounds its scratch memory
+PRUNE_SLACK = 1e-12    # targets this far below every row of a ray group, along its ray, are skipped
 
 
 def eps_tilde_projector(eps):
@@ -56,47 +51,69 @@ def eps_tilde_douglas_rachford(eps_a, eps_b):
     return 2.0 * qa + 2.0 * qb + 8.0 * qa * qb
 
 
-def _proximal_components(s, x):
-    """Proximal normal cone at a set point as (rays, subspaces).
-
-    Rays are unit one-sided generators; subspaces are orthonormal row bases
-    whose full span lies in the cone.  Both empty means the zero cone.
-    """
-    dim = s.dim
-    if isinstance(s, AffineSubspace):
-        comp = complement_basis(s.frame.basis, dim)
-        return [], ([comp] if comp.shape[0] else [])
-    if isinstance(s, Ball):
-        rays = s.proximal_normals(x)
-        return list(rays), []
-    if isinstance(s, Sphere):
-        u = (np.asarray(x, float) - s.center)
-        u = u / np.linalg.norm(u)
-        return [], [u[None, :]]
-    if isinstance(s, UnionOfSubspaces):
-        holding = s._containing_frames(x)
-        if len(holding) != 1:
-            return [], []
-        comp = complement_basis(holding[0].basis, dim)
-        return [], ([comp] if comp.shape[0] else [])
-    if isinstance(s, KinkedRegion):
-        return list(s.proximal_normals(x)), []
-    raise NotImplementedError(f"no proximal components for {type(s).__name__}")
-
-
-def _sup_alignment(x, targets, rays, subspaces):
-    """sup over normals v in the cone of <v, (t - x)/|t - x|> over targets t."""
-    diffs = targets - x
-    norms = np.linalg.norm(diffs, axis=1)
-    mask = norms > 1e-14
-    if not mask.any():
-        return 0.0
-    U = diffs[mask] / norms[mask][:, None]
+def _sup_alignment(X, comps, targets):
+    """``max(0, sup <v, (t - x) / |t - x|>)`` over rows ``x`` of ``X``, unit
+    normals ``v`` of the cone ``comps`` gives ``x`` and targets ``t != x``."""
     best = 0.0
-    for g in rays:
-        best = max(best, float(np.max(U @ g)))
-    for W in subspaces:
-        best = max(best, float(np.max(np.linalg.norm(U @ W.T, axis=1))))
+    for g in comps.groups:
+        rows = X[g.rows]
+        if g.one_sided:
+            w = g.basis[0]
+            # a target below every row along w aligns negatively with all of
+            # them, so it cannot raise a positive supremum
+            kept = targets[targets @ w > np.min(rows @ w) - PRUNE_SLACK]
+            best = max(best, _block_sup(rows, kept, lambda U, _: _dot(U, w)))
+        else:
+            W = g.basis
+            best = max(best, _block_sup(rows, targets, lambda U, _: _norm([_dot(U, b) for b in W])))
+    own = comps.own[comps.has_own]
+    if own.shape[0]:
+        def along_own(U, block):
+            v = _dot(U, own[block].T[:, :, None])
+            return np.abs(v) if comps.own_lines else v
+
+        best = max(best, _block_sup(X[comps.has_own], targets, along_own))
+    return best
+
+
+def _dot(U, w):
+    """``sum_k w[k] * U[k]`` over the leading (coordinate) axis."""
+    out = w[0] * U[0]
+    for k in range(1, U.shape[0]):
+        out += w[k] * U[k]
+    return out
+
+
+def _norm(planes):
+    """Euclidean norm over a list of coordinate planes, summed in order."""
+    sq = planes[0] * planes[0]
+    for p in planes[1:]:
+        sq += p * p
+    return np.sqrt(sq)
+
+
+def _block_sup(rows, targets, align):
+    """Largest ``align(U, block)`` over unit differences from ``rows[block]``
+    to ``targets``, skipping coincident pairs; ``-inf`` when there are none.
+
+    ``U`` holds one coordinate plane per leading index, ``U[k, i, j]`` being
+    coordinate ``k`` of ``(t_j - x_i) / |t_j - x_i|``.  Works through at most
+    ``BLOCK_PAIRS`` pairs at once."""
+    best = -math.inf
+    if rows.shape[0] == 0 or targets.shape[0] == 0:
+        return best
+    t_step = min(targets.shape[0], BLOCK_PAIRS)
+    r_step = max(1, BLOCK_PAIRS // t_step)
+    R, T = rows.T.copy(), targets.T.copy()
+    for i in range(0, rows.shape[0], r_step):
+        block = slice(i, i + r_step)
+        for j in range(0, targets.shape[0], t_step):
+            diffs = T[:, None, j : j + t_step] - R[:, block, None]
+            norms = _norm(diffs)
+            apart = norms > 1e-14
+            if apart.any():
+                U = diffs / np.where(apart, norms, 1.0)
+                best = max(best, float(np.max(align(U, block)[apart])))
     return best
 
 
@@ -113,12 +130,7 @@ def estimate_subregularity(s, sol: SolutionSet, delta, samples=DEFAULT_SAMPLES, 
     if X.shape[0] == 0:
         raise ValueError("no set samples found in the ball; delta too small")
     targets = sol.sample_points(delta, max(64, samples // 8), seed + 1)
-    best = 0.0
-    for x in X:
-        rays, subs = _proximal_components(s, x)
-        if rays or subs:
-            best = max(best, _sup_alignment(x, targets, rays, subs))
-    return float(np.clip(best, 0.0, 1.0))
+    return float(np.clip(_sup_alignment(X, s.normal_components(X), targets), 0.0, 1.0))
 
 
 def estimate_pair_regularity(s, anchor, delta, samples=DEFAULT_SAMPLES, seed=0):
@@ -129,12 +141,7 @@ def estimate_pair_regularity(s, anchor, delta, samples=DEFAULT_SAMPLES, seed=0):
     X = on_set_points(s, anchor, delta, samples, seed)
     if X.shape[0] == 0:
         raise ValueError("no set samples found in the ball; delta too small")
-    best = 0.0
-    for x in X:
-        rays, subs = _proximal_components(s, x)
-        if rays or subs:
-            best = max(best, _sup_alignment(x, X, rays, subs))
-    return float(np.clip(best, 0.0, 1.0))
+    return float(np.clip(_sup_alignment(X, s.normal_components(X), X), 0.0, 1.0))
 
 
 def estimate_kappa(a, b, sol: SolutionSet, delta, samples=DEFAULT_SAMPLES, seed=0):
@@ -159,19 +166,34 @@ def estimate_kappa(a, b, sol: SolutionSet, delta, samples=DEFAULT_SAMPLES, seed=
     return float(np.max(d_s[mask] / gap[mask]))
 
 
-def _collect_components(s, points):
-    rays, subs = [], []
-    seen = set()
-    for x in points:
-        r, w = _proximal_components(s, x)
-        rays.extend(r)
-        for W in w:
-            key = W.round(12).tobytes()
-            if key not in seen:
-                seen.add(key)
-                subs.append(W)
-    R = np.vstack(rays) if rays else np.zeros((0, s.dim))
-    return R, subs
+def _opposition(parts_a, parts_b):
+    """Worst opposition ``sup -<u, v>`` over unit normals ``u``, ``v`` taken
+    from one component of each cone, floored at zero.  Each cone is given as
+    ``cone_parts()``: an ``(m, dim)`` array of rays and a list of ``(m, k,
+    dim)`` stacks of orthonormal subspace bases."""
+    rays_a, subs_a = parts_a
+    rays_b, subs_b = parts_b
+    best = 0.0
+    if rays_a.shape[0] and rays_b.shape[0]:
+        best = max(best, float(np.max(-(rays_a @ rays_b.T))))
+    for rays, subs in ((rays_a, subs_b), (rays_b, subs_a)):
+        if rays.shape[0]:
+            for S in subs:
+                best = max(best, float(np.max(np.linalg.norm(rays @ S.swapaxes(-1, -2), axis=-1))))
+    for Sa in subs_a:
+        for Sb in subs_b:
+            best = max(best, _largest_cosine(Sa, Sb))
+    return best
+
+
+def _largest_cosine(Sa, Sb):
+    """Largest principal cosine over all pairs of subspaces from two stacks."""
+    step = max(1, BLOCK_PAIRS // Sb.shape[0])
+    best = 0.0
+    for i in range(0, Sa.shape[0], step):
+        products = Sa[i : i + step, None] @ Sb[None].swapaxes(-1, -2)
+        best = max(best, float(np.max(np.linalg.svd(products, compute_uv=False)[..., 0])))
+    return best
 
 
 def estimate_c(a, b, anchor, delta, samples=DEFAULT_SAMPLES, seed=0):
@@ -183,23 +205,10 @@ def estimate_c(a, b, anchor, delta, samples=DEFAULT_SAMPLES, seed=0):
     """
     anchor = np.asarray(anchor, dtype=float)
     if isinstance(a, AffineSubspace) and isinstance(b, AffineSubspace):
-        comp_a = complement_basis(a.frame.basis, a.dim)
-        comp_b = complement_basis(b.frame.basis, b.dim)
-        return largest_principal_cosine(comp_a, comp_b)
-    Ra, subs_a = _collect_components(a, on_set_points(a, anchor, delta, samples, seed))
-    Rb, subs_b = _collect_components(b, on_set_points(b, anchor, delta, samples, seed + 1))
-    best = 0.0
-    if Ra.shape[0] and Rb.shape[0]:
-        best = max(best, float(np.max(-(Ra @ Rb.T))))
-    for W in subs_b:
-        if Ra.shape[0]:
-            best = max(best, float(np.max(np.linalg.norm(Ra @ W.T, axis=1))))
-    for W in subs_a:
-        if Rb.shape[0]:
-            best = max(best, float(np.max(np.linalg.norm(Rb @ W.T, axis=1))))
-    for Wa in subs_a:
-        for Wb in subs_b:
-            best = max(best, largest_principal_cosine(Wa, Wb))
+        return largest_principal_cosine(a.normal_basis, b.normal_basis)
+    Xa = on_set_points(a, anchor, delta, samples, seed)
+    Xb = on_set_points(b, anchor, delta, samples, seed + 1)
+    best = _opposition(a.normal_components(Xa).cone_parts(), b.normal_components(Xb).cone_parts())
     return float(np.clip(best, 0.0, 1.0))
 
 
@@ -224,19 +233,7 @@ def check_strong_regularity(a, b, point):
     nb = b.limiting_normals(point)
     if na.is_zero or nb.is_zero:
         return True
-    align = 0.0
-    if na.rays.shape[0] and nb.rays.shape[0]:
-        align = max(align, float(np.max(-(na.rays @ nb.rays.T))))
-    for W in nb.subspaces:
-        if na.rays.shape[0]:
-            align = max(align, float(np.max(np.linalg.norm(na.rays @ W.T, axis=1))))
-    for W in na.subspaces:
-        if nb.rays.shape[0]:
-            align = max(align, float(np.max(np.linalg.norm(nb.rays @ W.T, axis=1))))
-    for Wa in na.subspaces:
-        for Wb in nb.subspaces:
-            align = max(align, largest_principal_cosine(Wa, Wb))
-    return bool(align <= 1.0 - STRONG_REGULARITY_TOL)
+    return bool(_opposition(na.cone_parts(), nb.cone_parts()) <= 1.0 - STRONG_REGULARITY_TOL)
 
 
 def friedrichs_cosine(frame_a, frame_b):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -503,9 +502,11 @@ def subspace_iff_sweep(n_pairs=20, base_seed=2025, samples=2048, max_iters=5000,
         sol = subspace_pair_solution(a, b, np.zeros(5))
         rank_regular = check_strong_regularity(a, b, np.zeros(5))
         trace = iterate(DouglasRachford(a, b), x0, sol, max_iters=max_iters, tol=tol)
-        converged = trace.stop_reason == "tolerance"
+        # a run cut off by the budget is judged by its fitted rate, like one
+        # that reached tol: a rate close to 1 needs more than max_iters steps
+        fitted = trace.stop_reason in ("tolerance", "max_iters")
         linear = False
-        if converged:
+        if fitted:
             fit = fit_rate(trace)
             linear = fit.linear
         matches.append(linear == rank_regular)
@@ -516,7 +517,7 @@ def subspace_iff_sweep(n_pairs=20, base_seed=2025, samples=2048, max_iters=5000,
             "converged_linearly": bool(linear),
             "final_dist": trace.final_dist_to_s,
         }
-        if converged and rank_regular:
+        if fitted and rank_regular:
             c_exact = largest_principal_cosine(
                 complement_basis(a.frame.basis, 5), complement_basis(b.frame.basis, 5)
             )
@@ -560,44 +561,24 @@ def _run_sweep_doc():
 def run_suite(names=None, out_dir=None, workers=1, samples=None, seed=None,
               max_iters=None, tol=None, echo=print):
     """Run the named presets (default: all of them plus the subspace sweep)
-    and aggregate verdicts; returns process exit status (0 pass, 1 failure)."""
+    one after another and aggregate verdicts; returns process exit status
+    (0 pass, 1 failure).
+
+    ``workers`` is accepted and ignored: a thread pool over experiments was
+    no faster than running them in turn on a 2-CPU host, since most of each
+    experiment holds the interpreter lock.
+    """
     if not names:
         names = list(PRESETS) + list(SWEEPS)
-    jobs = []
+    status = 0
     for name in names:
         if name in SWEEPS:
-            jobs.append((name, _run_sweep_doc, ()))
+            doc = _run_sweep_doc()
         else:
-            cfg = preset(name)
-            jobs.append(
-                (
-                    name,
-                    run_experiment,
-                    (cfg,),
-                )
+            doc = run_experiment(
+                preset(name), out_dir=out_dir, samples=samples, seed=seed,
+                max_iters=max_iters, tol=tol,
             )
-
-    def _execute(job):
-        name, fn, args = job
-        if fn is run_experiment:
-            return fn(
-                *args,
-                out_dir=out_dir,
-                samples=samples,
-                seed=seed,
-                max_iters=max_iters,
-                tol=tol,
-            )
-        return fn(*args)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            docs = list(pool.map(_execute, jobs))
-    else:
-        docs = [_execute(job) for job in jobs]
-
-    status = 0
-    for doc in docs:
         for v in doc.verdicts:
             mark = "pass" if v.passed else "FAIL"
             echo(f"[{mark}] {doc.name} :: {v.claim_id} (measured={v.measured}, bound={v.bound})")

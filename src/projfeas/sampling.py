@@ -77,8 +77,7 @@ def _in_ball(points, anchor, delta):
     return points[keep]
 
 
-def _affine_chart(s, anchor, delta, n, seed):
-    frame = s.frame
+def _affine_chart(frame, anchor, delta, n, seed):
     p0 = frame.project(anchor)
     k = frame.dim_subspace
     pts = [p0[None, :]]
@@ -139,7 +138,7 @@ def _kinked_chart(anchor, delta, n, seed):
     # a few interior points: drop boundary samples straight down
     drops = delta * np.array([0.25, 0.5])
     interior = np.vstack([boundary - np.array([0.0, h]) for h in drops])
-    interior = interior[[KinkedRegion().contains(p, tol=0.0) for p in interior]]
+    interior = interior[KinkedRegion.contains_many(interior, tol=0.0)]
     return _in_ball(np.vstack([boundary, interior]), anchor, delta)
 
 
@@ -152,7 +151,7 @@ def on_set_points(s, anchor, delta, n, seed):
     """
     anchor = np.asarray(anchor, dtype=float)
     if isinstance(s, AffineSubspace):
-        return _affine_chart(s, anchor, delta, n, seed)
+        return _affine_chart(s.frame, anchor, delta, n, seed)
     if isinstance(s, (Ball, Sphere)):
         pts = _boundary_chart(s.center, s.radius, anchor, delta, n, seed)
         if isinstance(s, Ball) and s.contains(anchor):
@@ -161,7 +160,7 @@ def on_set_points(s, anchor, delta, n, seed):
     if isinstance(s, UnionOfSubspaces):
         per = max(1, n // len(s.frames))
         parts = [
-            _affine_chart(AffineSubspace(f), anchor, delta, per, seed + 911 * i)
+            _affine_chart(f, anchor, delta, per, seed + 911 * i)
             for i, f in enumerate(s.frames)
         ]
         return np.vstack(parts)

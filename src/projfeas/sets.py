@@ -103,20 +103,81 @@ class NormalCone:
     def is_zero(self):
         return self.rays.shape[0] == 0 and len(self.subspaces) == 0
 
-    def unit_directions(self):
-        """All ray generators plus +/- each subspace basis vector."""
-        out = [self.rays] if self.rays.shape[0] else []
-        for W in self.subspaces:
-            out.append(W)
-            out.append(-W)
-        if not out:
-            return np.zeros((0, self.rays.shape[1]))
-        return np.vstack(out)
+    def cone_parts(self):
+        """(rays, subspace stacks) in the form of ``NormalComponents.cone_parts``."""
+        return self.rays, [W[None] for W in self.subspaces]
 
 
 def _cone(dim, rays=(), subspaces=()):
     R = np.vstack(rays) if len(rays) else np.zeros((0, dim))
     return NormalCone(rays=R, subspaces=tuple(subspaces))
+
+
+@dataclass(frozen=True)
+class NormalGroup:
+    """Rows of a sample array whose proximal cones share one component.
+
+    ``basis`` has orthonormal rows.  With ``one_sided`` it has a single row
+    and the component is the ray through it; otherwise the component is the
+    full span of its rows.
+    """
+
+    basis: np.ndarray
+    rows: np.ndarray
+    one_sided: bool = False
+
+
+@dataclass(frozen=True)
+class NormalComponents:
+    """Proximal normal cones at every row of an on-set sample array.
+
+    Row ``i``'s cone is the union of the groups whose ``rows`` hold ``i`` and,
+    where ``has_own[i]``, of the row's own unit vector ``own[i]``: a ray, or
+    with ``own_lines`` the whole line through it.  A row named by neither has
+    the zero cone.  Groups list only rows they hold, and none is empty.
+    """
+
+    own: np.ndarray
+    has_own: np.ndarray
+    own_lines: bool = False
+    groups: tuple = ()
+
+    def generators(self, i):
+        """Unit generators of row ``i``'s cone, as ``proximal_normals`` lists
+        them: a span contributes its basis and its negation."""
+        out = []
+        for g in self.groups:
+            if i in g.rows:
+                out.extend(g.basis if g.one_sided else np.vstack([g.basis, -g.basis]))
+        if self.has_own[i]:
+            out.append(self.own[i])
+            if self.own_lines:
+                out.append(-self.own[i])
+        return out
+
+    def cone_parts(self):
+        """(rays, subspace stacks) over all rows, for opposition checks: a
+        ``(m, dim)`` array of rays and a list of ``(m, k, dim)`` stacks of
+        orthonormal subspace bases."""
+        rays = [g.basis for g in self.groups if g.one_sided]
+        subs = [g.basis[None] for g in self.groups if not g.one_sided]
+        own = self.own[self.has_own]
+        if own.shape[0] and self.own_lines:
+            subs.append(own[:, None, :])
+        elif own.shape[0]:
+            rays.append(own)
+        R = np.vstack(rays) if rays else np.zeros((0, self.own.shape[1]))
+        return R, subs
+
+
+def _no_own(X):
+    return np.zeros_like(X), np.zeros(X.shape[0], dtype=bool)
+
+
+def _row_norms(D):
+    # a dot product per row, as np.linalg.norm of one point computes it, so
+    # batched normals equal per-point ones bit for bit
+    return np.sqrt(np.vecdot(D, D))
 
 
 class ClosedSet:
@@ -142,13 +203,20 @@ class ClosedSet:
     def contains(self, x, tol=MEMBERSHIP_TOL):
         return self.distance(x) <= tol
 
+    def normal_components(self, X) -> NormalComponents:
+        """Proximal normal cones at every row of ``X`` as shared and per-row
+        components.  Raises if a row is not in the set to ``MEMBERSHIP_TOL``.
+        """
+        raise NotImplementedError
+
     def proximal_normals(self, x, max_samples=64):
         """Unit generators of the proximal normal cone at ``x`` (in the set).
 
         An empty list means the zero cone.  Raises if ``x`` is not in the set
         to ``MEMBERSHIP_TOL``.
         """
-        raise NotImplementedError
+        x = as_point(x, self.dim)
+        return self.normal_components(x[None, :]).generators(0)[:max_samples]
 
     def limiting_normals(self, x) -> NormalCone:
         """Limiting normal cone at ``x``, assembled from nearby proximal cones."""
@@ -165,6 +233,15 @@ class ClosedSet:
         if not self.contains(x):
             raise ValueError(f"point {x} is not in the set (tol {MEMBERSHIP_TOL})")
         return x
+
+    def _check_members(self, X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"expected an (n, {self.dim}) array of points, got shape {X.shape}")
+        off = ~(self.distance_many(X) <= MEMBERSHIP_TOL)
+        if off.any():
+            raise ValueError(f"point {X[np.argmax(off)]} is not in the set (tol {MEMBERSHIP_TOL})")
+        return X
 
     def to_dict(self):
         raise NotImplementedError
@@ -184,6 +261,7 @@ class AffineSubspace(ClosedSet):
     def __init__(self, frame: AffineFrame):
         self.frame = frame
         self.dim = frame.dim_ambient
+        self.normal_basis = complement_basis(frame.basis, self.dim)
 
     @classmethod
     def from_span(cls, offset, vectors):
@@ -202,18 +280,18 @@ class AffineSubspace(ClosedSet):
         X = np.asarray(X, dtype=float)
         return np.linalg.norm(X - self.frame.project_many(X), axis=-1)
 
-    def proximal_normals(self, x, max_samples=64):
-        self._check_member(x)
-        comp = complement_basis(self.frame.basis, self.dim)
-        gens = np.vstack([comp, -comp]) if comp.shape[0] else comp
-        return [g for g in gens[:max_samples]]
+    def normal_components(self, X):
+        X = self._check_members(X)
+        groups = ()
+        if self.normal_basis.shape[0] and X.shape[0]:
+            groups = (NormalGroup(self.normal_basis, np.arange(X.shape[0])),)
+        return NormalComponents(*_no_own(X), groups=groups)
 
     def limiting_normals(self, x):
         self._check_member(x)
-        comp = complement_basis(self.frame.basis, self.dim)
-        if comp.shape[0] == 0:
+        if self.normal_basis.shape[0] == 0:
             return _cone(self.dim)
-        return _cone(self.dim, subspaces=[comp])
+        return _cone(self.dim, subspaces=[self.normal_basis])
 
     def is_convex(self):
         return True
@@ -255,19 +333,17 @@ class Ball(ClosedSet):
         p = self.center + (self.radius / r) * (x - self.center)
         return ProjectionOutcome(p, (p,), 1, r - self.radius)
 
-    def proximal_normals(self, x, max_samples=64):
-        x = self._check_member(x)
-        r = float(np.linalg.norm(x - self.center))
-        if r < self.radius - MEMBERSHIP_TOL:
-            return []
-        return [(x - self.center) / r]
+    def normal_components(self, X):
+        X = self._check_members(X)
+        D = X - self.center
+        r = _row_norms(D)
+        on_boundary = r >= self.radius - MEMBERSHIP_TOL
+        own = np.zeros_like(X)
+        own[on_boundary] = D[on_boundary] / r[on_boundary, None]
+        return NormalComponents(own, on_boundary)
 
     def limiting_normals(self, x):
-        x = self._check_member(x)
-        r = float(np.linalg.norm(x - self.center))
-        if r < self.radius - MEMBERSHIP_TOL:
-            return _cone(self.dim)
-        return _cone(self.dim, rays=[(x - self.center) / r])
+        return _cone(self.dim, rays=self.proximal_normals(x))
 
     def is_convex(self):
         return True
@@ -309,14 +385,14 @@ class Sphere(ClosedSet):
         p = self.center + (self.radius / r) * (x - self.center)
         return ProjectionOutcome(p, (p,), 1, abs(r - self.radius))
 
-    def proximal_normals(self, x, max_samples=64):
-        x = self._check_member(x)
-        u = (x - self.center) / float(np.linalg.norm(x - self.center))
-        return [u, -u]
+    def normal_components(self, X):
+        X = self._check_members(X)
+        D = X - self.center
+        radial = D / _row_norms(D)[:, None]
+        return NormalComponents(radial, np.ones(X.shape[0], dtype=bool), own_lines=True)
 
     def limiting_normals(self, x):
-        x = self._check_member(x)
-        u = (x - self.center) / float(np.linalg.norm(x - self.center))
+        u, _ = self.proximal_normals(x)
         return _cone(self.dim, subspaces=[u.reshape(1, -1)])
 
     def to_dict(self):
@@ -339,6 +415,7 @@ class UnionOfSubspaces(ClosedSet):
             raise ValueError("frames have mixed ambient dimensions")
         self.frames = frames
         self.dim = dims.pop()
+        self.normal_bases = tuple(complement_basis(f.basis, self.dim) for f in frames)
 
     @classmethod
     def cross(cls, dim=2):
@@ -365,27 +442,28 @@ class UnionOfSubspaces(ClosedSet):
             cands.append((p, float(np.linalg.norm(x - p))))
         return _select_ties(cands, tie="order")
 
-    def _containing_frames(self, x, tol=MEMBERSHIP_TOL):
-        return [f for f in self.frames if f.contains(x, tol)]
-
-    def proximal_normals(self, x, max_samples=64):
-        x = self._check_member(x)
-        holding = self._containing_frames(x)
-        if len(holding) != 1:
-            # at a frame crossing the projector preimage collapses to the
-            # point itself, so the proximal cone is the zero cone
-            return []
-        comp = complement_basis(holding[0].basis, self.dim)
-        gens = np.vstack([comp, -comp]) if comp.shape[0] else comp
-        return [g for g in gens[:max_samples]]
+    def normal_components(self, X):
+        X = self._check_members(X)
+        held = np.array([
+            np.linalg.norm(X - f.project_many(X), axis=-1) <= MEMBERSHIP_TOL for f in self.frames
+        ])
+        # at a frame crossing the projector preimage collapses to the point
+        # itself, so the proximal cone is the zero cone
+        alone = held.sum(axis=0) == 1
+        groups = []
+        for basis, h in zip(self.normal_bases, held):
+            rows = np.flatnonzero(h & alone)
+            if basis.shape[0] and rows.size:
+                groups.append(NormalGroup(basis, rows))
+        return NormalComponents(*_no_own(X), groups=tuple(groups))
 
     def limiting_normals(self, x):
         x = self._check_member(x)
-        subs = []
-        for f in self._containing_frames(x):
-            comp = complement_basis(f.basis, self.dim)
-            if comp.shape[0]:
-                subs.append(comp)
+        subs = [
+            basis
+            for f, basis in zip(self.frames, self.normal_bases)
+            if basis.shape[0] and f.contains(x, MEMBERSHIP_TOL)
+        ]
         return _cone(self.dim, subspaces=subs)
 
     def to_dict(self):
@@ -422,6 +500,12 @@ class KinkedRegion(ClosedSet):
             return x[1] <= -x[0] + tol
         return x[1] <= tol
 
+    @staticmethod
+    def contains_many(X, tol=MEMBERSHIP_TOL):
+        """Row-wise ``contains`` of an ``(n, 2)`` array."""
+        X = np.asarray(X, dtype=float)
+        return np.where(X[:, 0] <= 0, X[:, 1] <= -X[:, 0] + tol, X[:, 1] <= tol)
+
     def _boundary_candidates(self, x):
         # nearest points on the two closed boundary rays
         t = min((x[0] - x[1]) / 2.0, 0.0)
@@ -440,7 +524,7 @@ class KinkedRegion(ClosedSet):
 
     def distance_many(self, X):
         X = np.asarray(X, dtype=float)
-        inside = np.where(X[:, 0] <= 0, X[:, 1] <= -X[:, 0], X[:, 1] <= 0)
+        inside = self.contains_many(X, tol=0.0)
         t = np.minimum((X[:, 0] - X[:, 1]) / 2.0, 0.0)
         d_neg = np.hypot(X[:, 0] - t, X[:, 1] + t)
         d_pos = np.hypot(np.minimum(X[:, 0], 0.0), X[:, 1])
@@ -452,18 +536,17 @@ class KinkedRegion(ClosedSet):
             return ProjectionOutcome(x.copy(), (x.copy(),), 1, 0.0)
         return _select_ties(self._boundary_candidates(x), tie="lex")
 
-    def proximal_normals(self, x, max_samples=64):
-        x = self._check_member(x)
-        on_neg = x[0] < 0 and abs(x[1] + x[0]) <= MEMBERSHIP_TOL
-        on_pos = x[0] > 0 and abs(x[1]) <= MEMBERSHIP_TOL
-        at_corner = float(np.linalg.norm(x)) <= MEMBERSHIP_TOL
-        if at_corner:
-            return []  # reflex corner: zero proximal cone
-        if on_neg:
-            return [self.EDGE_NEG_NORMAL.copy()]
-        if on_pos:
-            return [self.EDGE_POS_NORMAL.copy()]
-        return []
+    def normal_components(self, X):
+        X = self._check_members(X)
+        off_corner = np.linalg.norm(X, axis=1) > MEMBERSHIP_TOL  # reflex corner: zero cone
+        on_neg = off_corner & (X[:, 0] < 0) & (np.abs(X[:, 1] + X[:, 0]) <= MEMBERSHIP_TOL)
+        on_pos = off_corner & (X[:, 0] > 0) & (np.abs(X[:, 1]) <= MEMBERSHIP_TOL)
+        groups = tuple(
+            NormalGroup(normal[None, :].copy(), np.flatnonzero(on_edge), one_sided=True)
+            for normal, on_edge in ((self.EDGE_NEG_NORMAL, on_neg), (self.EDGE_POS_NORMAL, on_pos))
+            if on_edge.any()
+        )
+        return NormalComponents(*_no_own(X), groups=groups)
 
     def limiting_normals(self, x):
         x = self._check_member(x)
@@ -521,7 +604,7 @@ class IntersectionSet(ClosedSet):
             "run a feasibility algorithm on the members instead"
         )
 
-    def proximal_normals(self, x, max_samples=64):
+    def normal_components(self, X):
         raise NotImplementedError("normal cones of intersections are not provided")
 
     def limiting_normals(self, x):

@@ -8,12 +8,12 @@ closed form is supplied.  Without one, the set is treated as the singleton
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import AffineFrame, as_point, subspace_intersection
-from .sets import AffineSubspace, ClosedSet, IntersectionSet, UnionOfSubspaces
+from .sets import AffineSubspace, ClosedSet, UnionOfSubspaces
 
 WITNESS_TOL = 1e-9
 
@@ -37,21 +37,15 @@ class SolutionSet:
     members: tuple
     witness: np.ndarray
     exact: ClosedSet | None = None
-    _description: IntersectionSet = field(init=False, repr=False)
 
     def __post_init__(self):
         self.members = tuple(self.members)
         self.witness = as_point(self.witness)
-        self._description = IntersectionSet(self.members)
         for m in self.members:
             if not m.contains(self.witness, WITNESS_TOL):
                 raise ValueError("witness is not in every member set")
         if self.exact is not None and not self.exact.contains(self.witness, WITNESS_TOL):
             raise ValueError("witness is not in the exact solution set")
-
-    @property
-    def description(self):
-        return self._description
 
     @property
     def dim(self):

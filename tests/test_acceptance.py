@@ -40,10 +40,10 @@ from projfeas.regularity import (
     friedrichs_cosine,
     predicted_rates,
 )
-from projfeas.runner import subspace_iff_sweep
+from projfeas.runner import random_subspace_pair, subspace_iff_sweep
 from projfeas.sampling import ball_points
 from projfeas.sets import AffineSubspace, KinkedRegion
-from projfeas.solution import point_set_solution, singleton_solution
+from projfeas.solution import point_set_solution, singleton_solution, subspace_pair_solution
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 
@@ -412,6 +412,33 @@ def test_criterion_9_subspace_sweep():
         ok,
         f"matches {by_id['subspace-iff-rank-test-match'].measured}, "
         f"bounds {by_id['subspace-dr-rate-bound'].measured}, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_9_budget_stop_judged_by_rate():
+    # the strongly regular 3+3 pair of base seed 52834893 contracts at its
+    # Friedrichs cosine 0.9959 per step and needs ~5,300 steps to reach tol,
+    # so it stops on the sweep's max_iters=5000 while converging linearly
+    base_seed = 52834893
+    a, b, x0 = random_subspace_pair(base_seed, (3, 3))
+    sol = subspace_pair_solution(a, b, np.zeros(5))
+    trace = iterate(DouglasRachford(a, b), x0, sol, max_iters=5000, tol=1e-9)
+    verdicts, details = subspace_iff_sweep(base_seed=base_seed)
+    by_id = {v.claim_id: v for v in verdicts}
+    rate_error = abs(details[0]["observed_rate"] - friedrichs_cosine(a.frame, b.frame))
+    ok = (
+        trace.stop_reason == "max_iters"
+        and details[0]["converged_linearly"]
+        and rate_error <= 1e-9
+        and by_id["subspace-iff-rank-test-match"].measured == "20/20"
+        and by_id["subspace-dr-rate-bound"].passed
+    )
+    _report(
+        "criterion 9 (budget stop)",
+        ok,
+        f"stop {trace.stop_reason} at dist {trace.final_dist_to_s:.2e}, "
+        f"|rate - cF| {rate_error:.1e}, matches {by_id['subspace-iff-rank-test-match'].measured}, "
+        f"bounds {by_id['subspace-dr-rate-bound'].measured}",
     )
 
 
