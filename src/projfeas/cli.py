@@ -102,7 +102,6 @@ def main(argv=None):
             return run_suite(
                 args.names,
                 out_dir=args.out_dir,
-                workers=args.workers,
                 samples=args.samples,
                 seed=args.seed,
                 max_iters=args.max_iters,

@@ -178,8 +178,11 @@ def _opposition(parts_a, parts_b):
         best = max(best, float(np.max(-(rays_a @ rays_b.T))))
     for rays, subs in ((rays_a, subs_b), (rays_b, subs_a)):
         if rays.shape[0]:
+            step = max(1, BLOCK_PAIRS // rays.shape[0])
             for S in subs:
-                best = max(best, float(np.max(np.linalg.norm(rays @ S.swapaxes(-1, -2), axis=-1))))
+                for i in range(0, S.shape[0], step):
+                    coords = rays @ S[i : i + step].swapaxes(-1, -2)
+                    best = max(best, float(np.max(np.linalg.norm(coords, axis=-1))))
     for Sa in subs_a:
         for Sb in subs_b:
             best = max(best, _largest_cosine(Sa, Sb))

@@ -558,15 +558,11 @@ def _run_sweep_doc():
     )
 
 
-def run_suite(names=None, out_dir=None, workers=1, samples=None, seed=None,
+def run_suite(names=None, out_dir=None, samples=None, seed=None,
               max_iters=None, tol=None, echo=print):
     """Run the named presets (default: all of them plus the subspace sweep)
     one after another and aggregate verdicts; returns process exit status
     (0 pass, 1 failure).
-
-    ``workers`` is accepted and ignored: a thread pool over experiments was
-    no faster than running them in turn on a 2-CPU host, since most of each
-    experiment holds the interpreter lock.
     """
     if not names:
         names = list(PRESETS) + list(SWEEPS)

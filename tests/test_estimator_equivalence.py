@@ -228,6 +228,15 @@ def test_c_matches_reference(name, a, b, anchor, delta, samples):
     assert abs(got - want) <= ULP_BOUND, (name, got, want)
 
 
+@pytest.mark.parametrize("name, a, b, anchor, delta", _c_cases(), ids=[c[0] for c in _c_cases()])
+def test_block_size_does_not_change_c(monkeypatch, name, a, b, anchor, delta):
+    # rays against a stack of per-row lines (Sphere-Ball, Sphere-Union) and
+    # stacks against stacks are walked in chunks of the stack
+    want = estimate_c(a, b, anchor, delta, samples=256, seed=11)
+    monkeypatch.setattr(regularity, "BLOCK_PAIRS", 97)
+    assert estimate_c(a, b, anchor, delta, samples=256, seed=11) == want, name
+
+
 # ---------------------------------------------------------------------------
 # batched components, row by row
 # ---------------------------------------------------------------------------
