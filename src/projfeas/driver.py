@@ -8,7 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AffineFrame, as_point, complement_basis, subspace_intersection
+from .linalg import (
+    AffineFrame,
+    as_point,
+    as_points,
+    complement_basis,
+    row_norms,
+    subspace_intersection,
+)
 from .operators import DouglasRachford, FixedPointOperator
 from .regularity import Region
 from .sets import AffineSubspace
@@ -55,46 +62,81 @@ def _pair_sets(op):
     raise ValueError("operator exposes no constituent sets to trace distances to")
 
 
+def _check_budget(max_iters, tol):
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+
+
+def _advance(op, X, sol, max_iters, tol, record=None):
+    """Picard iteration of every row of a validated ``(m, d)`` array.
+
+    Only the rows still running are stepped; a row that stops keeps its last
+    iterate.  A row stops on ``dist_to_s < tol`` before a step
+    ("tolerance"); after a step, on the iterate norm exceeding
+    ``DIVERGENCE_NORM`` ("divergence"), then on a step shorter than
+    ``STAGNATION_STEP`` ("tolerance" if the step landed within ``tol``, else
+    "stagnation": a fixed point away from the intersection); and otherwise
+    on exhausting ``max_iters``.  Every operation acts on each row alone, so
+    a row's result does not depend on the others.
+
+    ``record(n, X_next, step_norms, dist_to_s)`` sees every step of the rows
+    still running.  Returns the final iterates, their distances to the
+    solution set, the stop reasons and the steps taken, per row.
+    """
+    finals = X.copy()
+    dists = sol.distance_rows(X)
+    stops = np.full(X.shape[0], "tolerance", dtype=object)
+    used = np.zeros(X.shape[0], dtype=int)
+    rows = np.flatnonzero(~(dists < tol))
+    x, d = X[rows], dists[rows]
+    for n in range(max_iters):
+        if rows.size == 0:
+            break
+        x_next = op.step_many(x)
+        steps = row_norms(x_next - x)
+        d = sol.distance_rows(x_next)
+        x = x_next
+        if record is not None:
+            record(n, x, steps, d)
+        diverged = row_norms(x) > DIVERGENCE_NORM
+        stagnant = steps < STAGNATION_STEP
+        done = diverged | stagnant | (d < tol)
+        if done.any():
+            stopped = rows[done]
+            finals[stopped], dists[stopped], used[stopped] = x[done], d[done], n + 1
+            stops[stopped[stagnant[done] & ~(d[done] < tol)]] = "stagnation"
+            stops[stopped[diverged[done]]] = "divergence"
+            rows, x, d = rows[~done], x[~done], d[~done]
+    finals[rows], dists[rows], used[rows] = x, d, max_iters
+    stops[rows] = "max_iters"
+    return finals, dists, stops, used
+
+
 def iterate(op: FixedPointOperator, x0, sol: SolutionSet, max_iters=1000, tol=1e-12):
     """Run the Picard iteration with the deterministic branch selection.
 
     Stops on ``dist_to_s < tol`` ("tolerance"), on exhausting ``max_iters``,
     on a step shorter than ``STAGNATION_STEP`` while still off the solution
     set ("stagnation": a fixed point away from the intersection), or on the
-    iterate norm exceeding ``DIVERGENCE_NORM`` ("divergence").
+    iterate norm exceeding ``DIVERGENCE_NORM`` ("divergence").  This is the
+    batch of one of the loop behind ``probe_fixed_points``.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_budget(max_iters, tol)
     a, b = _pair_sets(op)
     x = as_point(x0, op.dim)
     X = np.empty((max_iters + 1, op.dim))
     d_s = np.empty(max_iters + 1)
     steps = np.empty(max_iters)
     X[0] = x
-    d_s[0] = sol.distance(x)
-    used = 0  # number of steps actually taken
-    stop = None
-    for n in range(max_iters):
-        if d_s[n] < tol:
-            stop = "tolerance"
-            break
-        x_next = op.step(x)
-        step = float(np.linalg.norm(x_next - x))
-        used = n + 1
-        X[used] = x_next
-        steps[n] = step
-        d_s[used] = sol.distance(x_next)
-        x = x_next
-        if float(np.linalg.norm(x)) > DIVERGENCE_NORM:
-            stop = "divergence"
-            break
-        if step < STAGNATION_STEP:
-            stop = "tolerance" if d_s[used] < tol else "stagnation"
-            break
-    if stop is None:
-        stop = "tolerance" if d_s[used] < tol else "max_iters"
+    d_s[0] = sol.distance_rows(x[None])[0]
+
+    def record(n, x_next, step_norms, dist_to_s):
+        X[n + 1], steps[n], d_s[n + 1] = x_next[0], step_norms[0], dist_to_s[0]
+
+    _, _, stops, used = _advance(op, x[None], sol, max_iters, tol, record)
+    used = int(used[0])
     X = X[: used + 1].copy()
     return IterationTrace(
         iterates=X,
@@ -102,7 +144,7 @@ def iterate(op: FixedPointOperator, x0, sol: SolutionSet, max_iters=1000, tol=1e
         dist_to_b=b.distance_many(X),
         dist_to_s=d_s[: used + 1].copy(),
         step_norms=steps[:used].copy(),
-        stop_reason=stop,
+        stop_reason=stops[0],
     )
 
 
@@ -162,12 +204,12 @@ class ProbeResult:
 def probe_fixed_points(op, region: Region, samples, seed, sol: SolutionSet,
                        max_iters=2000, tol=1e-9):
     """Iterate from sampled starting points until stagnation or tolerance and
-    report each limit with its distance to the solution set."""
-    starts = region.sample(samples, seed)
-    limits = []
-    for x0 in starts:
-        trace = iterate(op, x0, sol, max_iters=max_iters, tol=tol)
-        limits.append((trace.final, trace.final_dist_to_s))
+    report each limit with its distance to the solution set.  All starts
+    advance together as one array, each with the stop rules of ``iterate``."""
+    _check_budget(max_iters, tol)
+    starts = as_points(region.sample(samples, seed), op.dim)
+    finals, dists, _, _ = _advance(op, starts, sol, max_iters, tol)
+    limits = list(zip(finals, dists.tolist()))
     frame = None
     if isinstance(op, DouglasRachford):
         a, b = op.constituent_sets()

@@ -31,6 +31,23 @@ def as_point(x, dim=None):
     return p
 
 
+def as_points(X, dim):
+    """Coerce ``X`` to a finite ``(m, dim)`` float array of points."""
+    P = np.asarray(X, dtype=float)
+    if P.ndim != 2 or P.shape[1] != dim:
+        raise ValueError(f"expected an (m, {dim}) array of points, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("points have non-finite entries")
+    return P
+
+
+def row_norms(D):
+    """Euclidean norm of every row, bit for bit as ``np.linalg.norm`` of one
+    row: a dot product per row (``np.linalg.norm(D, axis=-1)`` rounds
+    differently)."""
+    return np.sqrt(np.vecdot(D, D))
+
+
 def inner(a, b):
     """Euclidean inner product of two points of equal dimension."""
     a = as_point(a)
@@ -161,6 +178,20 @@ class AffineFrame:
             return self.offset.copy()
         r = x - self.offset
         return self.offset + self.basis.T @ (self.basis @ r)
+
+    def project_rows(self, X):
+        """``project`` of every row of an ``(m, dim)`` array, bit for bit;
+        unvalidated.
+
+        A stacked ``matmul`` makes the same matrix-vector calls per row as
+        ``project`` makes for one point, so a row's result does not depend
+        on the batch it is in.  ``project_many`` multiplies whole matrices
+        instead, which rounds differently.
+        """
+        if self.dim_subspace == 0:
+            return np.full(X.shape, self.offset)
+        R = (X - self.offset)[:, :, None]
+        return self.offset + np.matmul(self.basis.T, np.matmul(self.basis, R))[:, :, 0]
 
     def project_many(self, X):
         X = np.asarray(X, dtype=float)

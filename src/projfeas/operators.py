@@ -8,9 +8,11 @@ calls instead of two reflector calls and therefore keeps multi-valuedness
 localized; the averaged-reflector form is kept as an independent code path
 for the equivalence check.
 
-Compositions act on the deterministic ``selected`` branch.  Full branch-set
-composition is available through ``branch_apply`` for diagnostics and is
-capped at ``BRANCH_CAP`` points.
+Compositions act on the deterministic ``selected`` branch.  Each operator
+writes its formula once, in ``step_many``, over the rows of an ``(m, dim)``
+array; ``step`` is the batch of one.  Full branch-set composition is
+available through ``branch_apply`` for diagnostics and is capped at
+``BRANCH_CAP`` points.
 """
 
 from __future__ import annotations
@@ -42,8 +44,13 @@ class FixedPointOperator:
         raise NotImplementedError
 
     def step(self, x):
-        """Selected output only; the hot path for iteration loops."""
-        return self.apply(x).selected
+        """Selected output only."""
+        return self.step_many(as_point(x, self.dim)[None])[0]
+
+    def step_many(self, X):
+        """Selected output for every row of an ``(m, dim)`` array; the hot
+        path for iteration loops.  Unvalidated, like ``project_many``."""
+        raise NotImplementedError
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         """All output branches (deduplicated, lexicographically sorted)."""
@@ -71,8 +78,8 @@ class SingleProjector(FixedPointOperator):
         x = as_point(x, self.dim)
         return StepRecord(self.s.project(x).selected, {})
 
-    def step(self, x):
-        return self.s.project(x).selected
+    def step_many(self, X):
+        return self.s.project_many(X)
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         return _dedup_sorted(self.s.project(as_point(x, self.dim)).branches, cap)
@@ -90,8 +97,8 @@ class SingleReflector(FixedPointOperator):
         x = as_point(x, self.dim)
         return StepRecord(self.s.reflect(x).selected, {})
 
-    def step(self, x):
-        return self.s.reflect(x).selected
+    def step_many(self, X):
+        return 2.0 * self.s.project_many(X) - X
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         return _dedup_sorted(self.s.reflect(as_point(x, self.dim)).branches, cap)
@@ -116,8 +123,8 @@ class AlternatingProjections(FixedPointOperator):
         z = self.a.project(y).selected
         return StepRecord(z, {"project_b": y})
 
-    def step(self, x):
-        return self.a.project(self.b.project(x).selected).selected
+    def step_many(self, X):
+        return self.a.project_many(self.b.project_many(X))
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         x = as_point(x, self.dim)
@@ -150,10 +157,10 @@ class DouglasRachford(FixedPointOperator):
             {"project_b": z, "reflect_b": r, "project_a_reflect_b": w},
         )
 
-    def step(self, x):
-        z = self.b.project(x).selected
-        w = self.a.project(2.0 * z - x).selected
-        return w - z + x
+    def step_many(self, X):
+        Z = self.b.project_many(X)
+        W = self.a.project_many(2.0 * Z - X)
+        return W - Z + X
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         x = as_point(x, self.dim)
@@ -179,8 +186,8 @@ class Companion(FixedPointOperator):
         rec = self.inner.apply(x)
         return StepRecord(2.0 * rec.selected - x, {"inner": rec.selected})
 
-    def step(self, x):
-        return 2.0 * self.inner.step(x) - x
+    def step_many(self, X):
+        return 2.0 * self.inner.step_many(X) - X
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         x = as_point(x, self.dim)
@@ -218,10 +225,10 @@ class Combination(FixedPointOperator):
             acc = acc + w * p
         return StepRecord(acc, parts)
 
-    def step(self, x):
-        acc = np.zeros(self.dim)
+    def step_many(self, X):
+        acc = np.zeros(X.shape)
         for w, op in self.terms:
-            acc = acc + w * op.step(x)
+            acc = acc + w * op.step_many(X)
         return acc
 
     def branch_apply(self, x, cap=BRANCH_CAP):

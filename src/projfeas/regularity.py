@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (  # noqa: F401  complement_basis: perfbench/tracing.py counts calls through it
+    as_points,
     complement_basis,
     largest_principal_cosine,
     orthonormalize,
+    row_norms,
     subspace_intersection,
 )
 from .sampling import ball_points, on_set_points
@@ -285,12 +287,9 @@ def verify_coercivity(op, sol: SolutionSet, lam, region: Region, samples=512, se
     A non-negative return certifies the coercivity hypothesis on the sample;
     points of the solution set contribute a zero margin.
     """
-    X = region.sample(samples, seed)
-    worst = math.inf
-    for x in X:
-        step = float(np.linalg.norm(x - op.step(x)))
-        worst = min(worst, step - lam * sol.distance(x))
-    return float(worst)
+    X = as_points(region.sample(samples, seed), op.dim)
+    margins = row_norms(X - op.step_many(X)) - lam * sol.distance_rows(X)
+    return float(min(margins, default=math.inf))
 
 
 @dataclass

@@ -69,7 +69,6 @@ class RunArtifacts:
     sweep: list = field(default_factory=list)
     friedrichs: float | None = None
     strongly_regular: bool | None = None
-    runtime_s: float = 0.0
 
 
 @dataclass
@@ -221,7 +220,6 @@ def run_experiment(cfg, out_dir=None, samples=None, seed=None, max_iters=None, t
                    with_claims=True):
     """Execute one experiment end to end and return its ``ReportDocument``."""
     cfg = cfg.with_overrides(samples=samples, seed=seed, max_iters=max_iters, tol=tol)
-    t0 = time.perf_counter()
     sol = cfg.solution_set()
     art = RunArtifacts(cfg=cfg, solution=sol)
     art.sweep = _estimator_sweep(cfg, sol)
@@ -244,7 +242,6 @@ def run_experiment(cfg, out_dir=None, samples=None, seed=None, max_iters=None, t
                 art.fit = fit_rate(art.traces[0])
             except ValueError:
                 art.fit = None
-    art.runtime_s = time.perf_counter() - t0
     verdicts = CLAIMS.get(cfg.name, lambda art: [])(art) if with_claims else []
     doc = ReportDocument(
         name=cfg.name,
@@ -543,7 +540,10 @@ def subspace_iff_sweep(n_pairs=20, base_seed=2025, samples=2048, max_iters=5000,
             f"{sum(bound_ok)}/{len(bound_ok)}",
             "observed rate <= sqrt(1-(1-c)/(1.05*kappa)^2) + 0.02",
         ),
-        _v("subspace-sweep-runtime", elapsed < 30.0, round(elapsed, 2), "< 30 s"),
+        # the seconds vary from run to run, so they stay out of the measured
+        # value that suite output and reports print
+        _v("subspace-sweep-runtime", elapsed < 30.0, elapsed < 30.0, "< 30 s",
+           detail=f"{elapsed:.2f} s"),
     ]
     return verdicts, details
 

@@ -5,7 +5,8 @@ Projectors may be multi-valued on the nonconvex variants.  Every projection
 returns the complete finite branch set together with one deterministic
 ``selected`` branch, so iterations are reproducible: ties are broken by the
 lexicographically smallest coordinate vector, and for unions of subspaces by
-the lowest frame index first.
+the lowest frame index first.  ``project_many`` returns the same selected
+branch for every row of a point array, bit for bit, with the same tie rules.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AffineFrame, as_point, complement_basis
+from .linalg import AffineFrame, as_point, as_points, complement_basis, row_norms
 
 MEMBERSHIP_TOL = 1e-9   # iterates land on sets only up to floating error
 TIE_TOL = 1e-10         # branch distances within this slack count as tied
@@ -174,12 +175,6 @@ def _no_own(X):
     return np.zeros_like(X), np.zeros(X.shape[0], dtype=bool)
 
 
-def _row_norms(D):
-    # a dot product per row, as np.linalg.norm of one point computes it, so
-    # batched normals equal per-point ones bit for bit
-    return np.sqrt(np.vecdot(D, D))
-
-
 class ClosedSet:
     """Base class: a nonempty closed subset of Euclidean space."""
 
@@ -192,7 +187,22 @@ class ClosedSet:
         X = np.asarray(X, dtype=float)
         return np.array([self.distance(x) for x in X])
 
+    def distance_rows(self, X):
+        """``distance`` of every row of an ``(m, dim)`` array, bit for bit.
+
+        Unvalidated, like ``distance_many``, which may round differently.
+        """
+        return np.array([self.distance(x) for x in X])
+
     def project(self, x) -> ProjectionOutcome:
+        raise NotImplementedError
+
+    def project_many(self, X):
+        """The ``selected`` branch of ``project`` for every row of an
+        ``(m, dim)`` array, bit for bit and with the same tie rules.
+
+        Unvalidated: callers check the points once, at their boundary.
+        """
         raise NotImplementedError
 
     def reflect(self, x) -> ProjectionOutcome:
@@ -235,9 +245,7 @@ class ClosedSet:
         return x
 
     def _check_members(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise ValueError(f"expected an (n, {self.dim}) array of points, got shape {X.shape}")
+        X = as_points(X, self.dim)
         off = ~(self.distance_many(X) <= MEMBERSHIP_TOL)
         if off.any():
             raise ValueError(f"point {X[np.argmax(off)]} is not in the set (tol {MEMBERSHIP_TOL})")
@@ -279,6 +287,12 @@ class AffineSubspace(ClosedSet):
     def distance_many(self, X):
         X = np.asarray(X, dtype=float)
         return np.linalg.norm(X - self.frame.project_many(X), axis=-1)
+
+    def distance_rows(self, X):
+        return row_norms(X - self.frame.project_rows(X))
+
+    def project_many(self, X):
+        return self.frame.project_rows(X)
 
     def normal_components(self, X):
         X = self._check_members(X)
@@ -333,10 +347,17 @@ class Ball(ClosedSet):
         p = self.center + (self.radius / r) * (x - self.center)
         return ProjectionOutcome(p, (p,), 1, r - self.radius)
 
+    def project_many(self, X):
+        D = X - self.center
+        r = row_norms(D)
+        inside = r <= self.radius
+        scale = self.radius / np.where(inside, 1.0, r)
+        return np.where(inside[:, None], X, self.center + scale[:, None] * D)
+
     def normal_components(self, X):
         X = self._check_members(X)
         D = X - self.center
-        r = _row_norms(D)
+        r = row_norms(D)
         on_boundary = r >= self.radius - MEMBERSHIP_TOL
         own = np.zeros_like(X)
         own[on_boundary] = D[on_boundary] / r[on_boundary, None]
@@ -385,10 +406,19 @@ class Sphere(ClosedSet):
         p = self.center + (self.radius / r) * (x - self.center)
         return ProjectionOutcome(p, (p,), 1, abs(r - self.radius))
 
+    def project_many(self, X):
+        D = X - self.center
+        r = row_norms(D)
+        at_center = r <= CENTER_TOL * max(1.0, self.radius)
+        scale = self.radius / np.where(at_center, 1.0, r)
+        canonical = self.center.copy()
+        canonical[0] += self.radius
+        return np.where(at_center[:, None], canonical, self.center + scale[:, None] * D)
+
     def normal_components(self, X):
         X = self._check_members(X)
         D = X - self.center
-        radial = D / _row_norms(D)[:, None]
+        radial = D / row_norms(D)[:, None]
         return NormalComponents(radial, np.ones(X.shape[0], dtype=bool), own_lines=True)
 
     def limiting_normals(self, x):
@@ -441,6 +471,21 @@ class UnionOfSubspaces(ClosedSet):
             p = f.project(x)
             cands.append((p, float(np.linalg.norm(x - p))))
         return _select_ties(cands, tie="order")
+
+    def _frame_projections(self, X):
+        """Per frame, the projections of the rows of ``X`` and their
+        distances: ``(frames, m, dim)`` and ``(frames, m)`` arrays."""
+        P = np.stack([f.project_rows(X) for f in self.frames])
+        return P, row_norms(X - P)
+
+    def distance_rows(self, X):
+        return self._frame_projections(X)[1].min(axis=0)
+
+    def project_many(self, X):
+        P, D = self._frame_projections(X)
+        dmin = D.min(axis=0)
+        first = np.argmax(D <= dmin + TIE_TOL * np.maximum(1.0, dmin), axis=0)
+        return P[first, np.arange(X.shape[0])]
 
     def normal_components(self, X):
         X = self._check_members(X)
@@ -536,6 +581,20 @@ class KinkedRegion(ClosedSet):
             return ProjectionOutcome(x.copy(), (x.copy(),), 1, 0.0)
         return _select_ties(self._boundary_candidates(x), tie="lex")
 
+    def project_many(self, X):
+        # _boundary_candidates and _select_ties row by row.  The slanted
+        # edge's candidate [t, -t] has t <= 0 and the flat edge's starts at
+        # max(x0, 0) >= 0, so of two tied branches the lexicographic rule
+        # always selects the slanted one
+        t = np.minimum((X[:, 0] - X[:, 1]) / 2.0, 0.0)
+        neg = np.stack([t, -t], axis=1)
+        pos = np.stack([np.maximum(X[:, 0], 0.0), np.zeros(X.shape[0])], axis=1)
+        d_neg, d_pos = row_norms(X - neg), row_norms(X - pos)
+        dmin = np.minimum(d_neg, d_pos)
+        neg_kept = d_neg <= dmin + TIE_TOL * np.maximum(1.0, dmin)
+        outside = np.where(neg_kept[:, None], neg, pos)
+        return np.where(self.contains_many(X, tol=0.0)[:, None], X, outside)
+
     def normal_components(self, X):
         X = self._check_members(X)
         off_corner = np.linalg.norm(X, axis=1) > MEMBERSHIP_TOL  # reflex corner: zero cone
@@ -603,6 +662,8 @@ class IntersectionSet(ClosedSet):
             "projection onto an intersection is unsupported by design; "
             "run a feasibility algorithm on the members instead"
         )
+
+    project_many = project
 
     def normal_components(self, X):
         raise NotImplementedError("normal cones of intersections are not provided")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AffineFrame, as_point, subspace_intersection
+from .linalg import AffineFrame, as_point, row_norms, subspace_intersection
 from .sets import AffineSubspace, ClosedSet, UnionOfSubspaces
 
 WITNESS_TOL = 1e-9
@@ -55,6 +55,13 @@ class SolutionSet:
         if self.exact is not None:
             return self.exact.distance(x)
         return float(np.linalg.norm(as_point(x, self.dim) - self.witness))
+
+    def distance_rows(self, X):
+        """``distance`` of every row of an ``(m, dim)`` array, bit for bit;
+        unvalidated."""
+        if self.exact is not None:
+            return self.exact.distance_rows(X)
+        return row_norms(X - self.witness)
 
     def distance_many(self, X):
         if self.exact is not None:

@@ -415,6 +415,19 @@ def test_criterion_9_subspace_sweep():
     )
 
 
+def test_subspace_sweep_verdicts_repeat():
+    # suite output prints claim, pass/fail, measured value and bound; the
+    # sweep's seconds go to the runtime verdict's detail, which it does not print
+    def printed(verdicts):
+        return [(v.claim_id, v.passed, v.measured, v.bound) for v in verdicts]
+
+    first, _ = subspace_iff_sweep()
+    second, _ = subspace_iff_sweep()
+    assert printed(first) == printed(second)
+    runtime = {v.claim_id: v for v in first}["subspace-sweep-runtime"]
+    assert runtime.passed and runtime.measured is True and runtime.detail.endswith(" s")
+
+
 def test_criterion_9_budget_stop_judged_by_rate():
     # the strongly regular 3+3 pair of base seed 52834893 contracts at its
     # Friedrichs cosine 0.9959 per step and needs ~5,300 steps to reach tol,

@@ -303,24 +303,41 @@ def test_predicted_rates_inflation_direction():
 # ---------------------------------------------------------------------------
 
 
+def coercivity_loop(op, sol, lam, region, samples, seed):
+    """The per-sample loop ``verify_coercivity`` ran before it was batched
+    (``apply(x).selected`` is the per-point ``step``)."""
+    worst = math.inf
+    for x in region.sample(samples, seed):
+        step = float(np.linalg.norm(x - op.apply(x).selected))
+        worst = min(worst, step - lam * sol.distance(x))
+    return float(worst)
+
+
+def _coercivity(op, sol, lam, region, samples, seed):
+    margin = verify_coercivity(op, sol, lam, region, samples=samples, seed=seed)
+    reference = coercivity_loop(op, sol, lam, region, samples, seed)
+    assert np.float64(margin).tobytes() == np.float64(reference).tobytes(), (margin, reference)
+    return margin
+
+
 def test_coercivity_projector_two_lines(lines2):
     a, b, sol = lines2
-    margin = verify_coercivity(SingleProjector(b), sol, math.sin(math.pi / 4),
-                               Region(np.zeros(2), 1.0, within=a), samples=256, seed=1)
+    margin = _coercivity(SingleProjector(b), sol, math.sin(math.pi / 4),
+                         Region(np.zeros(2), 1.0, within=a), samples=256, seed=1)
     assert margin >= -1e-9
 
 
 def test_coercivity_fails_at_tangency(line_ball):
     line, ball, sol = line_ball
-    margin = verify_coercivity(SingleProjector(ball), sol, 0.5,
-                               Region(np.zeros(2), 1.0, within=line), samples=256, seed=1)
+    margin = _coercivity(SingleProjector(ball), sol, 0.5,
+                         Region(np.zeros(2), 1.0, within=line), samples=256, seed=1)
     assert margin < 0
 
 
 def test_coercivity_zero_on_solution_set(lines2):
     a, b, sol = lines2
-    margin = verify_coercivity(SingleProjector(b), sol, 1.0,
-                               Region(np.zeros(2), 1e-12), samples=16, seed=0)
+    margin = _coercivity(SingleProjector(b), sol, 1.0,
+                         Region(np.zeros(2), 1e-12), samples=16, seed=0)
     assert abs(margin) <= 1e-9
 
 

@@ -307,6 +307,8 @@ def test_intersection_projection_unsupported():
     inter = IntersectionSet([line])
     with pytest.raises(NotImplementedError):
         inter.project([1.0, 1.0])
+    with pytest.raises(NotImplementedError):
+        inter.project_many(np.ones((1, 2)))
 
 
 def test_intersection_undecidable_distance_raises():
