@@ -81,14 +81,18 @@ def _advance(op, X, sol, max_iters, tol, record=None):
     on exhausting ``max_iters``.  Every operation acts on each row alone, so
     a row's result does not depend on the others.
 
-    ``record(n, X_next, step_norms, dist_to_s)`` sees every step of the rows
-    still running.  Returns the final iterates, their distances to the
-    solution set, the stop reasons and the steps taken, per row.
+    ``record(n, X_n, dist_to_s, step_norms)`` sees the ``n``-th iterates of
+    the rows still running, from the starts (``n = 0``, ``step_norms`` None)
+    on, with the norms of the steps that led to them.  Returns the final
+    iterates, their distances to the solution set, the stop reasons and the
+    steps taken, per row.
     """
     finals = X.copy()
     dists = sol.distance_rows(X)
     stops = np.full(X.shape[0], "tolerance", dtype=object)
     used = np.zeros(X.shape[0], dtype=int)
+    if record is not None:
+        record(0, X, dists, None)
     rows = np.flatnonzero(~(dists < tol))
     x, d = X[rows], dists[rows]
     for n in range(max_iters):
@@ -99,7 +103,7 @@ def _advance(op, X, sol, max_iters, tol, record=None):
         d = sol.distance_rows(x_next)
         x = x_next
         if record is not None:
-            record(n, x, steps, d)
+            record(n + 1, x, d, steps)
         diverged = row_norms(x) > DIVERGENCE_NORM
         stagnant = steps < STAGNATION_STEP
         done = diverged | stagnant | (d < tol)
@@ -129,11 +133,11 @@ def iterate(op: FixedPointOperator, x0, sol: SolutionSet, max_iters=1000, tol=1e
     X = np.empty((max_iters + 1, op.dim))
     d_s = np.empty(max_iters + 1)
     steps = np.empty(max_iters)
-    X[0] = x
-    d_s[0] = sol.distance_rows(x[None])[0]
 
-    def record(n, x_next, step_norms, dist_to_s):
-        X[n + 1], steps[n], d_s[n + 1] = x_next[0], step_norms[0], dist_to_s[0]
+    def record(n, x_n, dist_to_s, step_norms):
+        X[n], d_s[n] = x_n[0], dist_to_s[0]
+        if n:
+            steps[n - 1] = step_norms[0]
 
     _, _, stops, used = _advance(op, x[None], sol, max_iters, tol, record)
     used = int(used[0])

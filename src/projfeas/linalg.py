@@ -173,20 +173,15 @@ class AffineFrame:
 
     def project(self, x):
         """Orthogonal projection of ``x`` onto the frame (unique)."""
-        x = as_point(x, self.dim_ambient)
-        if self.dim_subspace == 0:
-            return self.offset.copy()
-        r = x - self.offset
-        return self.offset + self.basis.T @ (self.basis @ r)
+        return self.project_rows(as_point(x, self.dim_ambient)[None])[0]
 
     def project_rows(self, X):
-        """``project`` of every row of an ``(m, dim)`` array, bit for bit;
+        """Orthogonal projection of every row of an ``(m, dim)`` array;
         unvalidated.
 
-        A stacked ``matmul`` makes the same matrix-vector calls per row as
-        ``project`` makes for one point, so a row's result does not depend
-        on the batch it is in.  ``project_many`` multiplies whole matrices
-        instead, which rounds differently.
+        A stacked ``matmul`` makes one matrix-vector product per row, so a
+        row's result does not depend on the batch it is in.  ``project_many``
+        multiplies whole matrices instead, which rounds differently.
         """
         if self.dim_subspace == 0:
             return np.full(X.shape, self.offset)

@@ -9,10 +9,11 @@ localized; the averaged-reflector form is kept as an independent code path
 for the equivalence check.
 
 Compositions act on the deterministic ``selected`` branch.  Each operator
-writes its formula once, in ``step_many``, over the rows of an ``(m, dim)``
-array; ``step`` is the batch of one.  Full branch-set composition is
-available through ``branch_apply`` for diagnostics and is capped at
-``BRANCH_CAP`` points.
+writes its formula once, in ``_stages``, over the rows of an ``(m, dim)``
+array: ``step_many`` keeps its output, and ``step`` and ``apply`` (which also
+keeps the named intermediate points) evaluate it on a batch of one.  Full
+branch-set composition is available through ``branch_apply`` for
+diagnostics and is capped at ``BRANCH_CAP`` points.
 """
 
 from __future__ import annotations
@@ -40,8 +41,14 @@ class StepRecord:
 class FixedPointOperator:
     dim: int
 
-    def apply(self, x) -> StepRecord:
+    def _stages(self, X):
+        """The named intermediate points of every row of an ``(m, dim)``
+        array as a dict of arrays, and the selected output."""
         raise NotImplementedError
+
+    def apply(self, x) -> StepRecord:
+        parts, out = self._stages(as_point(x, self.dim)[None])
+        return StepRecord(out[0], {name: p[0] for name, p in parts.items()})
 
     def step(self, x):
         """Selected output only."""
@@ -50,7 +57,7 @@ class FixedPointOperator:
     def step_many(self, X):
         """Selected output for every row of an ``(m, dim)`` array; the hot
         path for iteration loops.  Unvalidated, like ``project_many``."""
-        raise NotImplementedError
+        return self._stages(X)[1]
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         """All output branches (deduplicated, lexicographically sorted)."""
@@ -74,12 +81,8 @@ class SingleProjector(FixedPointOperator):
         self.s = s
         self.dim = s.dim
 
-    def apply(self, x):
-        x = as_point(x, self.dim)
-        return StepRecord(self.s.project(x).selected, {})
-
-    def step_many(self, X):
-        return self.s.project_many(X)
+    def _stages(self, X):
+        return {}, self.s.project_many(X)
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         return _dedup_sorted(self.s.project(as_point(x, self.dim)).branches, cap)
@@ -93,12 +96,8 @@ class SingleReflector(FixedPointOperator):
         self.s = s
         self.dim = s.dim
 
-    def apply(self, x):
-        x = as_point(x, self.dim)
-        return StepRecord(self.s.reflect(x).selected, {})
-
-    def step_many(self, X):
-        return 2.0 * self.s.project_many(X) - X
+    def _stages(self, X):
+        return {}, 2.0 * self.s.project_many(X) - X
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         return _dedup_sorted(self.s.reflect(as_point(x, self.dim)).branches, cap)
@@ -117,14 +116,9 @@ class AlternatingProjections(FixedPointOperator):
         self.b = b
         self.dim = a.dim
 
-    def apply(self, x):
-        x = as_point(x, self.dim)
-        y = self.b.project(x).selected
-        z = self.a.project(y).selected
-        return StepRecord(z, {"project_b": y})
-
-    def step_many(self, X):
-        return self.a.project_many(self.b.project_many(X))
+    def _stages(self, X):
+        Y = self.b.project_many(X)
+        return {"project_b": Y}, self.a.project_many(Y)
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         x = as_point(x, self.dim)
@@ -147,20 +141,11 @@ class DouglasRachford(FixedPointOperator):
         self.b = b
         self.dim = a.dim
 
-    def apply(self, x):
-        x = as_point(x, self.dim)
-        z = self.b.project(x).selected
-        r = 2.0 * z - x
-        w = self.a.project(r).selected
-        return StepRecord(
-            w - z + x,
-            {"project_b": z, "reflect_b": r, "project_a_reflect_b": w},
-        )
-
-    def step_many(self, X):
+    def _stages(self, X):
         Z = self.b.project_many(X)
-        W = self.a.project_many(2.0 * Z - X)
-        return W - Z + X
+        R = 2.0 * Z - X
+        W = self.a.project_many(R)
+        return {"project_b": Z, "reflect_b": R, "project_a_reflect_b": W}, W - Z + X
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         x = as_point(x, self.dim)
@@ -181,13 +166,9 @@ class Companion(FixedPointOperator):
         self.inner = inner
         self.dim = inner.dim
 
-    def apply(self, x):
-        x = as_point(x, self.dim)
-        rec = self.inner.apply(x)
-        return StepRecord(2.0 * rec.selected - x, {"inner": rec.selected})
-
-    def step_many(self, X):
-        return 2.0 * self.inner.step_many(X) - X
+    def _stages(self, X):
+        T = self.inner.step_many(X)
+        return {"inner": T}, 2.0 * T - X
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         x = as_point(x, self.dim)
@@ -215,21 +196,13 @@ class Combination(FixedPointOperator):
         self.terms = terms
         self.dim = dims.pop()
 
-    def apply(self, x):
-        x = as_point(x, self.dim)
+    def _stages(self, X):
         parts = {}
-        acc = np.zeros(self.dim)
-        for i, (w, op) in enumerate(self.terms):
-            p = op.step(x)
-            parts[f"term_{i}"] = p
-            acc = acc + w * p
-        return StepRecord(acc, parts)
-
-    def step_many(self, X):
         acc = np.zeros(X.shape)
-        for w, op in self.terms:
-            acc = acc + w * op.step_many(X)
-        return acc
+        for i, (w, op) in enumerate(self.terms):
+            parts[f"term_{i}"] = op.step_many(X)
+            acc = acc + w * parts[f"term_{i}"]
+        return parts, acc
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         x = as_point(x, self.dim)

@@ -5,8 +5,10 @@ Projectors may be multi-valued on the nonconvex variants.  Every projection
 returns the complete finite branch set together with one deterministic
 ``selected`` branch, so iterations are reproducible: ties are broken by the
 lexicographically smallest coordinate vector, and for unions of subspaces by
-the lowest frame index first.  ``project_many`` returns the same selected
-branch for every row of a point array, bit for bit, with the same tie rules.
+the lowest frame index first.  ``project_many`` returns the selected branch
+for every row of a point array with the same tie rules.  Each variant writes
+its projection formula once, over rows: ``project`` evaluates it on a batch
+of one, so a row's result does not depend on the batch it is in.
 """
 
 from __future__ import annotations
@@ -191,6 +193,7 @@ class ClosedSet:
         """``distance`` of every row of an ``(m, dim)`` array, bit for bit.
 
         Unvalidated, like ``distance_many``, which may round differently.
+        Variants with a closed form over rows derive ``distance`` from it.
         """
         return np.array([self.distance(x) for x in X])
 
@@ -199,7 +202,7 @@ class ClosedSet:
 
     def project_many(self, X):
         """The ``selected`` branch of ``project`` for every row of an
-        ``(m, dim)`` array, bit for bit and with the same tie rules.
+        ``(m, dim)`` array, with the same tie rules.
 
         Unvalidated: callers check the points once, at their boundary.
         """
@@ -276,20 +279,19 @@ class AffineSubspace(ClosedSet):
         return cls(AffineFrame.from_span(offset, vectors))
 
     def project(self, x):
-        x = as_point(x, self.dim)
-        p = self.frame.project(x)
-        return ProjectionOutcome(p, (p,), 1, float(np.linalg.norm(x - p)))
+        x = as_point(x, self.dim)[None]
+        p = self.project_many(x)
+        return ProjectionOutcome(p[0], (p[0],), 1, float(row_norms(x - p)[0]))
 
     def distance(self, x):
-        x = as_point(x, self.dim)
-        return float(np.linalg.norm(x - self.frame.project(x)))
+        return float(self.distance_rows(as_point(x, self.dim)[None])[0])
 
     def distance_many(self, X):
         X = np.asarray(X, dtype=float)
         return np.linalg.norm(X - self.frame.project_many(X), axis=-1)
 
     def distance_rows(self, X):
-        return row_norms(X - self.frame.project_rows(X))
+        return row_norms(X - self.project_many(X))
 
     def project_many(self, X):
         return self.frame.project_rows(X)
@@ -339,20 +341,20 @@ class Ball(ClosedSet):
         X = np.asarray(X, dtype=float)
         return np.maximum(np.linalg.norm(X - self.center, axis=-1) - self.radius, 0.0)
 
-    def project(self, x):
-        x = as_point(x, self.dim)
-        r = float(np.linalg.norm(x - self.center))
-        if r <= self.radius:
-            return ProjectionOutcome(x.copy(), (x.copy(),), 1, 0.0)
-        p = self.center + (self.radius / r) * (x - self.center)
-        return ProjectionOutcome(p, (p,), 1, r - self.radius)
-
-    def project_many(self, X):
+    def _nearest(self, X):
+        """Projections of the rows of ``X`` and their distances from the center."""
         D = X - self.center
         r = row_norms(D)
         inside = r <= self.radius
         scale = self.radius / np.where(inside, 1.0, r)
-        return np.where(inside[:, None], X, self.center + scale[:, None] * D)
+        return np.where(inside[:, None], X, self.center + scale[:, None] * D), r
+
+    def project(self, x):
+        P, r = self._nearest(as_point(x, self.dim)[None])
+        return ProjectionOutcome(P[0], (P[0],), 1, max(float(r[0]) - self.radius, 0.0))
+
+    def project_many(self, X):
+        return self._nearest(X)[0]
 
     def normal_components(self, X):
         X = self._check_members(X)
@@ -395,25 +397,26 @@ class Sphere(ClosedSet):
         X = np.asarray(X, dtype=float)
         return np.abs(np.linalg.norm(X - self.center, axis=-1) - self.radius)
 
-    def project(self, x):
-        x = as_point(x, self.dim)
-        r = float(np.linalg.norm(x - self.center))
-        if r <= CENTER_TOL * max(1.0, self.radius):
-            # the full sphere is nearest; return the canonical representative
-            p = self.center.copy()
-            p[0] += self.radius
-            return ProjectionOutcome(p, (p,), INFINITE, self.radius)
-        p = self.center + (self.radius / r) * (x - self.center)
-        return ProjectionOutcome(p, (p,), 1, abs(r - self.radius))
-
-    def project_many(self, X):
+    def _nearest(self, X):
+        """Selected projections of the rows of ``X``, their distances from
+        the center and which of them sit at it."""
         D = X - self.center
         r = row_norms(D)
         at_center = r <= CENTER_TOL * max(1.0, self.radius)
         scale = self.radius / np.where(at_center, 1.0, r)
         canonical = self.center.copy()
         canonical[0] += self.radius
-        return np.where(at_center[:, None], canonical, self.center + scale[:, None] * D)
+        return np.where(at_center[:, None], canonical, self.center + scale[:, None] * D), r, at_center
+
+    def project(self, x):
+        P, r, at_center = self._nearest(as_point(x, self.dim)[None])
+        if at_center[0]:
+            # the full sphere is nearest; P holds the canonical representative
+            return ProjectionOutcome(P[0], (P[0],), INFINITE, self.radius)
+        return ProjectionOutcome(P[0], (P[0],), 1, abs(float(r[0]) - self.radius))
+
+    def project_many(self, X):
+        return self._nearest(X)[0]
 
     def normal_components(self, X):
         X = self._check_members(X)
@@ -456,8 +459,7 @@ class UnionOfSubspaces(ClosedSet):
         return cls(frames)
 
     def distance(self, x):
-        x = as_point(x, self.dim)
-        return min(float(np.linalg.norm(x - f.project(x))) for f in self.frames)
+        return float(self.distance_rows(as_point(x, self.dim)[None])[0])
 
     def distance_many(self, X):
         X = np.asarray(X, dtype=float)
@@ -465,12 +467,8 @@ class UnionOfSubspaces(ClosedSet):
         return np.min(np.vstack(per), axis=0)
 
     def project(self, x):
-        x = as_point(x, self.dim)
-        cands = []
-        for f in self.frames:
-            p = f.project(x)
-            cands.append((p, float(np.linalg.norm(x - p))))
-        return _select_ties(cands, tie="order")
+        P, D = self._frame_projections(as_point(x, self.dim)[None])
+        return _select_ties(list(zip(P[:, 0], D[:, 0])), tie="order")
 
     def _frame_projections(self, X):
         """Per frame, the projections of the rows of ``X`` and their
@@ -551,15 +549,18 @@ class KinkedRegion(ClosedSet):
         X = np.asarray(X, dtype=float)
         return np.where(X[:, 0] <= 0, X[:, 1] <= -X[:, 0] + tol, X[:, 1] <= tol)
 
+    @staticmethod
+    def _edge_points(X):
+        """Nearest points of the rows of ``X`` on the two closed boundary
+        rays, slanted edge first, and their distances."""
+        t = np.minimum((X[:, 0] - X[:, 1]) / 2.0, 0.0)
+        neg = np.stack([t, -t], axis=1)
+        pos = np.stack([np.maximum(X[:, 0], 0.0), np.zeros(X.shape[0])], axis=1)
+        return neg, pos, row_norms(X - neg), row_norms(X - pos)
+
     def _boundary_candidates(self, x):
-        # nearest points on the two closed boundary rays
-        t = min((x[0] - x[1]) / 2.0, 0.0)
-        cand_neg = np.array([t, -t])
-        cand_pos = np.array([max(x[0], 0.0), 0.0])
-        return [
-            (cand_neg, float(np.linalg.norm(x - cand_neg))),
-            (cand_pos, float(np.linalg.norm(x - cand_pos))),
-        ]
+        neg, pos, d_neg, d_pos = self._edge_points(x[None])
+        return [(neg[0], float(d_neg[0])), (pos[0], float(d_pos[0]))]
 
     def distance(self, x):
         x = as_point(x, 2)
@@ -582,14 +583,10 @@ class KinkedRegion(ClosedSet):
         return _select_ties(self._boundary_candidates(x), tie="lex")
 
     def project_many(self, X):
-        # _boundary_candidates and _select_ties row by row.  The slanted
-        # edge's candidate [t, -t] has t <= 0 and the flat edge's starts at
-        # max(x0, 0) >= 0, so of two tied branches the lexicographic rule
-        # always selects the slanted one
-        t = np.minimum((X[:, 0] - X[:, 1]) / 2.0, 0.0)
-        neg = np.stack([t, -t], axis=1)
-        pos = np.stack([np.maximum(X[:, 0], 0.0), np.zeros(X.shape[0])], axis=1)
-        d_neg, d_pos = row_norms(X - neg), row_norms(X - pos)
+        # _select_ties row by row.  The slanted edge's candidate [t, -t] has
+        # t <= 0 and the flat edge's starts at max(x0, 0) >= 0, so of two
+        # tied branches the lexicographic rule always selects the slanted one
+        neg, pos, d_neg, d_pos = self._edge_points(X)
         dmin = np.minimum(d_neg, d_pos)
         neg_kept = d_neg <= dmin + TIE_TOL * np.maximum(1.0, dmin)
         outside = np.where(neg_kept[:, None], neg, pos)
@@ -662,8 +659,6 @@ class IntersectionSet(ClosedSet):
             "projection onto an intersection is unsupported by design; "
             "run a feasibility algorithm on the members instead"
         )
-
-    project_many = project
 
     def normal_components(self, X):
         raise NotImplementedError("normal cones of intersections are not provided")

@@ -52,13 +52,10 @@ class SolutionSet:
         return self.witness.shape[0]
 
     def distance(self, x):
-        if self.exact is not None:
-            return self.exact.distance(x)
-        return float(np.linalg.norm(as_point(x, self.dim) - self.witness))
+        return float(self.distance_rows(as_point(x, self.dim)[None])[0])
 
     def distance_rows(self, X):
-        """``distance`` of every row of an ``(m, dim)`` array, bit for bit;
-        unvalidated."""
+        """Distance of every row of an ``(m, dim)`` array; unvalidated."""
         if self.exact is not None:
             return self.exact.distance_rows(X)
         return row_norms(X - self.witness)

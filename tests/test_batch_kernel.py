@@ -1,10 +1,13 @@
 """The batched iteration kernel against per-point references, bit for bit.
 
-``project_many`` is checked against ``project(x).selected``, ``step_many``
-against ``apply(x).selected`` (each operator's per-point formula), and the
-masked loop behind ``iterate`` and ``probe_fixed_points`` against the
-per-start loop ``iterate`` ran before it was batched, which lives only here.
-Every comparison is on the bytes of the results, so signed zeros count.
+The sets and operators write each formula once, over the rows of a point
+array, and evaluate it on a batch of one for a single point.  The references
+here are the per-point formulas they had before that, on 1-D arrays:
+``ref_project``, ``ref_step`` and the per-start loop ``reference_iterate``.
+``project_many``, ``project``, ``distance_rows``, ``distance``,
+``step_many``, ``step``, ``apply`` and the masked loop behind ``iterate``
+and ``probe_fixed_points`` are checked against them.  Every comparison is on
+the bytes of the results, so signed zeros count.
 """
 
 import math
@@ -27,13 +30,92 @@ from projfeas.operators import (
     SingleReflector,
 )
 from projfeas.regularity import Region
-from projfeas.sets import AffineSubspace, Ball, KinkedRegion, Sphere, UnionOfSubspaces
-from projfeas.solution import singleton_solution
+from projfeas.sets import (
+    CENTER_TOL,
+    AffineSubspace,
+    Ball,
+    KinkedRegion,
+    Sphere,
+    UnionOfSubspaces,
+    _select_ties,
+)
+from projfeas.solution import SolutionSet, singleton_solution
 
 
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# per-point references
+# ---------------------------------------------------------------------------
+
+
+def ref_frame(f, x):
+    if f.dim_subspace == 0:
+        return f.offset.copy()
+    return f.offset + f.basis.T @ (f.basis @ (x - f.offset))
+
+
+def ref_project(s, x):
+    """(selected branch, distance) of one point."""
+    if isinstance(s, AffineSubspace):
+        p = ref_frame(s.frame, x)
+        return p, float(np.linalg.norm(x - p))
+    if isinstance(s, UnionOfSubspaces):
+        cands = [(p, float(np.linalg.norm(x - p))) for p in (ref_frame(f, x) for f in s.frames)]
+        out = _select_ties(cands, tie="order")
+        return out.selected, out.distance
+    if isinstance(s, (Ball, Sphere)):
+        r = float(np.linalg.norm(x - s.center))
+        if isinstance(s, Ball) and r <= s.radius:
+            return x.copy(), 0.0
+        if isinstance(s, Sphere) and r <= CENTER_TOL * max(1.0, s.radius):
+            p = s.center.copy()
+            p[0] += s.radius
+            return p, s.radius
+        return s.center + (s.radius / r) * (x - s.center), abs(r - s.radius)
+    if isinstance(s, KinkedRegion):
+        if s.contains(x, tol=0.0):
+            return x.copy(), 0.0
+        t = min((x[0] - x[1]) / 2.0, 0.0)
+        cands = [np.array([t, -t]), np.array([max(x[0], 0.0), 0.0])]
+        out = _select_ties([(p, float(np.linalg.norm(x - p))) for p in cands], tie="lex")
+        return out.selected, out.distance
+    raise TypeError(type(s))
+
+
+def ref_distance(s, x):
+    if isinstance(s, Sphere):  # the center's distance is not the projection's
+        return abs(float(np.linalg.norm(x - s.center)) - s.radius)
+    return ref_project(s, x)[1]
+
+
+def ref_sol_distance(sol, x):
+    if sol.exact is not None:
+        return ref_distance(sol.exact, x)
+    return float(np.linalg.norm(x - sol.witness))
+
+
+def ref_step(op, x):
+    if isinstance(op, SingleProjector):
+        return ref_project(op.s, x)[0]
+    if isinstance(op, SingleReflector):
+        return 2.0 * ref_project(op.s, x)[0] - x
+    if isinstance(op, AlternatingProjections):
+        return ref_project(op.a, ref_project(op.b, x)[0])[0]
+    if isinstance(op, DouglasRachford):
+        z = ref_project(op.b, x)[0]
+        return ref_project(op.a, 2.0 * z - x)[0] - z + x
+    if isinstance(op, Companion):
+        return 2.0 * ref_step(op.inner, x) - x
+    if isinstance(op, Combination):
+        acc = np.zeros(op.dim)
+        for w, term in op.terms:
+            acc = acc + w * ref_step(term, x)
+        return acc
+    raise TypeError(type(op))
 
 
 def _random_affine(seed, dim, k):
@@ -79,7 +161,10 @@ def test_project_many_matches_project(name, data):
         X = np.vstack([X, ties])
     P = s.project_many(X)
     for x, p in zip(X, P):
-        assert same_bits(p, s.project(x).selected), (x, p, s.project(x).selected)
+        ref, dist = ref_project(s, x)
+        out = s.project(x)
+        assert same_bits(p, ref) and same_bits(out.selected, ref), (x, p, ref)
+        assert same_bits(out.distance, dist), (x, out.distance, dist)
 
 
 def test_tie_points_keep_their_rules():
@@ -96,7 +181,16 @@ def test_distance_rows_matches_distance():
     rng = np.random.default_rng(3)
     for name, (s, ties) in SETS.items():
         X = np.vstack([rng.normal(scale=2.0, size=(50, s.dim))] + ([ties] if ties else []))
-        assert same_bits(s.distance_rows(X), [s.distance(x) for x in X]), name
+        ref = [ref_distance(s, x) for x in X]
+        assert same_bits(s.distance_rows(X), ref), name
+        assert same_bits([s.distance(x) for x in X], ref), name
+    # a solution set with no closed form measures the distance to its witness
+    ball = Ball([0.0, 0.0, 0.0], 1.0)
+    sol = SolutionSet((ball,), [0.6, 0.0, 0.8])
+    X = rng.normal(scale=2.0, size=(500, 3))
+    ref = [ref_sol_distance(sol, x) for x in X]
+    assert same_bits(sol.distance_rows(X), ref)
+    assert same_bits([sol.distance(x) for x in X], ref)
 
 
 def _operators():
@@ -121,8 +215,8 @@ def test_step_many_matches_per_point_formula(name):
     X = np.vstack([rng.normal(scale=1.5, size=(200, 2)), [[0.0, 0.0], [0.7, 0.7], 2.0 * BISECTOR]])
     Y = op.step_many(X)
     for x, y in zip(X, Y):
-        assert same_bits(y, op.apply(x).selected), (x, y)
-        assert same_bits(y, op.step(x))
+        assert same_bits(y, ref_step(op, x)), (x, y)
+        assert same_bits(op.step(x), y) and same_bits(op.apply(x).selected, y)
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +227,17 @@ def test_step_many_matches_per_point_formula(name):
 def reference_iterate(op, x0, sol, max_iters, tol):
     """The per-start loop ``iterate`` ran before it was batched."""
     x = np.asarray(x0, dtype=float)
-    xs, ds, steps = [x], [sol.distance(x)], []
+    xs, ds, steps = [x], [ref_sol_distance(sol, x)], []
     stop = None
     for _ in range(max_iters):
         if ds[-1] < tol:
             stop = "tolerance"
             break
-        x_next = op.apply(x).selected
+        x_next = ref_step(op, x)
         steps.append(float(np.linalg.norm(x_next - x)))
         x = x_next
         xs.append(x)
-        ds.append(sol.distance(x))
+        ds.append(ref_sol_distance(sol, x))
         if float(np.linalg.norm(x)) > DIVERGENCE_NORM:
             stop = "divergence"
             break
