@@ -2,8 +2,8 @@
 
 The sets and operators write each formula once, over the rows of a point
 array, and evaluate it on a batch of one for a single point.  The references
-here are the per-point formulas they had before that, on 1-D arrays:
-``ref_project``, ``ref_step`` and the per-start loop ``reference_iterate``.
+are the per-point formulas they had before that, on 1-D arrays
+(``kernel_reference``), and the per-start loop ``reference_iterate``.
 ``project_many``, ``project``, ``distance_rows``, ``distance``,
 ``step_many``, ``step``, ``apply`` and the masked loop behind ``iterate``
 and ``probe_fixed_points`` are checked against them.  Every comparison is on
@@ -30,92 +30,15 @@ from projfeas.operators import (
     SingleReflector,
 )
 from projfeas.regularity import Region
-from projfeas.sets import (
-    CENTER_TOL,
-    AffineSubspace,
-    Ball,
-    KinkedRegion,
-    Sphere,
-    UnionOfSubspaces,
-    _select_ties,
-)
+from projfeas.sets import AffineSubspace, Ball, KinkedRegion, Sphere, UnionOfSubspaces
 from projfeas.solution import SolutionSet, singleton_solution
+
+from kernel_reference import ref_distance, ref_project, ref_sol_distance, ref_step
 
 
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# per-point references
-# ---------------------------------------------------------------------------
-
-
-def ref_frame(f, x):
-    if f.dim_subspace == 0:
-        return f.offset.copy()
-    return f.offset + f.basis.T @ (f.basis @ (x - f.offset))
-
-
-def ref_project(s, x):
-    """(selected branch, distance) of one point."""
-    if isinstance(s, AffineSubspace):
-        p = ref_frame(s.frame, x)
-        return p, float(np.linalg.norm(x - p))
-    if isinstance(s, UnionOfSubspaces):
-        cands = [(p, float(np.linalg.norm(x - p))) for p in (ref_frame(f, x) for f in s.frames)]
-        out = _select_ties(cands, tie="order")
-        return out.selected, out.distance
-    if isinstance(s, (Ball, Sphere)):
-        r = float(np.linalg.norm(x - s.center))
-        if isinstance(s, Ball) and r <= s.radius:
-            return x.copy(), 0.0
-        if isinstance(s, Sphere) and r <= CENTER_TOL * max(1.0, s.radius):
-            p = s.center.copy()
-            p[0] += s.radius
-            return p, s.radius
-        return s.center + (s.radius / r) * (x - s.center), abs(r - s.radius)
-    if isinstance(s, KinkedRegion):
-        if s.contains(x, tol=0.0):
-            return x.copy(), 0.0
-        t = min((x[0] - x[1]) / 2.0, 0.0)
-        cands = [np.array([t, -t]), np.array([max(x[0], 0.0), 0.0])]
-        out = _select_ties([(p, float(np.linalg.norm(x - p))) for p in cands], tie="lex")
-        return out.selected, out.distance
-    raise TypeError(type(s))
-
-
-def ref_distance(s, x):
-    if isinstance(s, Sphere):  # the center's distance is not the projection's
-        return abs(float(np.linalg.norm(x - s.center)) - s.radius)
-    return ref_project(s, x)[1]
-
-
-def ref_sol_distance(sol, x):
-    if sol.exact is not None:
-        return ref_distance(sol.exact, x)
-    return float(np.linalg.norm(x - sol.witness))
-
-
-def ref_step(op, x):
-    if isinstance(op, SingleProjector):
-        return ref_project(op.s, x)[0]
-    if isinstance(op, SingleReflector):
-        return 2.0 * ref_project(op.s, x)[0] - x
-    if isinstance(op, AlternatingProjections):
-        return ref_project(op.a, ref_project(op.b, x)[0])[0]
-    if isinstance(op, DouglasRachford):
-        z = ref_project(op.b, x)[0]
-        return ref_project(op.a, 2.0 * z - x)[0] - z + x
-    if isinstance(op, Companion):
-        return 2.0 * ref_step(op.inner, x) - x
-    if isinstance(op, Combination):
-        acc = np.zeros(op.dim)
-        for w, term in op.terms:
-            acc = acc + w * ref_step(term, x)
-        return acc
-    raise TypeError(type(op))
 
 
 def _random_affine(seed, dim, k):

@@ -20,6 +20,8 @@ from projfeas.regularity import (
 from projfeas.sets import AffineSubspace, KinkedRegion, UnionOfSubspaces
 from projfeas.solution import SolutionSet, singleton_solution
 
+from kernel_reference import ref_sol_distance, ref_step
+
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 
 
@@ -304,12 +306,12 @@ def test_predicted_rates_inflation_direction():
 
 
 def coercivity_loop(op, sol, lam, region, samples, seed):
-    """The per-sample loop ``verify_coercivity`` ran before it was batched
-    (``apply(x).selected`` is the per-point ``step``)."""
+    """The per-sample loop ``verify_coercivity`` ran before it was batched,
+    on the per-point step and distance formulas."""
     worst = math.inf
     for x in region.sample(samples, seed):
-        step = float(np.linalg.norm(x - op.apply(x).selected))
-        worst = min(worst, step - lam * sol.distance(x))
+        step = float(np.linalg.norm(x - ref_step(op, x)))
+        worst = min(worst, step - lam * ref_sol_distance(sol, x))
     return float(worst)
 
 
