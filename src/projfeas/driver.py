@@ -88,7 +88,7 @@ def _advance(op, X, sol, max_iters, tol, record=None):
     steps taken, per row.
     """
     finals = X.copy()
-    dists = sol.distance_rows(X)
+    dists = sol.distance_many(X)
     stops = np.full(X.shape[0], "tolerance", dtype=object)
     used = np.zeros(X.shape[0], dtype=int)
     if record is not None:
@@ -100,7 +100,7 @@ def _advance(op, X, sol, max_iters, tol, record=None):
             break
         x_next = op.step_many(x)
         steps = row_norms(x_next - x)
-        d = sol.distance_rows(x_next)
+        d = sol.distance_many(x_next)
         x = x_next
         if record is not None:
             record(n + 1, x, d, steps)

@@ -3,7 +3,8 @@
 Everything downstream (set geometry, operators, estimators) works with plain
 1-D numpy arrays as points.  Direction subspaces are stored as row-stacked
 orthonormal bases, so ``basis.shape == (dim_subspace, dim_ambient)`` and an
-empty basis has shape ``(0, dim_ambient)``.
+empty basis has shape ``(0, dim_ambient)``.  A frame projects through one
+row kernel, ``AffineFrame.project_rows``; ``project`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -180,20 +181,13 @@ class AffineFrame:
         unvalidated.
 
         A stacked ``matmul`` makes one matrix-vector product per row, so a
-        row's result does not depend on the batch it is in.  ``project_many``
-        multiplies whole matrices instead, which rounds differently.
+        row's result does not depend on the batch it is in (a product of
+        whole matrices would round differently).
         """
         if self.dim_subspace == 0:
             return np.full(X.shape, self.offset)
         R = (X - self.offset)[:, :, None]
         return self.offset + np.matmul(self.basis.T, np.matmul(self.basis, R))[:, :, 0]
-
-    def project_many(self, X):
-        X = np.asarray(X, dtype=float)
-        if self.dim_subspace == 0:
-            return np.broadcast_to(self.offset, X.shape).copy()
-        R = X - self.offset
-        return self.offset + (R @ self.basis.T) @ self.basis
 
     def contains(self, x, tol=1e-9):
         return float(np.linalg.norm(x - self.project(x))) <= tol

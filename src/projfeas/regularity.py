@@ -288,7 +288,7 @@ def verify_coercivity(op, sol: SolutionSet, lam, region: Region, samples=512, se
     points of the solution set contribute a zero margin.
     """
     X = as_points(region.sample(samples, seed), op.dim)
-    margins = row_norms(X - op.step_many(X)) - lam * sol.distance_rows(X)
+    margins = row_norms(X - op.step_many(X)) - lam * sol.distance_many(X)
     return float(min(margins, default=math.inf))
 
 

@@ -18,13 +18,6 @@ from scipy.stats import norm as _gauss
 from scipy.stats import qmc
 
 from .linalg import complement_basis
-from .sets import (
-    AffineSubspace,
-    Ball,
-    KinkedRegion,
-    Sphere,
-    UnionOfSubspaces,
-)
 
 
 def qmc_unit(n, dim, seed):
@@ -122,48 +115,11 @@ def _boundary_chart(center, radius, anchor, delta, n, seed):
     return _in_ball(np.vstack(pts), anchor, delta)
 
 
-def _kinked_chart(anchor, delta, n, seed):
-    anchor = np.asarray(anchor, dtype=float)
-    span = float(np.linalg.norm(anchor)) + delta
-    ladder = dyadic_ladder(n)
-    u = qmc_unit(n, 2, seed)
-    radii = np.concatenate([
-        np.maximum(span * u[:, 0], span * ladder[-1]),
-        span * ladder,
-    ])
-    neg = np.column_stack([-radii, radii]) / math.sqrt(2.0)
-    pos = np.column_stack([radii, np.zeros_like(radii)])
-    corner = np.zeros((1, 2))
-    boundary = np.vstack([neg, pos, corner])
-    # a few interior points: drop boundary samples straight down
-    drops = delta * np.array([0.25, 0.5])
-    interior = np.vstack([boundary - np.array([0.0, h]) for h in drops])
-    interior = interior[KinkedRegion.contains_many(interior, tol=0.0)]
-    return _in_ball(np.vstack([boundary, interior]), anchor, delta)
-
-
 def on_set_points(s, anchor, delta, n, seed):
     """Deterministic points of ``s`` within ``delta`` of ``anchor``.
 
-    The charts parameterize each variant directly (basis coefficients for
-    subspaces, angles for spheres and ball boundaries, edge coordinates for
-    the kinked region) and include the dyadic ladder toward the anchor.
+    Each variant's ``chart`` parameterizes it directly (basis coefficients
+    for subspaces, angles for spheres and ball boundaries, edge coordinates
+    for the kinked region) and includes the dyadic ladder toward the anchor.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    if isinstance(s, AffineSubspace):
-        return _affine_chart(s.frame, anchor, delta, n, seed)
-    if isinstance(s, (Ball, Sphere)):
-        pts = _boundary_chart(s.center, s.radius, anchor, delta, n, seed)
-        if isinstance(s, Ball) and s.contains(anchor):
-            pts = np.vstack([anchor[None, :], pts])
-        return pts
-    if isinstance(s, UnionOfSubspaces):
-        per = max(1, n // len(s.frames))
-        parts = [
-            _affine_chart(f, anchor, delta, per, seed + 911 * i)
-            for i, f in enumerate(s.frames)
-        ]
-        return np.vstack(parts)
-    if isinstance(s, KinkedRegion):
-        return _kinked_chart(anchor, delta, n, seed)
-    raise NotImplementedError(f"no sampling chart for {type(s).__name__}")
+    return s.chart(np.asarray(anchor, dtype=float), delta, n, seed)

@@ -6,9 +6,12 @@ returns the complete finite branch set together with one deterministic
 ``selected`` branch, so iterations are reproducible: ties are broken by the
 lexicographically smallest coordinate vector, and for unions of subspaces by
 the lowest frame index first.  ``project_many`` returns the selected branch
-for every row of a point array with the same tie rules.  Each variant writes
-its projection formula once, over rows: ``project`` evaluates it on a batch
-of one, so a row's result does not depend on the batch it is in.
+for every row of a point array with the same tie rules, and ``distance_many``
+the distance of every row.  Each variant writes its projection and distance
+formulas once, over rows: ``project`` and ``distance`` evaluate them on a
+batch of one, so a row's result does not depend on the batch it is in.
+Each variant also owns its sampling ``chart``, the on-set points the
+estimators draw near an anchor.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import AffineFrame, as_point, as_points, complement_basis, row_norms
+from .sampling import _affine_chart, _boundary_chart, _in_ball, dyadic_ladder, qmc_unit
 
 MEMBERSHIP_TOL = 1e-9   # iterates land on sets only up to floating error
 TIE_TOL = 1e-10         # branch distances within this slack count as tied
@@ -183,19 +187,12 @@ class ClosedSet:
     dim: int
 
     def distance(self, x):
-        return self.project(x).distance
+        return float(self.distance_many(as_point(x, self.dim)[None])[0])
 
     def distance_many(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.array([self.distance(x) for x in X])
-
-    def distance_rows(self, X):
-        """``distance`` of every row of an ``(m, dim)`` array, bit for bit.
-
-        Unvalidated, like ``distance_many``, which may round differently.
-        Variants with a closed form over rows derive ``distance`` from it.
-        """
-        return np.array([self.distance(x) for x in X])
+        """Distance of every row of an ``(m, dim)`` array; unvalidated.
+        ``distance`` is its batch of one."""
+        raise NotImplementedError
 
     def project(self, x) -> ProjectionOutcome:
         raise NotImplementedError
@@ -234,6 +231,11 @@ class ClosedSet:
     def limiting_normals(self, x) -> NormalCone:
         """Limiting normal cone at ``x``, assembled from nearby proximal cones."""
         raise NotImplementedError
+
+    def chart(self, anchor, delta, n, seed):
+        """Deterministic points of the set within ``delta`` of ``anchor``,
+        ``n`` quasirandom ones plus the dyadic ladder toward the anchor."""
+        raise NotImplementedError(f"no sampling chart for {type(self).__name__}")
 
     def is_convex(self):
         return False
@@ -283,14 +285,7 @@ class AffineSubspace(ClosedSet):
         p = self.project_many(x)
         return ProjectionOutcome(p[0], (p[0],), 1, float(row_norms(x - p)[0]))
 
-    def distance(self, x):
-        return float(self.distance_rows(as_point(x, self.dim)[None])[0])
-
     def distance_many(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.linalg.norm(X - self.frame.project_many(X), axis=-1)
-
-    def distance_rows(self, X):
         return row_norms(X - self.project_many(X))
 
     def project_many(self, X):
@@ -308,6 +303,9 @@ class AffineSubspace(ClosedSet):
         if self.normal_basis.shape[0] == 0:
             return _cone(self.dim)
         return _cone(self.dim, subspaces=[self.normal_basis])
+
+    def chart(self, anchor, delta, n, seed):
+        return _affine_chart(self.frame, anchor, delta, n, seed)
 
     def is_convex(self):
         return True
@@ -333,13 +331,8 @@ class Ball(ClosedSet):
             raise ValueError("radius must be positive")
         self.dim = self.center.shape[0]
 
-    def distance(self, x):
-        x = as_point(x, self.dim)
-        return max(float(np.linalg.norm(x - self.center)) - self.radius, 0.0)
-
     def distance_many(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.maximum(np.linalg.norm(X - self.center, axis=-1) - self.radius, 0.0)
+        return np.maximum(row_norms(X - self.center) - self.radius, 0.0)
 
     def _nearest(self, X):
         """Projections of the rows of ``X`` and their distances from the center."""
@@ -368,6 +361,12 @@ class Ball(ClosedSet):
     def limiting_normals(self, x):
         return _cone(self.dim, rays=self.proximal_normals(x))
 
+    def chart(self, anchor, delta, n, seed):
+        pts = _boundary_chart(self.center, self.radius, anchor, delta, n, seed)
+        if self.contains(anchor):
+            pts = np.vstack([anchor[None, :], pts])
+        return pts
+
     def is_convex(self):
         return True
 
@@ -389,13 +388,8 @@ class Sphere(ClosedSet):
             raise ValueError("radius must be positive")
         self.dim = self.center.shape[0]
 
-    def distance(self, x):
-        x = as_point(x, self.dim)
-        return abs(float(np.linalg.norm(x - self.center)) - self.radius)
-
     def distance_many(self, X):
-        X = np.asarray(X, dtype=float)
-        return np.abs(np.linalg.norm(X - self.center, axis=-1) - self.radius)
+        return np.abs(row_norms(X - self.center) - self.radius)
 
     def _nearest(self, X):
         """Selected projections of the rows of ``X``, their distances from
@@ -428,6 +422,9 @@ class Sphere(ClosedSet):
         u, _ = self.proximal_normals(x)
         return _cone(self.dim, subspaces=[u.reshape(1, -1)])
 
+    def chart(self, anchor, delta, n, seed):
+        return _boundary_chart(self.center, self.radius, anchor, delta, n, seed)
+
     def to_dict(self):
         return {
             "variant": "sphere",
@@ -458,14 +455,6 @@ class UnionOfSubspaces(ClosedSet):
         ]
         return cls(frames)
 
-    def distance(self, x):
-        return float(self.distance_rows(as_point(x, self.dim)[None])[0])
-
-    def distance_many(self, X):
-        X = np.asarray(X, dtype=float)
-        per = [np.linalg.norm(X - f.project_many(X), axis=-1) for f in self.frames]
-        return np.min(np.vstack(per), axis=0)
-
     def project(self, x):
         P, D = self._frame_projections(as_point(x, self.dim)[None])
         return _select_ties(list(zip(P[:, 0], D[:, 0])), tie="order")
@@ -476,7 +465,7 @@ class UnionOfSubspaces(ClosedSet):
         P = np.stack([f.project_rows(X) for f in self.frames])
         return P, row_norms(X - P)
 
-    def distance_rows(self, X):
+    def distance_many(self, X):
         return self._frame_projections(X)[1].min(axis=0)
 
     def project_many(self, X):
@@ -487,9 +476,7 @@ class UnionOfSubspaces(ClosedSet):
 
     def normal_components(self, X):
         X = self._check_members(X)
-        held = np.array([
-            np.linalg.norm(X - f.project_many(X), axis=-1) <= MEMBERSHIP_TOL for f in self.frames
-        ])
+        held = self._frame_projections(X)[1] <= MEMBERSHIP_TOL
         # at a frame crossing the projector preimage collapses to the point
         # itself, so the proximal cone is the zero cone
         alone = held.sum(axis=0) == 1
@@ -508,6 +495,14 @@ class UnionOfSubspaces(ClosedSet):
             if basis.shape[0] and f.contains(x, MEMBERSHIP_TOL)
         ]
         return _cone(self.dim, subspaces=subs)
+
+    def chart(self, anchor, delta, n, seed):
+        per = max(1, n // len(self.frames))
+        parts = [
+            _affine_chart(f, anchor, delta, per, seed + 911 * i)
+            for i, f in enumerate(self.frames)
+        ]
+        return np.vstack(parts)
 
     def to_dict(self):
         return {
@@ -538,10 +533,7 @@ class KinkedRegion(ClosedSet):
         self.dim = 2
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        x = as_point(x, 2)
-        if x[0] <= 0:
-            return x[1] <= -x[0] + tol
-        return x[1] <= tol
+        return bool(self.contains_many(as_point(x, 2)[None], tol)[0])
 
     @staticmethod
     def contains_many(X, tol=MEMBERSHIP_TOL):
@@ -558,29 +550,16 @@ class KinkedRegion(ClosedSet):
         pos = np.stack([np.maximum(X[:, 0], 0.0), np.zeros(X.shape[0])], axis=1)
         return neg, pos, row_norms(X - neg), row_norms(X - pos)
 
-    def _boundary_candidates(self, x):
-        neg, pos, d_neg, d_pos = self._edge_points(x[None])
-        return [(neg[0], float(d_neg[0])), (pos[0], float(d_pos[0]))]
-
-    def distance(self, x):
-        x = as_point(x, 2)
-        if self.contains(x, tol=0.0):
-            return 0.0
-        return min(d for _, d in self._boundary_candidates(x))
-
     def distance_many(self, X):
-        X = np.asarray(X, dtype=float)
-        inside = self.contains_many(X, tol=0.0)
-        t = np.minimum((X[:, 0] - X[:, 1]) / 2.0, 0.0)
-        d_neg = np.hypot(X[:, 0] - t, X[:, 1] + t)
-        d_pos = np.hypot(np.minimum(X[:, 0], 0.0), X[:, 1])
-        return np.where(inside, 0.0, np.minimum(d_neg, d_pos))
+        _, _, d_neg, d_pos = self._edge_points(X)
+        return np.where(self.contains_many(X, tol=0.0), 0.0, np.minimum(d_neg, d_pos))
 
     def project(self, x):
         x = as_point(x, 2)
         if self.contains(x, tol=0.0):
             return ProjectionOutcome(x.copy(), (x.copy(),), 1, 0.0)
-        return _select_ties(self._boundary_candidates(x), tie="lex")
+        neg, pos, d_neg, d_pos = self._edge_points(x[None])
+        return _select_ties([(neg[0], float(d_neg[0])), (pos[0], float(d_pos[0]))], tie="lex")
 
     def project_many(self, X):
         # _select_ties row by row.  The slanted edge's candidate [t, -t] has
@@ -594,7 +573,7 @@ class KinkedRegion(ClosedSet):
 
     def normal_components(self, X):
         X = self._check_members(X)
-        off_corner = np.linalg.norm(X, axis=1) > MEMBERSHIP_TOL  # reflex corner: zero cone
+        off_corner = row_norms(X) > MEMBERSHIP_TOL  # reflex corner: zero cone
         on_neg = off_corner & (X[:, 0] < 0) & (np.abs(X[:, 1] + X[:, 0]) <= MEMBERSHIP_TOL)
         on_pos = off_corner & (X[:, 0] > 0) & (np.abs(X[:, 1]) <= MEMBERSHIP_TOL)
         groups = tuple(
@@ -610,6 +589,24 @@ class KinkedRegion(ClosedSet):
             return _cone(2, rays=[self.EDGE_NEG_NORMAL, self.EDGE_POS_NORMAL])
         rays = self.proximal_normals(x)
         return _cone(2, rays=rays)
+
+    def chart(self, anchor, delta, n, seed):
+        span = float(np.linalg.norm(anchor)) + delta
+        ladder = dyadic_ladder(n)
+        u = qmc_unit(n, 2, seed)
+        radii = np.concatenate([
+            np.maximum(span * u[:, 0], span * ladder[-1]),
+            span * ladder,
+        ])
+        neg = np.column_stack([-radii, radii]) / math.sqrt(2.0)
+        pos = np.column_stack([radii, np.zeros_like(radii)])
+        corner = np.zeros((1, 2))
+        boundary = np.vstack([neg, pos, corner])
+        # a few interior points: drop boundary samples straight down
+        drops = delta * np.array([0.25, 0.5])
+        interior = np.vstack([boundary - np.array([0.0, h]) for h in drops])
+        interior = interior[self.contains_many(interior, tol=0.0)]
+        return _in_ball(np.vstack([boundary, interior]), anchor, delta)
 
     def to_dict(self):
         return {"variant": "kinked"}
@@ -653,6 +650,9 @@ class IntersectionSet(ClosedSet):
                 "use a solution set with an exact form"
             )
         return best
+
+    def distance_many(self, X):
+        return np.array([self.distance(x) for x in X])
 
     def project(self, x):
         raise NotImplementedError(

@@ -52,19 +52,13 @@ class SolutionSet:
         return self.witness.shape[0]
 
     def distance(self, x):
-        return float(self.distance_rows(as_point(x, self.dim)[None])[0])
-
-    def distance_rows(self, X):
-        """Distance of every row of an ``(m, dim)`` array; unvalidated."""
-        if self.exact is not None:
-            return self.exact.distance_rows(X)
-        return row_norms(X - self.witness)
+        return float(self.distance_many(as_point(x, self.dim)[None])[0])
 
     def distance_many(self, X):
+        """Distance of every row of an ``(m, dim)`` array; unvalidated."""
         if self.exact is not None:
             return self.exact.distance_many(X)
-        X = np.asarray(X, dtype=float)
-        return np.linalg.norm(X - self.witness, axis=-1)
+        return row_norms(X - self.witness)
 
     def project(self, x):
         if self.exact is not None:

@@ -4,7 +4,7 @@ The sets and operators write each formula once, over the rows of a point
 array, and evaluate it on a batch of one for a single point.  The references
 are the per-point formulas they had before that, on 1-D arrays
 (``kernel_reference``), and the per-start loop ``reference_iterate``.
-``project_many``, ``project``, ``distance_rows``, ``distance``,
+``project_many``, ``project``, ``distance_many``, ``distance``,
 ``step_many``, ``step``, ``apply`` and the masked loop behind ``iterate``
 and ``probe_fixed_points`` are checked against them.  Every comparison is on
 the bytes of the results, so signed zeros count.
@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from projfeas import presets
-from projfeas.driver import DIVERGENCE_NORM, STAGNATION_STEP, _advance, iterate, probe_fixed_points
+from projfeas.driver import (
+    DIVERGENCE_NORM,
+    STAGNATION_STEP,
+    _advance,
+    _pair_sets,
+    iterate,
+    probe_fixed_points,
+)
 from projfeas.linalg import AffineFrame
 from projfeas.operators import (
     AlternatingProjections,
@@ -100,19 +107,24 @@ def test_tie_points_keep_their_rules():
     np.testing.assert_array_equal(sphere.project_many(np.array([[0.5, -1.0]])), [[2.0, -1.0]])
 
 
-def test_distance_rows_matches_distance():
+def test_distance_many_matches_distance():
     rng = np.random.default_rng(3)
     for name, (s, ties) in SETS.items():
         X = np.vstack([rng.normal(scale=2.0, size=(50, s.dim))] + ([ties] if ties else []))
         ref = [ref_distance(s, x) for x in X]
-        assert same_bits(s.distance_rows(X), ref), name
+        assert same_bits(s.distance_many(X), ref), name
         assert same_bits([s.distance(x) for x in X], ref), name
+        # the projection measures the same distance, except that it reports
+        # the radius where the whole sphere is nearest (its center)
+        outs = [s.project(x) for x in X]
+        finite = [i for i, out in enumerate(outs) if out.branch_count != math.inf]
+        assert same_bits([outs[i].distance for i in finite], [ref[i] for i in finite]), name
     # a solution set with no closed form measures the distance to its witness
     ball = Ball([0.0, 0.0, 0.0], 1.0)
     sol = SolutionSet((ball,), [0.6, 0.0, 0.8])
     X = rng.normal(scale=2.0, size=(500, 3))
     ref = [ref_sol_distance(sol, x) for x in X]
-    assert same_bits(sol.distance_rows(X), ref)
+    assert same_bits(sol.distance_many(X), ref)
     assert same_bits([sol.distance(x) for x in X], ref)
 
 
@@ -223,6 +235,20 @@ def test_stop_precedence_after_a_step():
     starts = np.array([[2e12, 0.0], [1e-9 * (1 - 2e-15), 1e-16], [3.0, 1.0]])
     stops = _assert_batch_matches_reference(op, starts, sol, max_iters=10, tol=1e-9)
     assert list(stops) == ["divergence", "tolerance", "stagnation"]
+
+
+@pytest.mark.parametrize("name", ITERATING_PRESETS)
+def test_trace_distances_are_the_set_distances(name):
+    # the trace CSV's dist_A and dist_B columns, from the first start as
+    # run_experiment writes them
+    cfg = presets.preset(name)
+    sol, op = cfg.solution_set(), cfg.operator()
+    a, b = _pair_sets(op)
+    x0 = cfg.start.points(cfg.regularity.seed)[0]
+    trace = iterate(op, x0, sol, max_iters=min(cfg.budget.max_iters, 2000), tol=cfg.budget.tol)
+    for s, column in ((a, trace.dist_to_a), (b, trace.dist_to_b)):
+        assert same_bits(column, [s.distance(x) for x in trace.iterates])
+        assert same_bits(column, [ref_distance(s, x) for x in trace.iterates])
 
 
 @pytest.mark.parametrize("name", ITERATING_PRESETS)

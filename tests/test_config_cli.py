@@ -138,7 +138,7 @@ def test_cli_presets_listing(capsys):
 def test_cli_suite_subset(tmp_path, capsys):
     code = main([
         "suite", "example-i", "kinked-regularity",
-        "--out-dir", str(tmp_path), "--samples", "512", "--workers", "2",
+        "--out-dir", str(tmp_path), "--samples", "512",
     ])
     out = capsys.readouterr().out
     assert code == 0

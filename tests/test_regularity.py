@@ -17,8 +17,9 @@ from projfeas.regularity import (
     predicted_rates,
     verify_coercivity,
 )
+from projfeas.runner import random_subspace_pair
 from projfeas.sets import AffineSubspace, KinkedRegion, UnionOfSubspaces
-from projfeas.solution import SolutionSet, singleton_solution
+from projfeas.solution import SolutionSet, singleton_solution, subspace_pair_solution
 
 from kernel_reference import ref_sol_distance, ref_step
 
@@ -140,6 +141,24 @@ def test_kappa_diverges_at_tangency(line_ball):
     vals = [estimate_kappa(line, ball, sol, 1.0, samples=n, seed=5) for n in (512, 1024, 2048)]
     assert vals[1] / vals[0] >= 1.6
     assert vals[2] / vals[1] >= 1.6
+
+
+def test_kappa_below_closed_form_on_sweep_pairs():
+    # for two linear subspaces the modulus is 1/sin(theta_F/2), theta_F the
+    # Friedrichs angle; a sampled supremum can only approach it from below
+    regular = 0
+    for idx in range(0, 20, 2):  # the intended-regular pairs of the sweep
+        a, b, _ = random_subspace_pair(2025 + idx, (3, 3))
+        if not check_strong_regularity(a, b, np.zeros(5)):
+            continue
+        regular += 1
+        sol = subspace_pair_solution(a, b, np.zeros(5))
+        cos_f = friedrichs_cosine(a.frame, b.frame)
+        exact = 1.0 / math.sqrt((1.0 - cos_f) / 2.0)
+        for n in (1024, 2048, 4096):
+            kappa = estimate_kappa(a, b, sol, 1.0, samples=n, seed=2025 + idx)
+            assert kappa <= exact, (idx, n, kappa, exact)
+    assert regular == 10
 
 
 def test_kappa_lower_bound_property(lines2):

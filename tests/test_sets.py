@@ -302,6 +302,15 @@ def test_intersection_membership_and_distance():
     assert inter.distance([3.0, 0.0]) == pytest.approx(2.0)
 
 
+def test_intersection_distance_many_is_per_row_distance():
+    line = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
+    inter = IntersectionSet([line, Ball([0.0, 0.0], 1.0)])
+    X = np.array([[0.5, 0.0], [3.0, 0.0], [-2.0, 0.0]])
+    np.testing.assert_array_equal(inter.distance_many(X), [inter.distance(x) for x in X])
+    with pytest.raises(NotImplementedError):
+        inter.chart(np.zeros(2), 1.0, 16, 0)
+
+
 def test_intersection_projection_unsupported():
     line = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
     inter = IntersectionSet([line])
