@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -23,6 +22,8 @@ from .solution import SolutionSet
 
 STAGNATION_STEP = 1e-15  # below this, the iterate is a numerical fixed point
 DIVERGENCE_NORM = 1e12
+BLOCK_ROWS = 4096  # bound on steps x running rows per block of the iteration loop
+CSV_CHUNK_ROWS = 1000  # trace rows formatted and written at a time
 
 
 @dataclass
@@ -72,47 +73,64 @@ def _check_budget(max_iters, tol):
 def _advance(op, X, sol, max_iters, tol, record=None):
     """Picard iteration of every row of a validated ``(m, d)`` array.
 
-    Only the rows still running are stepped; a row that stops keeps its last
-    iterate.  A row stops on ``dist_to_s < tol`` before a step
-    ("tolerance"); after a step, on the iterate norm exceeding
-    ``DIVERGENCE_NORM`` ("divergence"), then on a step shorter than
-    ``STAGNATION_STEP`` ("tolerance" if the step landed within ``tol``, else
-    "stagnation": a fixed point away from the intersection); and otherwise
-    on exhausting ``max_iters``.  Every operation acts on each row alone, so
-    a row's result does not depend on the others.
+    A row stops on ``dist_to_s < tol`` before a step ("tolerance"); after a
+    step, on the iterate norm exceeding ``DIVERGENCE_NORM`` ("divergence"),
+    then on a step shorter than ``STAGNATION_STEP`` ("tolerance" if the step
+    landed within ``tol``, else "stagnation": a fixed point away from the
+    intersection); and otherwise on exhausting ``max_iters``.
 
-    ``record(n, X_n, dist_to_s, step_norms)`` sees the ``n``-th iterates of
-    the rows still running, from the starts (``n = 0``, ``step_norms`` None)
-    on, with the norms of the steps that led to them.  Returns the final
-    iterates, their distances to the solution set, the stop reasons and the
-    steps taken, per row.
+    The running rows are stepped in blocks of K steps into a ``(K + 1, m,
+    d)`` buffer, and the stop tests are evaluated once per block; each row
+    is cut at its first stop and the steps past it are discarded.  K starts
+    at one and doubles, so a run that stops early wastes fewer steps than it
+    took, and K times the running rows stays within ``BLOCK_ROWS``.  Every
+    operation acts on each row alone, so a row's result depends neither on
+    the others nor on the blocking.  Rows past a divergence may overflow:
+    the block runs under ``np.errstate`` and only iterates up to each row's
+    first divergence or stagnation reach ``sol.distance_many``.
+
+    ``record(n, Xs, ds, steps)`` sees the starts (``n = 0``, a block of one,
+    ``steps`` None) and then each block: ``Xs[j]`` holds the ``(n + j)``-th
+    iterates of the rows running at the block's start, ``ds[j]`` their
+    distances to the solution set and ``steps[j]`` the norms of the steps
+    that led to them.  A row's entries past its stop are not part of its
+    iteration.  Returns the final iterates, their distances to the solution
+    set, the stop reasons and the steps taken, per row.
     """
     finals = X.copy()
     dists = sol.distance_many(X)
     stops = np.full(X.shape[0], "tolerance", dtype=object)
     used = np.zeros(X.shape[0], dtype=int)
     if record is not None:
-        record(0, X, dists, None)
+        record(0, X[None], dists[None], None)
     rows = np.flatnonzero(~(dists < tol))
-    x, d = X[rows], dists[rows]
-    for n in range(max_iters):
-        if rows.size == 0:
-            break
-        x_next = op.step_many(x)
-        steps = row_norms(x_next - x)
-        d = sol.distance_many(x_next)
-        x = x_next
+    x, d, n, k = X[rows], dists[rows], 0, 1
+    while rows.size and n < max_iters:
+        k = min(k, max_iters - n, max(1, BLOCK_ROWS // rows.size))
+        B = np.empty((k + 1,) + x.shape)
+        B[0] = x
+        with np.errstate(all="ignore"):
+            for j in range(k):
+                B[j + 1] = op.step_many(B[j])
+            steps = row_norms(B[1:] - B[:-1])
+            diverged = row_norms(B[1:]) > DIVERGENCE_NORM
+        halted = diverged | (steps < STAGNATION_STEP)
+        live = np.ones_like(halted)
+        live[1:] = ~np.logical_or.accumulate(halted[:-1])
+        D = np.full(steps.shape, np.inf)
+        D[live] = sol.distance_many(B[1:][live])
         if record is not None:
-            record(n + 1, x, d, steps)
-        diverged = row_norms(x) > DIVERGENCE_NORM
-        stagnant = steps < STAGNATION_STEP
-        done = diverged | stagnant | (d < tol)
-        if done.any():
-            stopped = rows[done]
-            finals[stopped], dists[stopped], used[stopped] = x[done], d[done], n + 1
-            stops[stopped[stagnant[done] & ~(d[done] < tol)]] = "stagnation"
-            stops[stopped[diverged[done]]] = "divergence"
-            rows, x, d = rows[~done], x[~done], d[~done]
+            record(n + 1, B[1:], D, steps)
+        done = halted | (D < tol)
+        ends = done.any(axis=0)
+        if ends.any():
+            j, cols = done.argmax(axis=0)[ends], np.flatnonzero(ends)
+            stopped, d_end = rows[ends], D[j, cols]
+            finals[stopped], dists[stopped], used[stopped] = B[j + 1, cols], d_end, n + j + 1
+            stops[stopped[~(d_end < tol)]] = "stagnation"
+            stops[stopped[diverged[j, cols]]] = "divergence"
+        rows, x, d = rows[~ends], B[k, ~ends], D[k - 1, ~ends]
+        n, k = n + k, 2 * k
     finals[rows], dists[rows], used[rows] = x, d, max_iters
     stops[rows] = "max_iters"
     return finals, dists, stops, used
@@ -134,10 +152,11 @@ def iterate(op: FixedPointOperator, x0, sol: SolutionSet, max_iters=1000, tol=1e
     d_s = np.empty(max_iters + 1)
     steps = np.empty(max_iters)
 
-    def record(n, x_n, dist_to_s, step_norms):
-        X[n], d_s[n] = x_n[0], dist_to_s[0]
+    def record(n, xs, ds, step_norms):
+        # blocks never run past max_iters; the entries past the stop are cut below
+        X[n : n + len(xs)], d_s[n : n + len(xs)] = xs[:, 0], ds[:, 0]
         if n:
-            steps[n - 1] = step_norms[0]
+            steps[n - 1 : n - 1 + len(xs)] = step_norms[:, 0]
 
     _, _, stops, used = _advance(op, x[None], sol, max_iters, tol, record)
     used = int(used[0])
@@ -230,24 +249,22 @@ def probe_fixed_points(op, region: Region, samples, seed, sol: SolutionSet,
 
 
 def trace_to_csv(trace: IterationTrace, path):
-    """Write ``iter, x_0..x_{d-1}, dist_A, dist_B, dist_S, step_norm`` rows;
-    the final row has no forward step and leaves the field empty."""
+    """Write ``iter, x_0..x_{d-1}, dist_A, dist_B, dist_S, step_norm`` rows
+    with CRLF line ends, each value as ``%.17g`` (round-trip exact); the
+    final row has no forward step and leaves the field empty.  Rows are
+    formatted and written ``CSV_CHUNK_ROWS`` at a time, so a long trace never
+    exists as one string or one stacked array."""
     d = trace.iterates.shape[1]
+    head = "%d" + ",%.17g" * (d + 3)
+    row, final = head + ",%.17g\r\n", head + ",\r\n"
+    cols = (trace.iterates, trace.dist_to_a, trace.dist_to_b, trace.dist_to_s)
+    last = len(trace) - 1
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["iter"] + [f"x_{i}" for i in range(d)] + ["dist_A", "dist_B", "dist_S", "step_norm"]
-        )
-        for n in range(len(trace)):
-            step = f"{trace.step_norms[n]:.17g}" if n < trace.step_norms.size else ""
-            writer.writerow(
-                [n]
-                + [f"{v:.17g}" for v in trace.iterates[n]]
-                + [
-                    f"{trace.dist_to_a[n]:.17g}",
-                    f"{trace.dist_to_b[n]:.17g}",
-                    f"{trace.dist_to_s[n]:.17g}",
-                    step,
-                ]
-            )
-
+        names = [f"x_{i}" for i in range(d)] + ["dist_A", "dist_B", "dist_S", "step_norm"]
+        fh.write(",".join(["iter"] + names) + "\r\n")
+        for i in range(0, last, CSV_CHUNK_ROWS):
+            j = min(i + CSV_CHUNK_ROWS, last)
+            chunk = np.column_stack([np.arange(i, j)] + [c[i:j] for c in cols] + [trace.step_norms[i:j]])
+            fh.write((row * (j - i)) % tuple(chunk.ravel().tolist()))
+        x, dist_a, dist_b, dist_s = (c[last] for c in cols)
+        fh.write(final % (last, *x.tolist(), dist_a, dist_b, dist_s))

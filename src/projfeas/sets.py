@@ -404,10 +404,9 @@ class Sphere(ClosedSet):
 
     def project(self, x):
         P, r, at_center = self._nearest(as_point(x, self.dim)[None])
-        if at_center[0]:
-            # the full sphere is nearest; P holds the canonical representative
-            return ProjectionOutcome(P[0], (P[0],), INFINITE, self.radius)
-        return ProjectionOutcome(P[0], (P[0],), 1, abs(float(r[0]) - self.radius))
+        # at the center the full sphere is nearest; P holds the canonical representative
+        count = INFINITE if at_center[0] else 1
+        return ProjectionOutcome(P[0], (P[0],), count, abs(float(r[0]) - self.radius))
 
     def project_many(self, X):
         return self._nearest(X)[0]

@@ -6,6 +6,8 @@ matrix-vector products and ``np.linalg.norm`` of one point.  Tests compare
 the package against them bit for bit.
 """
 
+import csv
+
 import numpy as np
 
 from projfeas.operators import (
@@ -20,6 +22,7 @@ from projfeas.sets import (
     CENTER_TOL,
     AffineSubspace,
     Ball,
+    IntersectionSet,
     KinkedRegion,
     Sphere,
     UnionOfSubspaces,
@@ -48,7 +51,7 @@ def ref_project(s, x):
         if isinstance(s, Sphere) and r <= CENTER_TOL * max(1.0, s.radius):
             p = s.center.copy()
             p[0] += s.radius
-            return p, s.radius
+            return p, abs(r - s.radius)
         return s.center + (s.radius / r) * (x - s.center), abs(r - s.radius)
     if isinstance(s, KinkedRegion):
         if s.contains(x, tol=0.0):
@@ -61,8 +64,8 @@ def ref_project(s, x):
 
 
 def ref_distance(s, x):
-    if isinstance(s, Sphere):  # the center's distance is not the projection's
-        return abs(float(np.linalg.norm(x - s.center)) - s.radius)
+    if isinstance(s, IntersectionSet):  # per point in the package itself
+        return s.distance(x)
     return ref_project(s, x)[1]
 
 
@@ -73,6 +76,8 @@ def ref_sol_distance(sol, x):
 
 
 def ref_step(op, x):
+    if hasattr(op, "point_step"):  # an operator defined by a test, with its own reference
+        return op.point_step(x)
     if isinstance(op, SingleProjector):
         return ref_project(op.s, x)[0]
     if isinstance(op, SingleReflector):
@@ -90,3 +95,25 @@ def ref_step(op, x):
             acc = acc + w * ref_step(term, x)
         return acc
     raise TypeError(type(op))
+
+
+def ref_trace_to_csv(trace, path):
+    """The ``csv.writer`` loop that wrote trace CSVs before the chunked writer."""
+    d = trace.iterates.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["iter"] + [f"x_{i}" for i in range(d)] + ["dist_A", "dist_B", "dist_S", "step_norm"]
+        )
+        for n in range(len(trace)):
+            step = f"{trace.step_norms[n]:.17g}" if n < trace.step_norms.size else ""
+            writer.writerow(
+                [n]
+                + [f"{v:.17g}" for v in trace.iterates[n]]
+                + [
+                    f"{trace.dist_to_a[n]:.17g}",
+                    f"{trace.dist_to_b[n]:.17g}",
+                    f"{trace.dist_to_s[n]:.17g}",
+                    step,
+                ]
+            )

@@ -5,12 +5,15 @@ array, and evaluate it on a batch of one for a single point.  The references
 are the per-point formulas they had before that, on 1-D arrays
 (``kernel_reference``), and the per-start loop ``reference_iterate``.
 ``project_many``, ``project``, ``distance_many``, ``distance``,
-``step_many``, ``step``, ``apply`` and the masked loop behind ``iterate``
-and ``probe_fixed_points`` are checked against them.  Every comparison is on
-the bytes of the results, so signed zeros count.
+``step_many``, ``step``, ``apply`` and the blocked, masked loop behind
+``iterate`` and ``probe_fixed_points`` are checked against them, the loop
+also with stops on the boundaries of its blocks; ``trace_to_csv`` is checked
+against the ``csv.writer`` loop it replaced.  Every comparison is on the
+bytes of the results, so signed zeros count.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,27 +23,45 @@ from hypothesis.extra.numpy import arrays
 
 from projfeas import presets
 from projfeas.driver import (
+    BLOCK_ROWS,
+    CSV_CHUNK_ROWS,
     DIVERGENCE_NORM,
     STAGNATION_STEP,
     _advance,
     _pair_sets,
     iterate,
     probe_fixed_points,
+    trace_to_csv,
 )
-from projfeas.linalg import AffineFrame
+from projfeas.linalg import AffineFrame, row_norms
 from projfeas.operators import (
     AlternatingProjections,
     Combination,
     Companion,
     DouglasRachford,
+    FixedPointOperator,
     SingleProjector,
     SingleReflector,
 )
 from projfeas.regularity import Region
-from projfeas.sets import AffineSubspace, Ball, KinkedRegion, Sphere, UnionOfSubspaces
-from projfeas.solution import SolutionSet, singleton_solution
+from projfeas.runner import random_subspace_pair
+from projfeas.sets import (
+    AffineSubspace,
+    Ball,
+    IntersectionSet,
+    KinkedRegion,
+    Sphere,
+    UnionOfSubspaces,
+)
+from projfeas.solution import SolutionSet, singleton_solution, subspace_pair_solution
 
-from kernel_reference import ref_distance, ref_project, ref_sol_distance, ref_step
+from kernel_reference import (
+    ref_distance,
+    ref_project,
+    ref_sol_distance,
+    ref_step,
+    ref_trace_to_csv,
+)
 
 
 def same_bits(a, b):
@@ -114,11 +135,8 @@ def test_distance_many_matches_distance():
         ref = [ref_distance(s, x) for x in X]
         assert same_bits(s.distance_many(X), ref), name
         assert same_bits([s.distance(x) for x in X], ref), name
-        # the projection measures the same distance, except that it reports
-        # the radius where the whole sphere is nearest (its center)
-        outs = [s.project(x) for x in X]
-        finite = [i for i, out in enumerate(outs) if out.branch_count != math.inf]
-        assert same_bits([outs[i].distance for i in finite], [ref[i] for i in finite]), name
+        # the projection measures the same distance
+        assert same_bits([s.project(x).distance for x in X], ref), name
     # a solution set with no closed form measures the distance to its witness
     ball = Ball([0.0, 0.0, 0.0], 1.0)
     sol = SolutionSet((ball,), [0.6, 0.0, 0.8])
@@ -251,6 +269,38 @@ def test_trace_distances_are_the_set_distances(name):
         assert same_bits(column, [ref_distance(s, x) for x in trace.iterates])
 
 
+def _writes_reference_bytes(trace, tmp_path):
+    trace_to_csv(trace, tmp_path / "trace.csv")
+    ref_trace_to_csv(trace, tmp_path / "reference.csv")
+    return (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ITERATING_PRESETS)
+def test_trace_csv_matches_csv_writer(name, tmp_path):
+    cfg = presets.preset(name)
+    sol, op = cfg.solution_set(), cfg.operator()
+    x0 = cfg.start.points(cfg.regularity.seed)[0]
+    trace = iterate(op, x0, sol, max_iters=min(cfg.budget.max_iters, 2000), tol=cfg.budget.tol)
+    assert _writes_reference_bytes(trace, tmp_path)
+
+
+def test_trace_csv_edge_lengths_match_csv_writer(tmp_path):
+    cfg = presets.preset("example-iii")
+    sol, op = cfg.solution_set(), cfg.operator()
+    # longer than one write chunk and not a multiple of it
+    long = iterate(op, [1.0, 0.0], sol, max_iters=2 * CSV_CHUNK_ROWS + 344, tol=1e-12)
+    assert len(long) == 2 * CSV_CHUNK_ROWS + 345
+    # a start on the solution set: one row, no step
+    one = iterate(op, sol.witness, sol, max_iters=10, tol=1e-12)
+    assert len(one) == 1
+    # five dimensions: the first pair of the subspace sweep
+    a, b, x0 = random_subspace_pair(2025, (3, 3))
+    five = iterate(DouglasRachford(a, b), x0, subspace_pair_solution(a, b, np.zeros(5)), 5000, 1e-9)
+    assert five.iterates.shape[1] == 5 and len(five) > 10
+    for trace in (long, one, five):
+        assert _writes_reference_bytes(trace, tmp_path)
+
+
 @pytest.mark.parametrize("name", ITERATING_PRESETS)
 def test_iterate_matches_reference_trace(name):
     cfg = presets.preset(name)
@@ -262,3 +312,120 @@ def test_iterate_matches_reference_trace(name):
         assert trace.stop_reason == stop
         assert same_bits(trace.iterates, xs) and same_bits(trace.dist_to_s, ds)
         assert same_bits(trace.step_norms, steps)
+
+
+# ---------------------------------------------------------------------------
+# block boundaries of the loop
+# ---------------------------------------------------------------------------
+
+AXIS = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
+ORIGIN = AffineSubspace(AffineFrame.single_point([0.0, 0.0]))
+ORIGIN_SOL = singleton_solution((AXIS,), [0.0, 0.0])
+
+
+def _shrink(w):
+    """``x -> w x`` on the first axis: the projections onto the origin and
+    onto the axis, combined with weights ``1 - w`` and ``w``."""
+    return Combination([(1.0 - w, SingleProjector(ORIGIN)), (w, SingleProjector(AXIS))])
+
+
+def _blocks(op, starts, sol, max_iters, tol):
+    """``(first, last)`` step of every block the loop runs."""
+    spans = []
+
+    def record(n, xs, ds, steps):
+        if steps is not None:
+            spans.append((n, n + len(xs) - 1))
+
+    _advance(op, np.asarray(starts, dtype=float), sol, max_iters, tol, record)
+    return spans
+
+
+def test_stops_on_block_boundaries():
+    # x -> x / 2 from 1.5 * 2**(t - 41) drops below tol = 2**-40 on step t
+    # exactly; from 2**39 it neither stagnates nor reaches 2**-60 in 80 steps
+    op, far, tol = _shrink(0.5), np.array([[2.0**39, 0.0]]), 2.0**-40
+    spans = _blocks(op, far, ORIGIN_SOL, 80, 2.0**-60)
+    assert spans[0] == (1, 1) and spans[-1][1] == 80 and len(spans) > 4
+    # the start, then the first, a middle and the last step of every block
+    for t in sorted({0} | {t for first, last in spans for t in (first, (first + last) // 2, last)}):
+        x0 = np.array([[1.5 * 2.0 ** (t - 41), 0.0]])
+        finals, dists, stops, used = _advance(op, x0, ORIGIN_SOL, 80, tol)
+        assert (stops[0], used[0]) == ("tolerance", t)
+        _assert_batch_matches_reference(op, x0, ORIGIN_SOL, max_iters=80, tol=tol)
+        if t:  # the budget runs out on the step that reaches tol
+            stops = _assert_batch_matches_reference(op, x0, ORIGIN_SOL, max_iters=t, tol=tol)
+            assert stops[0] == "tolerance"
+    for first, last in spans:  # the budget runs out on a block end
+        stops = _assert_batch_matches_reference(op, far, ORIGIN_SOL, max_iters=last, tol=2.0**-60)
+        assert stops[0] == "max_iters"
+
+
+def test_rows_stop_in_different_blocks():
+    op, tol = _shrink(0.5), 2.0**-40
+    starts = np.array([[1.5 * 2.0 ** (t - 41), 0.0] for t in range(71)] + [[-(2.0**39), 0.0]])
+    finals, dists, stops, used = _advance(op, starts, ORIGIN_SOL, 75, tol)
+    assert list(used) == list(range(71)) + [75] and stops[-1] == "max_iters"
+    assert len(_blocks(op, starts, ORIGIN_SOL, 75, tol)) > 4
+    _assert_batch_matches_reference(op, starts, ORIGIN_SOL, 75, tol)
+
+
+def test_stops_on_the_boundaries_of_full_blocks():
+    # the first block of BLOCK_ROWS steps; tol is cut from one reference
+    # trajectory so that x -> 0.999 x stops on a chosen step
+    op, x0, budget = _shrink(0.999), np.array([1.0, 0.0]), 2 * BLOCK_ROWS
+    spans = _blocks(op, [x0], ORIGIN_SOL, budget, 1e-300)
+    first, last = next(s for s in spans if s[1] - s[0] + 1 == BLOCK_ROWS)
+    xs, ds, _, _ = reference_iterate(op, x0, ORIGIN_SOL, last, 0.0)
+    for t in (first - 1, first, (first + last) // 2, last):
+        finals, dists, stops, used = _advance(op, x0[None], ORIGIN_SOL, budget, ds[t - 1])
+        assert (stops[0], used[0]) == ("tolerance", t)
+        assert same_bits(finals[0], xs[t]) and same_bits(dists[0], ds[t])
+    finals, dists, stops, used = _advance(op, x0[None], ORIGIN_SOL, last, 1e-300)
+    assert (stops[0], used[0]) == ("max_iters", last)
+    assert same_bits(finals[0], xs[last]) and same_bits(dists[0], ds[last])
+
+
+class _Squaring(FixedPointOperator):
+    """``x -> |x| x``: the norm squares on every step.  A block never runs
+    past a stop by more steps than the row took to reach it, so only
+    growth faster than geometric can overflow inside one."""
+
+    dim = 2
+
+    def _stages(self, X):
+        return {}, row_norms(X)[:, None] * X
+
+    def point_step(self, x):
+        return float(np.linalg.norm(x)) * x
+
+
+def test_row_overflowing_past_its_stop_stays_out_of_the_distances():
+    # from 1.2 the norm is 1.2**(2**n): past DIVERGENCE_NORM on step 8 and
+    # infinite from step 12, inside the block of steps 8..15 of a batch of
+    # one.  The solution set's exact form is an intersection, whose distance
+    # rejects non-finite points
+    far = AffineSubspace(AffineFrame.single_point([0.0, 5.0]))
+    sol = SolutionSet((far,), [0.0, 5.0], IntersectionSet([far]))
+    op, x0 = _Squaring(), np.array([[1.2, 0.0]])
+    finite = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _advance(op, x0, sol, 100, 1e-9, lambda n, xs, ds, steps: finite.append(np.isfinite(xs).all()))
+        stops = _assert_batch_matches_reference(op, x0, sol, 100, 1e-9)
+    assert list(stops) == ["divergence"] and not all(finite)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_iterate_on_an_intersection_solution_set():
+    # MAP between two lines through the origin; the intersection's distance
+    # is a member projection that lands in every member, here the origin's
+    a = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
+    b = AffineSubspace.from_span([0.0, 0.0], [[1.0, 1.0]])
+    sol = SolutionSet((a, b), [0.0, 0.0], IntersectionSet([ORIGIN]))
+    op, x0 = AlternatingProjections(a, b), np.array([1.0, 0.3])
+    trace = iterate(op, x0, sol, max_iters=100, tol=1e-12)
+    xs, ds, steps, stop = reference_iterate(op, x0, sol, 100, 1e-12)
+    assert trace.stop_reason == stop == "tolerance" and len(trace) > 20
+    assert same_bits(trace.iterates, xs) and same_bits(trace.dist_to_s, ds)
+    assert same_bits(trace.step_norms, steps)

@@ -5,7 +5,8 @@ import pytest
 
 from projfeas.driver import fit_rate, iterate, probe_fixed_points, trace_to_csv
 from projfeas.operators import AlternatingProjections, DouglasRachford
-from projfeas.regularity import Region, estimate_kappa, estimate_subregularity
+from projfeas.regularity import Region, estimate_kappa, estimate_subregularity, friedrichs_cosine
+from projfeas.runner import random_subspace_pair
 from projfeas.sets import AffineSubspace
 from projfeas.solution import subspace_pair_solution
 
@@ -168,6 +169,20 @@ def test_subspace_dr_rate_bound_random_pairs():
         kappa = estimate_kappa(a, b, sol, 1.0, samples=1024, seed=seed)
         bound = math.sqrt(max(1 - (1 - c) / (kappa * 1.05) ** 2, 0.0)) + 0.02
         assert fit.observed_rate <= bound
+
+
+def test_sweep_rates_equal_their_closed_forms():
+    # on two linear subspaces DR contracts at the Friedrichs cosine cF
+    # (Bauschke, Bello Cruz, Nghia, Phan and Wang) and MAP at cF**2
+    # (Kayalar and Weinert); the ten regular pairs of the subspace sweep
+    for idx in range(0, 20, 2):
+        a, b, x0 = random_subspace_pair(2025 + idx, (3, 3))
+        sol = subspace_pair_solution(a, b, np.zeros(5))
+        c_f = friedrichs_cosine(a.frame, b.frame)
+        for op, rate in ((DouglasRachford(a, b), c_f), (AlternatingProjections(a, b), c_f**2)):
+            trace = iterate(op, x0, sol, max_iters=5000, tol=1e-9)
+            assert trace.stop_reason == "tolerance", (idx, type(op).__name__)
+            assert fit_rate(trace).observed_rate == pytest.approx(rate, abs=1e-7), (idx, rate)
 
 
 def test_trace_csv_round_trip(tmp_path, lines2):
