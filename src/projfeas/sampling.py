@@ -2,7 +2,11 @@
 
 All estimators are sampled suprema.  Samples come from seeded, scrambled
 Halton sequences, which are prefix-nested: the first ``n`` points drawn for a
-given seed are a prefix of the first ``2n``.  Every chart additionally mixes
+given seed are a prefix of the first ``2n``.  The scramble is Owen's
+random-permutation Halton (A. B. Owen, "A randomized Halton algorithm in R",
+arXiv:1706.02808); ``qmc_unit`` computes it with numpy in the order of
+``scipy.stats.qmc.Halton(d, scramble=True, seed=s).random(n)``, and the
+tests pin the two to the same bytes.  Every chart additionally mixes
 in a dyadic radius ladder ``delta * 2**-j`` whose depth grows with
 ``log2(n)``, so suprema attained in shrinking-ratio limits (points sliding
 into a corner or a tangency) are approached at a fixed rate per doubling of
@@ -14,18 +18,65 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm as _gauss
-from scipy.stats import qmc
+from scipy.special import ndtri
 
 from .linalg import complement_basis
 
 
+def _first_primes(k):
+    primes = []
+    candidate = 2
+    while len(primes) < k:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _digit_terms(base, rng):
+    """``terms[j, k]``: what digit ``j`` adds to a coordinate when it is ``k``.
+
+    One shuffled ``arange(base)`` per digit that a double resolves:
+    ``base**-k > 2**-54`` holds for ``k < 54 / log2(base)``, so digits past
+    that count cannot change a float64 coordinate.  The scale
+    ``base**-(j+1)`` is divided down digit by digit, as scipy rounds it.
+    """
+    count = math.ceil(54 / math.log2(base)) - 1
+    perms = np.repeat(np.arange(base)[None], count, axis=0)
+    for perm in perms:
+        rng.shuffle(perm)
+    b2r = [1.0 / base]
+    while len(b2r) < count:
+        b2r.append(b2r[-1] / base)
+    return perms * np.array(b2r)[:, None]
+
+
 def qmc_unit(n, dim, seed):
-    """First ``n`` points of the seeded scrambled Halton sequence in [0,1)^dim."""
+    """First ``n`` points of the seeded scrambled Halton sequence in [0,1)^dim.
+
+    Coordinate ``i`` is the radical inverse of the point index in the
+    ``i``-th prime base, with digit ``j`` mapped through its own random
+    permutation.  The sums run digit by digit, vectorised over the points;
+    past the digits of ``n - 1`` every digit is 0 and adds the same
+    ``terms[j, 0]`` to every point.
+    """
     if n <= 0:
         return np.zeros((0, dim))
-    engine = qmc.Halton(d=dim, scramble=True, seed=int(seed))
-    return engine.random(int(n))
+    n = int(n)
+    rng = np.random.default_rng(int(seed))
+    out = np.zeros((dim, n))
+    for seq, base in zip(out, _first_primes(dim)):
+        terms = _digit_terms(base, rng)
+        live = 0  # digits of the largest index, n - 1
+        while base**live <= n - 1:
+            live += 1
+        q = np.arange(n, dtype=np.int64)
+        for row in terms[:live]:
+            q, r = np.divmod(q, base)
+            seq += row[r]
+        for term in terms[live:, 0].tolist():
+            seq += term
+    return out.T  # the (n, dim) transpose that scipy returns, same strides
 
 
 def ladder_depth(n):
@@ -49,7 +100,9 @@ def ball_points(center, radius, n, seed, floor_radius=0.0):
     center = np.asarray(center, dtype=float)
     d = center.shape[0]
     u = qmc_unit(n, d + 1, seed)
-    g = _gauss.ppf(np.clip(u[:, :d], 1e-12, 1 - 1e-12))
+    # order="C": a ufunc would keep the F order of the Halton columns, and
+    # the matrix products downstream may round differently by layout
+    g = ndtri(np.clip(u[:, :d], 1e-12, 1 - 1e-12), order="C")
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
     dirs = g / norms[:, None]

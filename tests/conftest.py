@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -63,3 +66,11 @@ def preset_pairs():
         ("cross-diagonal", cross4, diag4, np.zeros(2)),
         ("circle-line", circle5, line5, np.array([HALF_SQRT2, HALF_SQRT2])),
     ]
+
+
+@pytest.fixture
+def subprocess_env():
+    """Environment for a fresh interpreter that imports projfeas from ``src/``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}

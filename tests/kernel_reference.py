@@ -1,14 +1,18 @@
-"""Per-point references for the batched kernel.
+"""References for the batched kernel and the sample generator.
 
 The sets and operators write each formula once, over the rows of a point
 array.  These are the formulas they had before that, on 1-D arrays: plain
-matrix-vector products and ``np.linalg.norm`` of one point.  Tests compare
-the package against them bit for bit.
+matrix-vector products and ``np.linalg.norm`` of one point.  The sampling
+references are the scipy forms that ``qmc_unit`` and ``ball_points`` used
+before the package computed the scrambled Halton sequence itself; only the
+tests import ``scipy.stats``.  Tests compare the package against all of them
+bit for bit.
 """
 
 import csv
 
 import numpy as np
+from scipy.stats import norm, qmc
 
 from projfeas.operators import (
     AlternatingProjections,
@@ -117,3 +121,24 @@ def ref_trace_to_csv(trace, path):
                     step,
                 ]
             )
+
+
+def ref_qmc_unit(n, dim, seed):
+    """scipy's Owen-scrambled Halton engine, as ``qmc_unit`` called it."""
+    if n <= 0:
+        return np.zeros((0, dim))
+    return qmc.Halton(d=dim, scramble=True, seed=int(seed)).random(int(n))
+
+
+def ref_ball_points(center, radius, n, seed, floor_radius=0.0):
+    """``ball_points`` on ``ref_qmc_unit`` with ``norm.ppf`` for the Gaussian."""
+    center = np.asarray(center, dtype=float)
+    d = center.shape[0]
+    u = ref_qmc_unit(n, d + 1, seed)
+    g = norm.ppf(np.clip(u[:, :d], 1e-12, 1 - 1e-12))
+    norms = np.linalg.norm(g, axis=1)
+    norms[norms == 0] = 1.0
+    dirs = g / norms[:, None]
+    radii = np.maximum(radius * u[:, d] ** (1.0 / d), floor_radius)
+    pts = center + radii[:, None] * dirs
+    return np.vstack([center[None, :], pts])

@@ -1,8 +1,11 @@
+import subprocess
+import sys
+
 import pytest
 
 from projfeas.cli import main
 from projfeas.config import ConfigError, parse_config, serialize_config
-from projfeas.presets import PRESETS, preset
+from projfeas.presets import PRESETS, SWEEPS, preset
 from projfeas.runner import run_experiment
 
 MINIMAL = """
@@ -133,6 +136,15 @@ def test_cli_presets_listing(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
     assert "example-i" in out and "subspace-iff (sweep)" in out
+
+
+def test_python_m_projfeas_lists_presets(subprocess_env):
+    out = subprocess.run(
+        [sys.executable, "-m", "projfeas", "presets"],
+        env=subprocess_env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == sorted(PRESETS) + [f"{name} (sweep)" for name in SWEEPS]
 
 
 def test_cli_suite_subset(tmp_path, capsys):
