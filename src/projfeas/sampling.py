@@ -6,7 +6,13 @@ given seed are a prefix of the first ``2n``.  The scramble is Owen's
 random-permutation Halton (A. B. Owen, "A randomized Halton algorithm in R",
 arXiv:1706.02808); ``qmc_unit`` computes it with numpy in the order of
 ``scipy.stats.qmc.Halton(d, scramble=True, seed=s).random(n)``, and the
-tests pin the two to the same bytes.  Every chart additionally mixes
+tests pin the two to the same bytes.  ``ball_points`` turns the sequence into
+Gaussian directions through ``_ndtri``, S. L. Moshier's Cephes rational
+approximation of the inverse normal CDF, written in numpy in the same form
+and order of operations as the C ``ndtri`` that ``scipy.special`` ships; its
+logarithms go through ``math.log``, which is the C library's ``log`` that
+the C code calls, because numpy's vectorised ``np.log`` can differ from it
+in the last bit.  Every chart additionally mixes
 in a dyadic radius ladder ``delta * 2**-j`` whose depth grows with
 ``log2(n)``, so suprema attained in shrinking-ratio limits (points sliding
 into a corner or a tangency) are approached at a fixed rate per doubling of
@@ -18,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from .linalg import complement_basis
 
@@ -72,11 +77,89 @@ def qmc_unit(n, dim, seed):
             live += 1
         q = np.arange(n, dtype=np.int64)
         for row in terms[:live]:
-            q, r = np.divmod(q, base)
-            seq += row[r]
+            # floor_divide by a scalar is numpy's fast integer path; divmod is not
+            quot = q // base
+            seq += row[q - quot * base]
+            q = quot
         for term in terms[live:, 0].tolist():
             seq += term
     return out.T  # the (n, dim) transpose that scipy returns, same strides
+
+
+_EXP_M2 = 0.13533528323661269189  # exp(-2): where the central form hands over
+_SQRT_2PI = 2.50662827463100050242
+# Cephes ndtri coefficients, leading coefficient first.  The leading 1 of Q0
+# and Q1 is written out: 1.0 * x is exact, so ``_horner`` is cephes' p1evl.
+# Central form, |y - 1/2| <= 1/2 - exp(-2): P0 / Q0 in (y - 1/2)**2.
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# Tails, 2 <= x = sqrt(-2 log y) < 8: P1 / Q1 in z = 1 / x.
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+
+
+def _horner(x, coef):
+    """Cephes ``polevl``: ``(c0 * x + c1) * x + c2 ...``, one rounding per step."""
+    acc = coef[0] * x
+    acc += coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _log(a):
+    """The C library's ``log`` of each element, as the C ``ndtri`` takes it."""
+    return np.fromiter(map(math.log, a.tolist()), float, a.size)
+
+
+def _ndtri(y):
+    """Inverse standard normal CDF, bit for bit Cephes ``ndtri``.
+
+    Domain: ``exp(-32) < y < 1 - exp(-32)`` (about 1.3e-14 from either end),
+    which holds the ``[1e-12, 1 - 1e-12]`` that ``ball_points`` clips to.
+    Cephes' third form, for ``x = sqrt(-2 log y) >= 8``, is left out, and
+    such inputs (or ``y`` outside ``(0, 1)``) raise ``ValueError``; NaN
+    gives NaN, as in Cephes.  Upper tails are mirrored through ``1 - y``.
+    Returns a new C-ordered array of ``y``'s shape, as
+    ``scipy.special.ndtri(y, order="C")`` does.
+    """
+    y = np.asarray(y, dtype=float)
+    shape = y.shape
+    y = y.ravel()
+    upper = y > 1.0 - _EXP_M2
+    t = np.where(upper, 1.0 - y, y)
+    # the central form on every element (its terms stay in [0, 1/4]), in
+    # cephes' order: y + y * (y2 * P0(y2) / Q0(y2)), then * sqrt(2 pi)
+    c = t - 0.5
+    c2 = c * c
+    out = c2 * _horner(c2, _P0) / _horner(c2, _Q0)
+    out = (c + c * out) * _SQRT_2PI
+    # the tails overwrite theirs: x - log(x) / x - z * P1(z) / Q1(z), with
+    # the logarithms taken on the tail elements alone
+    tail = np.flatnonzero(t <= _EXP_M2)
+    x = np.sqrt(-2.0 * _log(t[tail]))
+    if x.size and not x.max() < 8.0:
+        raise ValueError("_ndtri: y is within exp(-32) of 0 or 1")
+    z = 1.0 / x
+    x = x - _log(x) / x - z * _horner(z, _P1) / _horner(z, _Q1)
+    out[tail] = np.where(upper[tail], x, -x)
+    return out.reshape(shape)
 
 
 def ladder_depth(n):
@@ -100,9 +183,11 @@ def ball_points(center, radius, n, seed, floor_radius=0.0):
     center = np.asarray(center, dtype=float)
     d = center.shape[0]
     u = qmc_unit(n, d + 1, seed)
-    # order="C": a ufunc would keep the F order of the Halton columns, and
-    # the matrix products downstream may round differently by layout
-    g = ndtri(np.clip(u[:, :d], 1e-12, 1 - 1e-12), order="C")
+    # Cephes ndtri, the bytes of scipy.special.ndtri (math.log for its logs:
+    # numpy's np.log is not the C library's).  Its output is C-ordered, not
+    # the F order of the Halton columns: the matrix products downstream may
+    # round differently by layout
+    g = _ndtri(np.clip(u[:, :d], 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
     dirs = g / norms[:, None]

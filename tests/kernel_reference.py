@@ -3,15 +3,16 @@
 The sets and operators write each formula once, over the rows of a point
 array.  These are the formulas they had before that, on 1-D arrays: plain
 matrix-vector products and ``np.linalg.norm`` of one point.  The sampling
-references are the scipy forms that ``qmc_unit`` and ``ball_points`` used
-before the package computed the scrambled Halton sequence itself; only the
-tests import ``scipy.stats``.  Tests compare the package against all of them
-bit for bit.
+references are the scipy forms that ``qmc_unit``, ``ball_points`` and
+``_ndtri`` used before the package computed the scrambled Halton sequence
+and the inverse normal CDF itself; only the tests import scipy.  Tests
+compare the package against all of them bit for bit.
 """
 
 import csv
 
 import numpy as np
+from scipy.special import ndtri
 from scipy.stats import norm, qmc
 
 from projfeas.operators import (
@@ -142,3 +143,8 @@ def ref_ball_points(center, radius, n, seed, floor_radius=0.0):
     radii = np.maximum(radius * u[:, d] ** (1.0 / d), floor_radius)
     pts = center + radii[:, None] * dirs
     return np.vstack([center[None, :], pts])
+
+
+def ref_ndtri(y):
+    """scipy's Cephes ``ndtri``, C-ordered as ``ball_points`` called it."""
+    return ndtri(y, order="C")
