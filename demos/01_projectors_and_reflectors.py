@@ -2,8 +2,9 @@
 
 Every set descriptor answers the same four queries.  The nonconvex variants
 may return several projection branches; the selected branch is deterministic
-(lexicographically smallest, unions by lowest frame index), so everything
-built on top is reproducible.
+(the first tied candidate: unions by lowest frame index, the kinked region's
+slanted edge before its flat one), so everything built on top is
+reproducible.
 """
 
 import numpy as np

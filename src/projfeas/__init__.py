@@ -5,8 +5,6 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config, se
 from .driver import IterationTrace, ProbeResult, RateFit, fit_rate, iterate, probe_fixed_points
 from .linalg import (
     AffineFrame,
-    inner,
-    norm,
     orthogonal_complement,
     orthonormalize,
 )
@@ -78,10 +76,8 @@ __all__ = [
     "estimate_subregularity",
     "fit_rate",
     "friedrichs_cosine",
-    "inner",
     "iterate",
     "load_config",
-    "norm",
     "orthogonal_complement",
     "orthonormalize",
     "parse_config",

@@ -49,20 +49,6 @@ def row_norms(D):
     return np.sqrt(np.vecdot(D, D))
 
 
-def inner(a, b):
-    """Euclidean inner product of two points of equal dimension."""
-    a = as_point(a)
-    b = as_point(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.dot(a, b))
-
-
-def norm(a):
-    """Euclidean 2-norm of a point."""
-    return float(np.linalg.norm(as_point(a)))
-
-
 def orthonormalize(vectors, rank_cutoff=None):
     """Orthonormal basis of the span of ``vectors``.
 

@@ -8,12 +8,15 @@ calls instead of two reflector calls and therefore keeps multi-valuedness
 localized; the averaged-reflector form is kept as an independent code path
 for the equivalence check.
 
-Compositions act on the deterministic ``selected`` branch.  Each operator
-writes its formula once, in ``_stages``, over the rows of an ``(m, dim)``
-array: ``step_many`` keeps its output, and ``step`` and ``apply`` (which also
-keeps the named intermediate points) evaluate it on a batch of one.  Full
-branch-set composition is available through ``branch_apply`` for
-diagnostics and is capped at ``BRANCH_CAP`` points.
+Each operator writes its composition once, in ``_stages``, over the rows of
+an ``(m, dim)`` array and with the projection onto a set passed in.
+``step_many`` passes the selecting projection, each set's ``project_many``,
+so iterations follow the one deterministic ``selected`` branch; ``step`` and
+``apply`` (which also keeps the named intermediate points) evaluate it on a
+batch of one.  ``branch_apply`` passes ``branches_many``, which lists every
+branch on a new leading axis: the composition broadcasts over those axes,
+and the full branch set of the output, deduplicated and sorted, is capped at
+``BRANCH_CAP`` points for diagnostics.
 """
 
 from __future__ import annotations
@@ -38,12 +41,21 @@ class StepRecord:
     intermediates: dict
 
 
+def _selected(s, X):
+    return s.project_many(X)
+
+
+def _listed(s, X):
+    return s.branches_many(X)
+
+
 class FixedPointOperator:
     dim: int
 
-    def _stages(self, X):
+    def _stages(self, X, project=_selected):
         """The named intermediate points of every row of an ``(m, dim)``
-        array as a dict of arrays, and the selected output."""
+        array as a dict of arrays, and the output; ``project(s, X)`` is the
+        projection onto a set ``s``."""
         raise NotImplementedError
 
     def apply(self, x) -> StepRecord:
@@ -61,7 +73,11 @@ class FixedPointOperator:
 
     def branch_apply(self, x, cap=BRANCH_CAP):
         """All output branches (deduplicated, lexicographically sorted)."""
-        raise NotImplementedError
+        Y = self._stages(as_point(x, self.dim)[None], _listed)[1][..., 0, :]
+        # first projection's branches outermost, as nested loops list them:
+        # of two branches that sort as equal, the first listed is kept
+        Y = Y.transpose(tuple(range(Y.ndim - 2, -1, -1)) + (Y.ndim - 1,))
+        return _dedup_sorted(list(Y.reshape(-1, self.dim)), cap)
 
     def constituent_sets(self):
         """The closed sets this operator is built from, in (a, b) order."""
@@ -81,11 +97,8 @@ class SingleProjector(FixedPointOperator):
         self.s = s
         self.dim = s.dim
 
-    def _stages(self, X):
-        return {}, self.s.project_many(X)
-
-    def branch_apply(self, x, cap=BRANCH_CAP):
-        return _dedup_sorted(self.s.project(as_point(x, self.dim)).branches, cap)
+    def _stages(self, X, project=_selected):
+        return {}, project(self.s, X)
 
     def constituent_sets(self):
         return (self.s,)
@@ -96,11 +109,8 @@ class SingleReflector(FixedPointOperator):
         self.s = s
         self.dim = s.dim
 
-    def _stages(self, X):
-        return {}, 2.0 * self.s.project_many(X) - X
-
-    def branch_apply(self, x, cap=BRANCH_CAP):
-        return _dedup_sorted(self.s.reflect(as_point(x, self.dim)).branches, cap)
+    def _stages(self, X, project=_selected):
+        return {}, 2.0 * project(self.s, X) - X
 
     def constituent_sets(self):
         return (self.s,)
@@ -116,16 +126,9 @@ class AlternatingProjections(FixedPointOperator):
         self.b = b
         self.dim = a.dim
 
-    def _stages(self, X):
-        Y = self.b.project_many(X)
-        return {"project_b": Y}, self.a.project_many(Y)
-
-    def branch_apply(self, x, cap=BRANCH_CAP):
-        x = as_point(x, self.dim)
-        out = []
-        for y in self.b.project(x).branches:
-            out.extend(self.a.project(y).branches)
-        return _dedup_sorted(out, cap)
+    def _stages(self, X, project=_selected):
+        Y = project(self.b, X)
+        return {"project_b": Y}, project(self.a, Y)
 
     def constituent_sets(self):
         return (self.a, self.b)
@@ -141,19 +144,11 @@ class DouglasRachford(FixedPointOperator):
         self.b = b
         self.dim = a.dim
 
-    def _stages(self, X):
-        Z = self.b.project_many(X)
+    def _stages(self, X, project=_selected):
+        Z = project(self.b, X)
         R = 2.0 * Z - X
-        W = self.a.project_many(R)
+        W = project(self.a, R)
         return {"project_b": Z, "reflect_b": R, "project_a_reflect_b": W}, W - Z + X
-
-    def branch_apply(self, x, cap=BRANCH_CAP):
-        x = as_point(x, self.dim)
-        out = []
-        for z in self.b.project(x).branches:
-            for w in self.a.project(2.0 * z - x).branches:
-                out.append(w - z + x)
-        return _dedup_sorted(out, cap)
 
     def constituent_sets(self):
         return (self.a, self.b)
@@ -166,13 +161,9 @@ class Companion(FixedPointOperator):
         self.inner = inner
         self.dim = inner.dim
 
-    def _stages(self, X):
-        T = self.inner.step_many(X)
+    def _stages(self, X, project=_selected):
+        T = self.inner._stages(X, project)[1]
         return {"inner": T}, 2.0 * T - X
-
-    def branch_apply(self, x, cap=BRANCH_CAP):
-        x = as_point(x, self.dim)
-        return _dedup_sorted([2.0 * p - x for p in self.inner.branch_apply(x, cap)], cap)
 
     def constituent_sets(self):
         return self.inner.constituent_sets()
@@ -196,21 +187,14 @@ class Combination(FixedPointOperator):
         self.terms = terms
         self.dim = dims.pop()
 
-    def _stages(self, X):
+    def _stages(self, X, project=_selected):
         parts = {}
         acc = np.zeros(X.shape)
         for i, (w, op) in enumerate(self.terms):
-            parts[f"term_{i}"] = op.step_many(X)
-            acc = acc + w * parts[f"term_{i}"]
+            T = parts[f"term_{i}"] = op._stages(X, project)[1]
+            # every branch of this term meets every branch of the terms before it
+            acc = acc + w * T.reshape(T.shape[:-2] + (1,) * (acc.ndim - 2) + X.shape)
         return parts, acc
-
-    def branch_apply(self, x, cap=BRANCH_CAP):
-        x = as_point(x, self.dim)
-        combos = [np.zeros(self.dim)]
-        for w, op in self.terms:
-            term_branches = op.branch_apply(x, cap)
-            combos = [acc + w * p for acc in combos for p in term_branches][: cap * 4]
-        return _dedup_sorted(combos, cap)
 
     def constituent_sets(self):
         sets = []

@@ -1,17 +1,19 @@
 """Closed-set descriptors with exact distances, projectors, reflectors and
 analytic normal cones.
 
-Projectors may be multi-valued on the nonconvex variants.  Every projection
-returns the complete finite branch set together with one deterministic
-``selected`` branch, so iterations are reproducible: ties are broken by the
-lexicographically smallest coordinate vector, and for unions of subspaces by
-the lowest frame index first.  ``project_many`` returns the selected branch
-for every row of a point array with the same tie rules, and ``distance_many``
-the distance of every row.  Each variant writes its projection and distance
-formulas once, over rows: ``project`` and ``distance`` evaluate them on a
-batch of one, so a row's result does not depend on the batch it is in.
-Each variant also owns its sampling ``chart``, the on-set points the
-estimators draw near an anchor.
+Projectors may be multi-valued on the nonconvex variants.  Each variant
+lists the candidate nearest points of every row of a point array once, in a
+fixed order (``_candidates``: a union's frames by index, the kinked region's
+slanted edge before its flat one), and one tie rule reads every such list:
+the candidates within ``TIE_TOL`` of the least distance are the branches, and
+the first of them in the listed order is the ``selected`` one, so iterations
+are reproducible.  ``project_many`` gathers the selected branch of every row,
+``distance_many`` the least distance and ``branches_many`` every branch;
+``project`` and ``distance`` evaluate them on a batch of one, so a row's
+result does not depend on the batch it is in.  A single-valued variant
+writes ``project_many`` and ``distance_many`` itself, and its one candidate is
+that projection.  Each variant also owns its sampling ``chart``, the on-set
+points the estimators draw near an anchor.
 """
 
 from __future__ import annotations
@@ -56,41 +58,25 @@ class ProjectionOutcome:
         )
 
 
-def _lex_smaller(p, q):
-    for a, b in zip(p, q):
-        if a < b - 1e-15:
-            return True
-        if a > b + 1e-15:
-            return False
-    return False
+def _select_ties_many(D):
+    """The tie rule over the ``(k, m)`` candidate distances of ``m`` rows:
+    each row's selected candidate, the first in listed order within
+    ``TIE_TOL`` of the row's least distance; the mask of those tied
+    candidates; and the least distances."""
+    dmin = D.min(axis=0)
+    tied = D <= dmin + TIE_TOL * np.maximum(1.0, dmin)
+    return np.argmax(tied, axis=0), tied, dmin
 
 
-def _select_ties(candidates, tie="lex"):
-    """Deterministic outcome from (point, distance) candidates.
-
-    Keeps every global minimizer within ``TIE_TOL`` slack.  Tie rule "lex"
-    selects the lexicographically smallest branch; "order" selects the first
-    candidate in input order (unions pass frames lowest index first).
-    """
-    dists = np.array([d for _, d in candidates])
-    dmin = float(dists.min())
-    window = TIE_TOL * max(1.0, dmin)
-    kept = []
-    for p, d in candidates:
-        if d <= dmin + window:
-            if not any(np.linalg.norm(p - q) <= 1e-12 * max(1.0, dmin) for q in kept):
-                kept.append(p)
-    selected = kept[0]
-    if tie == "lex":
-        for p in kept[1:]:
-            if _lex_smaller(p, selected):
-                selected = p
-    return ProjectionOutcome(
-        selected=selected,
-        branches=tuple(kept),
-        branch_count=len(kept),
-        distance=dmin,
-    )
+def _branch_mask(P, D):
+    """``_select_ties_many`` with the tied candidates narrowed to branches:
+    a candidate within a relative 1e-12 of an earlier branch is dropped."""
+    first, kept, dmin = _select_ties_many(D)
+    near = 1e-12 * np.maximum(1.0, dmin)
+    for i in range(1, P.shape[0]):
+        for j in range(i):
+            kept[i] &= ~(kept[j] & (row_norms(P[i] - P[j]) <= near))
+    return first, kept, dmin
 
 
 @dataclass(frozen=True)
@@ -186,24 +172,53 @@ class ClosedSet:
 
     dim: int
 
+    def _candidates(self, X):
+        """Candidate nearest points of every row of an ``(m, dim)`` array and
+        their distances, ``(k, m, dim)`` and ``(k, m)`` arrays, in the order
+        the tie rule reads them.  A single-valued projector's one candidate
+        is its projection."""
+        return self.project_many(X)[None], self.distance_many(X)[None]
+
+    def _continuum(self, X):
+        """Rows whose nearest points form a continuum; their candidates hold
+        one canonical representative."""
+        return np.zeros(X.shape[0], dtype=bool)
+
     def distance(self, x):
         return float(self.distance_many(as_point(x, self.dim)[None])[0])
 
     def distance_many(self, X):
         """Distance of every row of an ``(m, dim)`` array; unvalidated.
         ``distance`` is its batch of one."""
-        raise NotImplementedError
+        return self._candidates(X)[1].min(axis=0)
 
     def project(self, x) -> ProjectionOutcome:
-        raise NotImplementedError
+        """Every branch of the projection of ``x``, the selected one first."""
+        X = as_point(x, self.dim)[None]
+        P, D = self._candidates(X)
+        _, kept, dmin = _branch_mask(P, D)
+        branches = tuple(P[kept[:, 0], 0])
+        count = INFINITE if self._continuum(X)[0] else len(branches)
+        return ProjectionOutcome(branches[0], branches, count, float(dmin[0]))
 
     def project_many(self, X):
         """The ``selected`` branch of ``project`` for every row of an
-        ``(m, dim)`` array, with the same tie rules.
+        ``(m, dim)`` array.
 
         Unvalidated: callers check the points once, at their boundary.
         """
-        raise NotImplementedError
+        P, D = self._candidates(X)
+        return P[_select_ties_many(D)[0], np.arange(X.shape[0])]
+
+    def branches_many(self, X):
+        """Every branch of the projection of every row of a ``(..., dim)``
+        array, on a new leading axis with one slot per candidate; a row with
+        fewer branches repeats its selected one.  Unvalidated."""
+        flat = X.reshape(-1, self.dim)
+        P, D = self._candidates(flat)
+        first, kept, _ = _branch_mask(P, D)
+        selected = P[first, np.arange(flat.shape[0])]
+        return np.where(kept[..., None], P, selected).reshape(P.shape[:1] + X.shape)
 
     def reflect(self, x) -> ProjectionOutcome:
         """All branches of ``2 P(x) - x``."""
@@ -211,7 +226,11 @@ class ClosedSet:
         return self.project(x).reflected(x)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        return self.distance(x) <= tol
+        return bool(self.contains_many(as_point(x, self.dim)[None], tol)[0])
+
+    def contains_many(self, X, tol=MEMBERSHIP_TOL):
+        """Row-wise ``contains`` of an ``(m, dim)`` array; unvalidated."""
+        return self.distance_many(X) <= tol
 
     def normal_components(self, X) -> NormalComponents:
         """Proximal normal cones at every row of ``X`` as shared and per-row
@@ -280,11 +299,6 @@ class AffineSubspace(ClosedSet):
     def from_span(cls, offset, vectors):
         return cls(AffineFrame.from_span(offset, vectors))
 
-    def project(self, x):
-        x = as_point(x, self.dim)[None]
-        p = self.project_many(x)
-        return ProjectionOutcome(p[0], (p[0],), 1, float(row_norms(x - p)[0]))
-
     def distance_many(self, X):
         return row_norms(X - self.project_many(X))
 
@@ -342,10 +356,6 @@ class Ball(ClosedSet):
         scale = self.radius / np.where(inside, 1.0, r)
         return np.where(inside[:, None], X, self.center + scale[:, None] * D), r
 
-    def project(self, x):
-        P, r = self._nearest(as_point(x, self.dim)[None])
-        return ProjectionOutcome(P[0], (P[0],), 1, max(float(r[0]) - self.radius, 0.0))
-
     def project_many(self, X):
         return self._nearest(X)[0]
 
@@ -402,14 +412,12 @@ class Sphere(ClosedSet):
         canonical[0] += self.radius
         return np.where(at_center[:, None], canonical, self.center + scale[:, None] * D), r, at_center
 
-    def project(self, x):
-        P, r, at_center = self._nearest(as_point(x, self.dim)[None])
-        # at the center the full sphere is nearest; P holds the canonical representative
-        count = INFINITE if at_center[0] else 1
-        return ProjectionOutcome(P[0], (P[0],), count, abs(float(r[0]) - self.radius))
-
     def project_many(self, X):
         return self._nearest(X)[0]
+
+    def _continuum(self, X):
+        # at the center the full sphere is nearest
+        return self._nearest(X)[2]
 
     def normal_components(self, X):
         X = self._check_members(X)
@@ -454,28 +462,14 @@ class UnionOfSubspaces(ClosedSet):
         ]
         return cls(frames)
 
-    def project(self, x):
-        P, D = self._frame_projections(as_point(x, self.dim)[None])
-        return _select_ties(list(zip(P[:, 0], D[:, 0])), tie="order")
-
-    def _frame_projections(self, X):
-        """Per frame, the projections of the rows of ``X`` and their
-        distances: ``(frames, m, dim)`` and ``(frames, m)`` arrays."""
+    def _candidates(self, X):
+        # each frame's projection, lowest index first
         P = np.stack([f.project_rows(X) for f in self.frames])
         return P, row_norms(X - P)
 
-    def distance_many(self, X):
-        return self._frame_projections(X)[1].min(axis=0)
-
-    def project_many(self, X):
-        P, D = self._frame_projections(X)
-        dmin = D.min(axis=0)
-        first = np.argmax(D <= dmin + TIE_TOL * np.maximum(1.0, dmin), axis=0)
-        return P[first, np.arange(X.shape[0])]
-
     def normal_components(self, X):
         X = self._check_members(X)
-        held = self._frame_projections(X)[1] <= MEMBERSHIP_TOL
+        held = self._candidates(X)[1] <= MEMBERSHIP_TOL
         # at a frame crossing the projector preimage collapses to the point
         # itself, so the proximal cone is the zero cone
         alone = held.sum(axis=0) == 1
@@ -531,44 +525,20 @@ class KinkedRegion(ClosedSet):
     def __init__(self):
         self.dim = 2
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return bool(self.contains_many(as_point(x, 2)[None], tol)[0])
-
-    @staticmethod
-    def contains_many(X, tol=MEMBERSHIP_TOL):
-        """Row-wise ``contains`` of an ``(n, 2)`` array."""
-        X = np.asarray(X, dtype=float)
+    def contains_many(self, X, tol=MEMBERSHIP_TOL):
         return np.where(X[:, 0] <= 0, X[:, 1] <= -X[:, 0] + tol, X[:, 1] <= tol)
 
-    @staticmethod
-    def _edge_points(X):
-        """Nearest points of the rows of ``X`` on the two closed boundary
-        rays, slanted edge first, and their distances."""
+    def _candidates(self, X):
+        # the nearest points on the two boundary rays, slanted edge first: its
+        # [t, -t] has t <= 0 <= max(x0, 0), so it is also lexicographically
+        # the smaller.  A point of the region is its own nearest point on both
         t = np.minimum((X[:, 0] - X[:, 1]) / 2.0, 0.0)
-        neg = np.stack([t, -t], axis=1)
-        pos = np.stack([np.maximum(X[:, 0], 0.0), np.zeros(X.shape[0])], axis=1)
-        return neg, pos, row_norms(X - neg), row_norms(X - pos)
-
-    def distance_many(self, X):
-        _, _, d_neg, d_pos = self._edge_points(X)
-        return np.where(self.contains_many(X, tol=0.0), 0.0, np.minimum(d_neg, d_pos))
-
-    def project(self, x):
-        x = as_point(x, 2)
-        if self.contains(x, tol=0.0):
-            return ProjectionOutcome(x.copy(), (x.copy(),), 1, 0.0)
-        neg, pos, d_neg, d_pos = self._edge_points(x[None])
-        return _select_ties([(neg[0], float(d_neg[0])), (pos[0], float(d_pos[0]))], tie="lex")
-
-    def project_many(self, X):
-        # _select_ties row by row.  The slanted edge's candidate [t, -t] has
-        # t <= 0 and the flat edge's starts at max(x0, 0) >= 0, so of two
-        # tied branches the lexicographic rule always selects the slanted one
-        neg, pos, d_neg, d_pos = self._edge_points(X)
-        dmin = np.minimum(d_neg, d_pos)
-        neg_kept = d_neg <= dmin + TIE_TOL * np.maximum(1.0, dmin)
-        outside = np.where(neg_kept[:, None], neg, pos)
-        return np.where(self.contains_many(X, tol=0.0)[:, None], X, outside)
+        edges = np.stack([
+            np.stack([t, -t], axis=1),
+            np.stack([np.maximum(X[:, 0], 0.0), np.zeros(X.shape[0])], axis=1),
+        ])
+        P = np.where(self.contains_many(X, tol=0.0)[:, None], X, edges)
+        return P, row_norms(X - P)
 
     def normal_components(self, X):
         X = self._check_members(X)
@@ -630,30 +600,26 @@ class IntersectionSet(ClosedSet):
         self.members = members
         self.dim = dims.pop()
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return all(m.contains(x, tol) for m in self.members)
+    def contains_many(self, X, tol=MEMBERSHIP_TOL):
+        return np.logical_and.reduce([m.contains_many(X, tol) for m in self.members])
 
-    def distance(self, x):
-        x = as_point(x, self.dim)
-        if self.contains(x):
-            return 0.0
-        best = None
+    def distance_many(self, X):
+        """The least distance to a member projection that lands in every
+        member; raises for a row outside the intersection where none does."""
+        X = as_points(X, self.dim)
+        best = np.full(X.shape[0], INFINITE)
         for m in self.members:
-            p = m.project(x).selected
-            if all(o.contains(p) for o in self.members):
-                d = float(np.linalg.norm(x - p))
-                best = d if best is None else min(best, d)
-        if best is None:
+            P = m.project_many(X)
+            best = np.where(self.contains_many(P), np.minimum(best, row_norms(X - P)), best)
+        best = np.where(self.contains_many(X), 0.0, best)
+        if not np.isfinite(best).all():
             raise ValueError(
                 "intersection distance is not decidable from member projections; "
                 "use a solution set with an exact form"
             )
         return best
 
-    def distance_many(self, X):
-        return np.array([self.distance(x) for x in X])
-
-    def project(self, x):
+    def _candidates(self, X):
         raise NotImplementedError(
             "projection onto an intersection is unsupported by design; "
             "run a feasibility algorithm on the members instead"

@@ -2,7 +2,10 @@
 
 The sets and operators write each formula once, over the rows of a point
 array.  These are the formulas they had before that, on 1-D arrays: plain
-matrix-vector products and ``np.linalg.norm`` of one point.  The sampling
+matrix-vector products and ``np.linalg.norm`` of one point, the per-point
+tie rule ``select_ties`` (lexicographic for the kinked region, first frame
+for unions), the intersection's per-point distance and the nested loops of
+each operator's ``branch_apply``.  The sampling
 references are the scipy forms that ``qmc_unit``, ``ball_points`` and
 ``_ndtri`` used before the package computed the scrambled Halton sequence
 and the inverse normal CDF itself; only the tests import scipy.  Tests
@@ -16,23 +19,65 @@ from scipy.special import ndtri
 from scipy.stats import norm, qmc
 
 from projfeas.operators import (
+    BRANCH_CAP,
     AlternatingProjections,
     Combination,
     Companion,
     DouglasRachford,
     SingleProjector,
     SingleReflector,
+    _dedup_sorted,
 )
 from projfeas.sets import (
     CENTER_TOL,
+    INFINITE,
+    TIE_TOL,
     AffineSubspace,
     Ball,
     IntersectionSet,
     KinkedRegion,
+    ProjectionOutcome,
     Sphere,
     UnionOfSubspaces,
-    _select_ties,
 )
+
+
+def _lex_smaller(p, q):
+    for a, b in zip(p, q):
+        if a < b - 1e-15:
+            return True
+        if a > b + 1e-15:
+            return False
+    return False
+
+
+def select_ties(candidates, tie="lex"):
+    """Deterministic outcome from (point, distance) candidates.
+
+    Keeps every global minimizer within ``TIE_TOL`` slack.  Tie rule "lex"
+    selects the lexicographically smallest branch; "order" selects the first
+    candidate in input order (unions pass frames lowest index first).
+    """
+    dists = np.array([d for _, d in candidates])
+    dmin = float(dists.min())
+    window = TIE_TOL * max(1.0, dmin)
+    kept = []
+    for p, d in candidates:
+        if d <= dmin + window:
+            if not any(np.linalg.norm(p - q) <= 1e-12 * max(1.0, dmin) for q in kept):
+                kept.append(p)
+    selected = kept[0]
+    if tie == "lex":
+        for p in kept[1:]:
+            if _lex_smaller(p, selected):
+                selected = p
+    return ProjectionOutcome(
+        selected=selected,
+        branches=tuple(kept),
+        branch_count=len(kept),
+        distance=dmin,
+    )
+
 
 def ref_frame(f, x):
     if f.dim_subspace == 0:
@@ -40,37 +85,57 @@ def ref_frame(f, x):
     return f.offset + f.basis.T @ (f.basis @ (x - f.offset))
 
 
-def ref_project(s, x):
-    """(selected branch, distance) of one point."""
+def ref_outcome(s, x):
+    """The full ``ProjectionOutcome`` of one point."""
     if isinstance(s, AffineSubspace):
         p = ref_frame(s.frame, x)
-        return p, float(np.linalg.norm(x - p))
+        return ProjectionOutcome(p, (p,), 1, float(np.linalg.norm(x - p)))
     if isinstance(s, UnionOfSubspaces):
         cands = [(p, float(np.linalg.norm(x - p))) for p in (ref_frame(f, x) for f in s.frames)]
-        out = _select_ties(cands, tie="order")
-        return out.selected, out.distance
+        return select_ties(cands, tie="order")
     if isinstance(s, (Ball, Sphere)):
         r = float(np.linalg.norm(x - s.center))
         if isinstance(s, Ball) and r <= s.radius:
-            return x.copy(), 0.0
+            return ProjectionOutcome(x.copy(), (x.copy(),), 1, 0.0)
         if isinstance(s, Sphere) and r <= CENTER_TOL * max(1.0, s.radius):
             p = s.center.copy()
             p[0] += s.radius
-            return p, abs(r - s.radius)
-        return s.center + (s.radius / r) * (x - s.center), abs(r - s.radius)
+            return ProjectionOutcome(p, (p,), INFINITE, abs(r - s.radius))
+        p = s.center + (s.radius / r) * (x - s.center)
+        return ProjectionOutcome(p, (p,), 1, abs(r - s.radius))
     if isinstance(s, KinkedRegion):
         if s.contains(x, tol=0.0):
-            return x.copy(), 0.0
+            return ProjectionOutcome(x.copy(), (x.copy(),), 1, 0.0)
         t = min((x[0] - x[1]) / 2.0, 0.0)
         cands = [np.array([t, -t]), np.array([max(x[0], 0.0), 0.0])]
-        out = _select_ties([(p, float(np.linalg.norm(x - p))) for p in cands], tie="lex")
-        return out.selected, out.distance
+        return select_ties([(p, float(np.linalg.norm(x - p))) for p in cands], tie="lex")
     raise TypeError(type(s))
 
 
+def ref_project(s, x):
+    """(selected branch, distance) of one point."""
+    out = ref_outcome(s, x)
+    return out.selected, out.distance
+
+
+def ref_intersection_distance(s, x):
+    """The per-point loop over member projections."""
+    if all(m.contains(x) for m in s.members):
+        return 0.0
+    best = None
+    for m in s.members:
+        p = ref_outcome(m, x).selected
+        if all(o.contains(p) for o in s.members):
+            d = float(np.linalg.norm(x - p))
+            best = d if best is None else min(best, d)
+    if best is None:
+        raise ValueError("intersection distance is not decidable from member projections")
+    return best
+
+
 def ref_distance(s, x):
-    if isinstance(s, IntersectionSet):  # per point in the package itself
-        return s.distance(x)
+    if isinstance(s, IntersectionSet):
+        return ref_intersection_distance(s, x)
     return ref_project(s, x)[1]
 
 
@@ -99,6 +164,35 @@ def ref_step(op, x):
         for w, term in op.terms:
             acc = acc + w * ref_step(term, x)
         return acc
+    raise TypeError(type(op))
+
+
+def ref_branch_apply(op, x, cap=BRANCH_CAP):
+    """All output branches of one point by nested loops over the branch
+    sets, deduplicated and sorted."""
+    if isinstance(op, SingleProjector):
+        return _dedup_sorted(ref_outcome(op.s, x).branches, cap)
+    if isinstance(op, SingleReflector):
+        return _dedup_sorted(ref_outcome(op.s, x).reflected(x).branches, cap)
+    if isinstance(op, AlternatingProjections):
+        out = []
+        for y in ref_outcome(op.b, x).branches:
+            out.extend(ref_outcome(op.a, y).branches)
+        return _dedup_sorted(out, cap)
+    if isinstance(op, DouglasRachford):
+        out = []
+        for z in ref_outcome(op.b, x).branches:
+            for w in ref_outcome(op.a, 2.0 * z - x).branches:
+                out.append(w - z + x)
+        return _dedup_sorted(out, cap)
+    if isinstance(op, Companion):
+        return _dedup_sorted([2.0 * p - x for p in ref_branch_apply(op.inner, x, cap)], cap)
+    if isinstance(op, Combination):
+        combos = [np.zeros(op.dim)]
+        for w, term in op.terms:
+            term_branches = ref_branch_apply(term, x, cap)
+            combos = [acc + w * p for acc in combos for p in term_branches][: cap * 4]
+        return _dedup_sorted(combos, cap)
     raise TypeError(type(op))
 
 

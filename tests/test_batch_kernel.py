@@ -42,6 +42,7 @@ from projfeas.operators import (
     FixedPointOperator,
     SingleProjector,
     SingleReflector,
+    dr_two_forms_agree,
 )
 from projfeas.regularity import Region
 from projfeas.runner import random_subspace_pair
@@ -56,8 +57,9 @@ from projfeas.sets import (
 from projfeas.solution import SolutionSet, singleton_solution, subspace_pair_solution
 
 from kernel_reference import (
+    ref_branch_apply,
     ref_distance,
-    ref_project,
+    ref_outcome,
     ref_sol_distance,
     ref_step,
     ref_trace_to_csv,
@@ -80,6 +82,7 @@ def _random_union(seed):
     return UnionOfSubspaces(frames)
 
 
+HALF_SQRT2 = math.sqrt(2.0) / 2.0
 BISECTOR = np.array([math.cos(math.radians(67.5)), math.sin(math.radians(67.5))])
 
 # each set with points where its projector ties or is singular
@@ -112,10 +115,12 @@ def test_project_many_matches_project(name, data):
         X = np.vstack([X, ties])
     P = s.project_many(X)
     for x, p in zip(X, P):
-        ref, dist = ref_project(s, x)
+        ref = ref_outcome(s, x)
         out = s.project(x)
-        assert same_bits(p, ref) and same_bits(out.selected, ref), (x, p, ref)
-        assert same_bits(out.distance, dist), (x, out.distance, dist)
+        assert same_bits(p, ref.selected) and same_bits(out.selected, ref.selected), (x, p, ref)
+        assert same_bits(out.distance, ref.distance), (x, out.distance, ref.distance)
+        assert out.branch_count == ref.branch_count, (x, out.branch_count, ref.branch_count)
+        assert same_bits(out.branches, ref.branches), (x, out.branches, ref.branches)
 
 
 def test_tie_points_keep_their_rules():
@@ -123,7 +128,7 @@ def test_tie_points_keep_their_rules():
     np.testing.assert_array_equal(cross.project_many(np.array([[0.7, 0.7]])), [[0.7, 0.0]])
     kink = KinkedRegion()
     assert kink.project(2.0 * BISECTOR).branch_count == 2
-    assert kink.project_many((2.0 * BISECTOR)[None])[0, 0] < 0  # the slanted edge, lexicographically
+    assert kink.project_many((2.0 * BISECTOR)[None])[0, 0] < 0  # the slanted edge, listed first
     sphere = Sphere([0.5, -1.0], 1.5)
     np.testing.assert_array_equal(sphere.project_many(np.array([[0.5, -1.0]])), [[2.0, -1.0]])
 
@@ -170,6 +175,68 @@ def test_step_many_matches_per_point_formula(name):
     for x, y in zip(X, Y):
         assert same_bits(y, ref_step(op, x)), (x, y)
         assert same_bits(op.step(x), y) and same_bits(op.apply(x).selected, y)
+
+
+def _branching_operators():
+    cross, diag = presets.cross_and_diagonal()
+    circle, line = presets.circle_and_line()
+    kink = KinkedRegion()
+    return {
+        "projector": SingleProjector(cross),
+        "reflector": SingleReflector(kink),
+        "map": AlternatingProjections(circle, cross),
+        "dr": DouglasRachford(kink, cross),
+        "companion": Companion(DouglasRachford(cross, diag)),
+        "combination": Combination([(0.3, AlternatingProjections(circle, cross)),
+                                    (0.2, SingleReflector(cross)),
+                                    (0.5, SingleReflector(kink))]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_branching_operators()))
+def test_branch_apply_matches_nested_loops(name):
+    # the cross's bisector, the kinked region's, the circle's center and
+    # random points
+    op = _branching_operators()[name]
+    rng = np.random.default_rng(13)
+    X = np.vstack([[[0.7, 0.7], [-0.7, 0.7], 2.0 * BISECTOR, [0.0, 0.0]], rng.normal(scale=1.5, size=(100, 2))])
+    for x in X:
+        got, ref = op.branch_apply(x), ref_branch_apply(op, x)
+        assert same_bits(got, ref), (x, got, ref)
+    assert max(len(op.branch_apply(x)) for x in X[:4]) > 1
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reflect_branches_are_twice_the_projection_branches_less_x(name, data):
+    s, ties = SETS[name]
+    X = np.vstack([data.draw(_rows(s.dim))] + ([ties] if ties else []))
+    for x in X:
+        out, refl = s.project(x), s.reflect(x)
+        assert same_bits(refl.branches, [2.0 * p - x for p in out.branches]), x
+        assert refl.branch_count == out.branch_count and same_bits(refl.distance, out.distance)
+
+
+def _dr_pairs():
+    cross, diag = presets.cross_and_diagonal()
+    circle, line = presets.circle_and_line()
+    corner_line = AffineSubspace.from_span([0.0, 0.0], [[1.0, -0.5]])
+    return {
+        "cross-diagonal": (cross, diag, [[0.7, 0.7], [-0.7, 0.7], [0.0, 0.0]]),
+        "sphere-line": (circle, line, [[0.0, 0.0], [0.0, HALF_SQRT2], [0.0, -HALF_SQRT2]]),
+        "kinked-line": (KinkedRegion(), corner_line, [2.0 * BISECTOR, 0.5 * BISECTOR, [0.0, 0.0]]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_dr_pairs()))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dr_two_forms_agree_on_ties(name, data):
+    a, b, ties = _dr_pairs()[name]
+    for x in np.vstack([data.draw(_rows(2)), ties]):
+        assert dr_two_forms_agree(a, b, x), x
+        assert dr_two_forms_agree(b, a, x), x
 
 
 # ---------------------------------------------------------------------------

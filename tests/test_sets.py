@@ -131,7 +131,7 @@ def test_kink_projection_tie_on_bisector():
     x = 2.0 * np.array([math.cos(ang), math.sin(ang)])
     out = k.project(x)
     assert out.branch_count == 2
-    # lexicographically smallest branch selected (the one on the slanted edge)
+    # the first listed branch selected: the one on the slanted edge
     assert out.selected[0] < 0
 
 
