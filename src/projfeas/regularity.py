@@ -31,7 +31,8 @@ DEFAULT_SAMPLES = 4096
 SAFETY_INFLATION = 1.05
 STRONG_REGULARITY_TOL = 1e-6
 BLOCK_PAIRS = 1 << 16  # sample x target pairs per kernel block: bounds its scratch memory
-PRUNE_SLACK = 1e-12    # targets this far below every row of a ray group, along its ray, are skipped
+PRUNE_ROWS = 64        # rows per bounded block of a group: the unit the pruning bound covers
+COINCIDENT = 1e-14     # pairs this close, relative to the largest coordinate, are skipped
 
 
 def eps_tilde_projector(eps):
@@ -55,27 +56,130 @@ def eps_tilde_douglas_rachford(eps_a, eps_b):
 
 def _sup_alignment(X, comps, targets):
     """``max(0, sup <v, (t - x) / |t - x|>)`` over rows ``x`` of ``X``, unit
-    normals ``v`` of the cone ``comps`` gives ``x`` and targets ``t != x``."""
+    normals ``v`` of the cone ``comps`` gives ``x`` and targets ``t`` apart
+    from ``x``.
+
+    A pair is coincident, and skipped, when ``|t - x|`` is at most
+    ``COINCIDENT`` times the largest coordinate magnitude of ``X`` and
+    ``targets``, so scaling both by a power of two moves no bit of the
+    result.  Each group's rows are compared block by block with the targets
+    that can still raise the supremum (``_group_sup``); rows with their own
+    normals are compared with every target.
+    """
+    scale = max(float(np.max(np.abs(X), initial=0.0)), float(np.max(np.abs(targets), initial=0.0)))
     best = 0.0
     for g in comps.groups:
-        rows = X[g.rows]
-        if g.one_sided:
-            w = g.basis[0]
-            # a target below every row along w aligns negatively with all of
-            # them, so it cannot raise a positive supremum
-            kept = targets[targets @ w > np.min(rows @ w) - PRUNE_SLACK]
-            best = max(best, _block_sup(rows, kept, lambda U, _: _dot(U, w)))
-        else:
-            W = g.basis
-            best = max(best, _block_sup(rows, targets, lambda U, _: _norm([_dot(U, b) for b in W])))
+        best = _group_sup(X[g.rows], g, targets, scale, best)
     own = comps.own[comps.has_own]
     if own.shape[0]:
         def along_own(U, block):
             v = _dot(U, own[block].T[:, :, None])
             return np.abs(v) if comps.own_lines else v
 
-        best = max(best, _block_sup(X[comps.has_own], targets, along_own))
+        best = max(best, _block_sup(X[comps.has_own], targets, along_own, COINCIDENT * scale))
     return best
+
+
+def _group_sup(rows, g, targets, scale, best):
+    """``max(best, sup)`` of the alignments of the group ``g`` of ``rows``
+    with ``targets``, bit for bit, from the pairs that can exceed ``best``.
+
+    The rows are cut into compact blocks of at most ``PRUNE_ROWS`` rows
+    (``_compact_blocks``).  A block with centre ``c`` and radius ``r`` (each
+    row ``x`` within ``r`` of ``c``) has ``|t - x| >= |t - c| - r``, so every
+    pair of the block and a target ``t`` aligns at most
+
+    - ``(<w, t> - min_x <w, x>) / (|t - c| - r)`` for a ray ``w``,
+    - ``(|W (t - c)| + r) / (|t - c| - r)`` for a subspace with orthonormal
+      basis ``W``, as ``|W (c - x)| <= |c - x| <= r``,
+
+    when the denominator is positive.  ``best`` is first raised by the
+    block's highest-bound target, then the block meets only the targets
+    whose bound, widened by the rounding slack, reaches ``best``; the rest
+    cannot hold a pair above it.  Targets whose denominator does not exceed
+    the slack get an infinite bound and are always compared.  Each pair is
+    still computed by ``_block_sup``, elementwise, so which pairs are
+    compared moves no bit of the maximum.  A group meets at most
+    ``2 * PRUNE_ROWS`` targets unbounded: that many pairs per row cost about
+    what a block's bound does.
+
+    The slack.  Let ``u = 2**-53``, ``d`` the dimension and ``S = scale``:
+    every coordinate, of ``c`` too, is at most ``S`` in magnitude, so every
+    difference of points has norm at most ``2 sqrt(d) S``.  A computed
+    difference of coordinates is within ``u`` of itself, a sum of ``d``
+    products within ``d u`` of the sum of their magnitudes, a square root
+    within ``u``.  Carried through, a computed norm ``|y|`` is within
+    ``(d/2 + 2) u |y|``, and the computed numerator and denominator, the
+    slack added in, within ``(2 d**2 + (2 d + 16) sqrt(d)) u S`` of their
+    exact values; the subspace numerator, whose ``k <= d`` projections add
+    ``sqrt(k) d u |t - c|``, is the largest.  ``slack = 8 (d + 2)**2 u``
+    exceeds that over ``S``, so the computed ``num + slack S`` and
+    ``den - slack S`` bound the exact ones from above and below.  A computed
+    pair value is within ``(d**1.5 + d + 7) u`` of the exact alignment of
+    its two points, and the bound's division and widening round by at most
+    ``2 u`` below ``best <= 1 + slack``: together below ``slack``, by which
+    the bound is widened.  Every quantity scales with ``S``, so a
+    power-of-two scaling of the points prunes the same pairs.
+    """
+    coincident = COINCIDENT * scale
+    if g.one_sided:
+        w = g.basis[0]
+
+        def align(U, _):
+            return _dot(U, w)
+    else:
+        W = g.basis
+
+        def align(U, _):
+            return _norm([_dot(U, b) for b in W])
+
+    if rows.shape[0] == 0 or targets.shape[0] <= 2 * PRUNE_ROWS:
+        return max(best, _block_sup(rows, targets, align, coincident))
+    slack = 8 * (rows.shape[1] + 2) ** 2 * 2.0**-53
+    pad = slack * scale
+    for idx in _compact_blocks(rows):
+        block = rows[idx]
+        bound = _block_bound(block, targets, g, pad)
+        finite = np.isfinite(bound)
+        if finite.any():
+            top = int(np.argmax(np.where(finite, bound, -np.inf)))
+            best = max(best, _block_sup(block, targets[top : top + 1], align, coincident))
+        best = max(best, _block_sup(block, targets[bound + slack >= best], align, coincident))
+    return best
+
+
+def _block_bound(block, targets, g, pad):
+    """Bound on the alignment of every row of ``block`` with each target
+    under the group ``g``, as ``_group_sup`` derives it; infinite where the
+    denominator does not exceed ``pad``.  Its per-target temporaries are
+    freed on return, before the block's pairs are computed."""
+    c = 0.5 * (block.min(axis=0) + block.max(axis=0))
+    r = float(np.max(_norm((block - c).T)))
+    to_t = (targets - c).T
+    den = _norm(to_t) - (r + pad)
+    if g.one_sided:
+        w = g.basis[0]
+        num = (targets @ w + pad) - np.min(block @ w)
+    else:
+        num = _norm([_dot(to_t, b) for b in g.basis]) + (r + pad)
+    return np.divide(num, den, out=np.full(den.shape, np.inf), where=den > 0)
+
+
+def _compact_blocks(rows):
+    """Index arrays of at most ``PRUNE_ROWS`` rows each, covering ``rows``:
+    the rows are halved at a multiple of ``PRUNE_ROWS`` along their widest
+    coordinate until a part fits, so each block spans a small box."""
+    parts, blocks = [np.arange(rows.shape[0])], []
+    while parts:
+        idx = parts.pop()
+        if idx.shape[0] <= PRUNE_ROWS:
+            blocks.append(idx)
+            continue
+        sub = rows[idx]
+        idx = idx[np.argsort(sub[:, np.argmax(np.ptp(sub, axis=0))], kind="stable")]
+        half = -(-idx.shape[0] // (2 * PRUNE_ROWS)) * PRUNE_ROWS
+        parts += [idx[half:], idx[:half]]
+    return blocks
 
 
 def _dot(U, w):
@@ -94,9 +198,10 @@ def _norm(planes):
     return np.sqrt(sq)
 
 
-def _block_sup(rows, targets, align):
+def _block_sup(rows, targets, align, coincident):
     """Largest ``align(U, block)`` over unit differences from ``rows[block]``
-    to ``targets``, skipping coincident pairs; ``-inf`` when there are none.
+    to ``targets``, skipping pairs no more than ``coincident`` apart;
+    ``-inf`` when there are none.
 
     ``U`` holds one coordinate plane per leading index, ``U[k, i, j]`` being
     coordinate ``k`` of ``(t_j - x_i) / |t_j - x_i|``.  Works through at most
@@ -112,7 +217,7 @@ def _block_sup(rows, targets, align):
         for j in range(0, targets.shape[0], t_step):
             diffs = T[:, None, j : j + t_step] - R[:, block, None]
             norms = _norm(diffs)
-            apart = norms > 1e-14
+            apart = norms > coincident
             if apart.any():
                 U = diffs / np.where(apart, norms, 1.0)
                 best = max(best, float(np.max(align(U, block)[apart])))

@@ -21,6 +21,7 @@ the sample budget, and doubling the budget never decreases an estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -56,6 +57,10 @@ def _digit_terms(base, rng):
     return perms * np.array(b2r)[:, None]
 
 
+QMC_CACHE = 32  # distinct (n, dim, seed) sequences kept; one suite of presets draws 9
+
+
+@functools.lru_cache(maxsize=QMC_CACHE)
 def qmc_unit(n, dim, seed):
     """First ``n`` points of the seeded scrambled Halton sequence in [0,1)^dim.
 
@@ -63,10 +68,13 @@ def qmc_unit(n, dim, seed):
     ``i``-th prime base, with digit ``j`` mapped through its own random
     permutation.  The sums run digit by digit, vectorised over the points;
     past the digits of ``n - 1`` every digit is 0 and adds the same
-    ``terms[j, 0]`` to every point.
+    ``terms[j, 0]`` to every point.  Calls are memoized, so the array is
+    shared and read-only.
     """
     if n <= 0:
-        return np.zeros((0, dim))
+        out = np.zeros((0, dim))
+        out.flags.writeable = False
+        return out
     n = int(n)
     rng = np.random.default_rng(int(seed))
     out = np.zeros((dim, n))
@@ -83,6 +91,7 @@ def qmc_unit(n, dim, seed):
             q = quot
         for term in terms[live:, 0].tolist():
             seq += term
+    out.flags.writeable = False
     return out.T  # the (n, dim) transpose that scipy returns, same strides
 
 

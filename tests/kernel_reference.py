@@ -5,7 +5,9 @@ array.  These are the formulas they had before that, on 1-D arrays: plain
 matrix-vector products and ``np.linalg.norm`` of one point, the per-point
 tie rule ``select_ties`` (lexicographic for the kinked region, first frame
 for unions), the intersection's per-point distance and the nested loops of
-each operator's ``branch_apply``.  The sampling
+each operator's ``branch_apply``, and ``ref_sup_alignment``: the
+estimators' supremum of alignments over every sample x target pair, with
+no pair pruned.  The sampling
 references are the scipy forms that ``qmc_unit``, ``ball_points`` and
 ``_ndtri`` used before the package computed the scrambled Halton sequence
 and the inverse normal CDF itself; only the tests import scipy.  Tests
@@ -28,6 +30,7 @@ from projfeas.operators import (
     SingleReflector,
     _dedup_sorted,
 )
+from projfeas.regularity import COINCIDENT, _block_sup, _dot, _norm
 from projfeas.sets import (
     CENTER_TOL,
     INFINITE,
@@ -242,3 +245,30 @@ def ref_ball_points(center, radius, n, seed, floor_radius=0.0):
 def ref_ndtri(y):
     """scipy's Cephes ``ndtri``, C-ordered as ``ball_points`` called it."""
     return ndtri(y, order="C")
+
+
+def ref_sup_alignment(X, comps, targets):
+    """``regularity._sup_alignment`` before it bounded blocks of rows: each
+    group's rows and the own-normal rows against every target through
+    ``_block_sup``.  No pair is pruned, and the targets below every row of a
+    ray group, which that kernel dropped with an absolute ``1e-12`` slack,
+    are kept too."""
+    scale = max(float(np.max(np.abs(X), initial=0.0)), float(np.max(np.abs(targets), initial=0.0)))
+    coincident = COINCIDENT * scale
+    best = 0.0
+    for g in comps.groups:
+        rows = X[g.rows]
+        if g.one_sided:
+            w = g.basis[0]
+            best = max(best, _block_sup(rows, targets, lambda U, _: _dot(U, w), coincident))
+        else:
+            W = g.basis
+            best = max(best, _block_sup(rows, targets, lambda U, _: _norm([_dot(U, b) for b in W]), coincident))
+    own = comps.own[comps.has_own]
+    if own.shape[0]:
+        def along_own(U, block):
+            v = _dot(U, own[block].T[:, :, None])
+            return np.abs(v) if comps.own_lines else v
+
+        best = max(best, _block_sup(X[comps.has_own], targets, along_own, coincident))
+    return best

@@ -6,6 +6,10 @@ were vectorized: proximal cone components built point by point with
 the components collected point by point.  It lives only here.  The batched
 code orders some sums differently, so values may move by a few ulps; the
 bound is 1e-15 absolute on constants that lie in [0, 1].
+
+The supremum kernel prunes pairs that cannot raise the supremum; the last
+section holds it to ``ref_sup_alignment``, which compares every pair in the
+same arithmetic, bit for bit.
 """
 
 import math
@@ -15,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kernel_reference import ref_sup_alignment
 from projfeas.linalg import complement_basis, largest_principal_cosine
 from projfeas import regularity
 from projfeas.presets import circle_and_line, cross_and_diagonal, line_and_ball
@@ -25,6 +30,8 @@ from projfeas.sets import (
     AffineSubspace,
     Ball,
     KinkedRegion,
+    NormalComponents,
+    NormalGroup,
     Sphere,
     UnionOfSubspaces,
 )
@@ -282,3 +289,144 @@ def test_normal_components_match_per_point_normals(case):
             assert len(batched) == len(per_point)
             for g, h in zip(batched, per_point):
                 assert np.allclose(g, h, rtol=0.0, atol=ULP_BOUND)
+
+
+# ---------------------------------------------------------------------------
+# the pruned supremum kernel against every pair
+# ---------------------------------------------------------------------------
+
+
+def _unit_rows(rng, n, dim):
+    V = rng.normal(size=(n, dim))
+    return V / np.linalg.norm(V, axis=1)[:, None]
+
+
+@st.composite
+def alignment_cases(draw):
+    """Sample rows, one normal group or per-row normals, and targets in 2-4
+    D: random points, copies of rows (coincident pairs), repeated targets,
+    and targets along a few rays from a row, whose pairs align equally in
+    exact arithmetic, so that with one-row blocks they lie on the bound."""
+    dim = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["one-sided", "span", "own-rays", "own-lines"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 80))
+    X = rng.uniform(-1.0, 1.0, size=(n, dim)) * 2.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):  # rows on a segment, as on an edge of the kinked region
+        X = X[:1] + rng.uniform(-1.0, 1.0, size=(n, 1)) * rng.normal(size=dim)
+    parts = [rng.uniform(-1.5, 1.5, size=(draw(st.integers(0, 150)), dim))]
+    parts.append(X[rng.integers(0, n, size=draw(st.integers(0, 10)))])
+    start = X[rng.integers(0, n)]
+    for v in _unit_rows(rng, draw(st.integers(0, 3)), dim):
+        parts.append(start + rng.uniform(0.0, 2.0, size=(draw(st.integers(1, 30)), 1)) * v)
+    T = np.vstack(parts)
+    if T.shape[0]:
+        T = np.vstack([T, T[rng.integers(0, T.shape[0], size=draw(st.integers(0, 5)))]])
+    own, has_own = np.zeros_like(X), np.zeros(n, dtype=bool)
+    groups = ()
+    if kind == "one-sided":
+        groups = (NormalGroup(_unit_rows(rng, 1, dim), np.flatnonzero(rng.random(n) < 0.8), one_sided=True),)
+    elif kind == "span":
+        basis = np.linalg.qr(rng.normal(size=(dim, draw(st.integers(1, dim)))))[0].T
+        groups = (NormalGroup(basis, np.arange(n)),)
+    else:
+        own, has_own = _unit_rows(rng, n, dim), rng.random(n) < 0.8
+    comps = NormalComponents(own, has_own, own_lines=kind == "own-lines", groups=groups)
+    return X, comps, T
+
+
+@settings(max_examples=300, deadline=None)
+@given(alignment_cases(), st.sampled_from([1, 3, 64]))
+def test_pruned_sup_alignment_equals_every_pair(case, block_rows):
+    X, comps, T = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "PRUNE_ROWS", block_rows)
+        assert regularity._sup_alignment(X, comps, T) == ref_sup_alignment(X, comps, T)
+
+
+@pytest.mark.parametrize("kind", ["one-sided", "span"])
+def test_pruned_sup_alignment_keeps_ties_on_the_bound(monkeypatch, kind):
+    # one-row blocks: the bound of a target is its pair's alignment in exact
+    # arithmetic.  Targets on one ray from the row tie there, 2**-20 away,
+    # so the bound's <w, t> - <w, x> cancels and rounds far more than the
+    # pair values do; only the slack keeps every tied target in play
+    monkeypatch.setattr(regularity, "PRUNE_ROWS", 1)
+    rng = np.random.default_rng(0)
+    bad = []
+    for case in range(64):
+        dim = int(rng.integers(2, 5))
+        x = rng.uniform(-1.0, 1.0, size=dim)
+        if kind == "one-sided":
+            group = NormalGroup(_unit_rows(rng, 1, dim), np.arange(1), one_sided=True)
+        else:
+            basis = np.linalg.qr(rng.normal(size=(dim, int(rng.integers(1, dim)))))[0].T
+            group = NormalGroup(basis, np.arange(1))
+        v = _unit_rows(rng, 1, dim)[0]
+        v = -v if v @ group.basis[0] < 0 else v
+        T = x + rng.uniform(0.5, 1.0, size=(64, 1)) * 2.0**-20 * v
+        X = x[None, :]
+        comps = NormalComponents(np.zeros_like(X), np.zeros(1, dtype=bool), groups=(group,))
+        if regularity._sup_alignment(X, comps, T) != ref_sup_alignment(X, comps, T):
+            bad.append(case)
+    assert bad == []
+
+
+@pytest.mark.parametrize("variant, s, sol, delta", VARIANT_CASES, ids=IDS)
+def test_pruned_sup_alignment_equals_every_pair_on_estimator_samples(variant, s, sol, delta):
+    X = on_set_points(s, sol.witness, delta, 256, 5)
+    comps = s.normal_components(X)
+    for T in (X, sol.sample_points(delta, 64, 4)):
+        assert regularity._sup_alignment(X, comps, T) == ref_sup_alignment(X, comps, T), variant
+
+
+def _scaling_cases():
+    circle, _ = circle_and_line()
+    _, ball = line_and_ball()
+    cross, _ = cross_and_diagonal()
+    plane = AffineSubspace.from_span([0.0, 0.0, 1.0], [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
+    return [
+        ("one-sided", KinkedRegion(), np.zeros(2), 1.0),
+        ("span", cross, np.zeros(2), 1.0),
+        ("span-affine", plane, np.array([0.0, 0.0, 1.0]), 1.0),
+        ("own-rays", ball, np.array([0.0, 0.0]), 1.0),
+        ("own-lines", circle, np.array([HALF_SQRT2, HALF_SQRT2]), 0.5),
+    ]
+
+
+@pytest.mark.parametrize("kind, s, anchor, delta", _scaling_cases(), ids=[c[0] for c in _scaling_cases()])
+def test_sup_alignment_is_invariant_under_power_of_two_scaling(kind, s, anchor, delta):
+    # scaling by 2**k is exact, so every pair value, the coincidence test and
+    # the pruning bound scale with the points and the supremum moves no bit
+    X = on_set_points(s, anchor, delta, 128, 5)
+    comps = s.normal_components(X)
+    T = np.vstack([X, X[::7] + 1e-3])
+    want = regularity._sup_alignment(X, comps, T)
+    assert want > 0.0, kind
+    bad = [k for k in range(-60, 61) if regularity._sup_alignment(2.0**k * X, comps, 2.0**k * T) != want]
+    assert bad == [], kind
+
+
+def test_kinked_pair_estimate_evaluates_few_pairs(monkeypatch):
+    # the pair estimator of kinked-regularity at the presets' budget: a
+    # bound that loosens shows here as pairs evaluated, before it shows as
+    # time.  The candidates are the pairs whose target is not below every
+    # row of its edge along the edge's normal: only those can align above 0
+    kink = KinkedRegion()
+    X = on_set_points(kink, np.zeros(2), 1.0, 4096, 7)
+    comps = kink.normal_components(X)
+    assert not comps.has_own.any()
+    candidates = 0
+    for g in comps.groups:
+        height = X[g.rows] @ g.basis[0]
+        candidates += g.rows.shape[0] * int(np.sum(X @ g.basis[0] >= height.min()))
+    evaluated = []
+    block_sup = regularity._block_sup
+
+    def counting(rows, targets, *args):
+        evaluated.append(rows.shape[0] * targets.shape[0])
+        return block_sup(rows, targets, *args)
+
+    monkeypatch.setattr(regularity, "_block_sup", counting)
+    got = estimate_pair_regularity(kink, np.zeros(2), 1.0, 4096, 7)
+    assert got.hex() == "0x1.6a08e6684e3f9p-1"
+    assert sum(evaluated) <= 0.02 * candidates, (sum(evaluated), candidates)

@@ -65,6 +65,14 @@ def test_empty_request():
     assert qmc_unit(0, 3, 5).shape == (0, 3)
 
 
+@pytest.mark.parametrize("n", [0, 64])
+def test_memoized_sequence_is_shared_and_read_only(n):
+    u = qmc_unit(n, 2, 9)
+    assert qmc_unit(n, 2, 9) is u
+    with pytest.raises(ValueError):
+        u[...] = 0.0
+
+
 def _hex_rows(a):
     return [[float(v).hex() for v in row] for row in np.atleast_2d(a)]
 
