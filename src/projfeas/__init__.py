@@ -10,11 +10,7 @@ from .linalg import (
 )
 from .operators import (
     AlternatingProjections,
-    Combination,
-    Companion,
     DouglasRachford,
-    SingleProjector,
-    SingleReflector,
     check_step_energy_identity,
     dr_two_forms_agree,
 )
@@ -34,7 +30,6 @@ from .runner import run_experiment, run_suite, subspace_iff_sweep
 from .sets import (
     AffineSubspace,
     Ball,
-    IntersectionSet,
     KinkedRegion,
     ProjectionOutcome,
     Sphere,
@@ -49,12 +44,9 @@ __all__ = [
     "AffineSubspace",
     "AlternatingProjections",
     "Ball",
-    "Combination",
-    "Companion",
     "ConfigError",
     "DouglasRachford",
     "ExperimentConfig",
-    "IntersectionSet",
     "IterationTrace",
     "KinkedRegion",
     "ProbeResult",
@@ -62,8 +54,6 @@ __all__ = [
     "RateFit",
     "RegularityReport",
     "Region",
-    "SingleProjector",
-    "SingleReflector",
     "SolutionSet",
     "Sphere",
     "UnionOfSubspaces",

@@ -21,7 +21,8 @@ A config is a YAML document with nested key-value sections::
 
 Set variants: ``affine`` (offset + spanning vectors, orthonormalized on
 load), ``ball`` / ``sphere`` (center + radius), ``union`` (list of affine
-frames), ``kinked`` (the planar kinked region), ``intersection`` (members).
+frames) and ``kinked`` (the planar kinked region); any other variant is a
+``ConfigError`` at its ``sets.<key>`` or ``solution.exact`` path.
 ``parse_config(serialize_config(cfg))`` reproduces ``cfg`` exactly.
 """
 

@@ -54,15 +54,6 @@ class IterationTrace:
         return float(self.dist_to_s[-1])
 
 
-def _pair_sets(op):
-    sets = op.constituent_sets()
-    if len(sets) >= 2:
-        return sets[0], sets[1]
-    if len(sets) == 1:
-        return sets[0], sets[0]
-    raise ValueError("operator exposes no constituent sets to trace distances to")
-
-
 def _check_budget(max_iters, tol):
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -146,7 +137,7 @@ def iterate(op: FixedPointOperator, x0, sol: SolutionSet, max_iters=1000, tol=1e
     batch of one of the loop behind ``probe_fixed_points``.
     """
     _check_budget(max_iters, tol)
-    a, b = _pair_sets(op)
+    a, b = op.constituent_sets()
     x = as_point(x0, op.dim)
     X = np.empty((max_iters + 1, op.dim))
     d_s = np.empty(max_iters + 1)

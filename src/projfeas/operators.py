@@ -1,8 +1,8 @@
 """Fixed-point operators assembled from projectors and reflectors.
 
-Two algorithms are first-class: alternating projections (project onto ``b``,
-then onto ``a``) and Douglas-Rachford (average of the composed reflectors
-with the identity).  Douglas-Rachford is evaluated through its projector
+The two algorithms are alternating projections (project onto ``b``, then
+onto ``a``) and Douglas-Rachford (average of the composed reflectors with
+the identity).  Douglas-Rachford is evaluated through its projector
 form ``P_a(2z - x) - z + x`` with ``z = P_b(x)``, which needs two projector
 calls instead of two reflector calls and therefore keeps multi-valuedness
 localized; the averaged-reflector form is kept as an independent code path
@@ -29,7 +29,6 @@ from .linalg import as_point
 from .sets import ClosedSet
 
 BRANCH_CAP = 64
-WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,30 +91,6 @@ def _dedup_sorted(points, cap):
     return out[:cap]
 
 
-class SingleProjector(FixedPointOperator):
-    def __init__(self, s: ClosedSet):
-        self.s = s
-        self.dim = s.dim
-
-    def _stages(self, X, project=_selected):
-        return {}, project(self.s, X)
-
-    def constituent_sets(self):
-        return (self.s,)
-
-
-class SingleReflector(FixedPointOperator):
-    def __init__(self, s: ClosedSet):
-        self.s = s
-        self.dim = s.dim
-
-    def _stages(self, X, project=_selected):
-        return {}, 2.0 * project(self.s, X) - X
-
-    def constituent_sets(self):
-        return (self.s,)
-
-
 class AlternatingProjections(FixedPointOperator):
     """x -> P_a(P_b(x)); one application is a full projection cycle."""
 
@@ -152,63 +127,6 @@ class DouglasRachford(FixedPointOperator):
 
     def constituent_sets(self):
         return (self.a, self.b)
-
-
-class Companion(FixedPointOperator):
-    """x -> 2 T(x) - x; nonexpansive exactly when T is firmly nonexpansive."""
-
-    def __init__(self, inner: FixedPointOperator):
-        self.inner = inner
-        self.dim = inner.dim
-
-    def _stages(self, X, project=_selected):
-        T = self.inner._stages(X, project)[1]
-        return {"inner": T}, 2.0 * T - X
-
-    def constituent_sets(self):
-        return self.inner.constituent_sets()
-
-
-class Combination(FixedPointOperator):
-    """Convex combination of operators, weights summing to one."""
-
-    def __init__(self, terms):
-        terms = [(float(w), op) for w, op in terms]
-        if not terms:
-            raise ValueError("combination needs at least one term")
-        if any(w < 0 for w, _ in terms):
-            raise ValueError("combination weights must be non-negative")
-        total = sum(w for w, _ in terms)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"combination weights sum to {total}, not 1")
-        dims = {op.dim for _, op in terms}
-        if len(dims) != 1:
-            raise ValueError("combination terms have mixed dimensions")
-        self.terms = terms
-        self.dim = dims.pop()
-
-    def _stages(self, X, project=_selected):
-        parts = {}
-        acc = np.zeros(X.shape)
-        for i, (w, op) in enumerate(self.terms):
-            T = parts[f"term_{i}"] = op._stages(X, project)[1]
-            # every branch of this term meets every branch of the terms before it
-            acc = acc + w * T.reshape(T.shape[:-2] + (1,) * (acc.ndim - 2) + X.shape)
-        return parts, acc
-
-    def constituent_sets(self):
-        sets = []
-        for _, op in self.terms:
-            sets.extend(op.constituent_sets())
-        return tuple(sets)
-
-
-def identity_operator(dim):
-    """Identity realized as the projector onto the full space."""
-    from .linalg import AffineFrame
-    from .sets import AffineSubspace
-
-    return SingleProjector(AffineSubspace(AffineFrame.full_space(dim)))
 
 
 def averaged_reflector_form(a, b, x, cap=BRANCH_CAP):

@@ -339,11 +339,10 @@ def check_strong_regularity(a, b, point):
         stacked = np.vstack([a.frame.basis, b.frame.basis])
         rank = orthonormalize(stacked).shape[0] if stacked.size else 0
         return bool(rank == a.dim)
-    na = a.limiting_normals(point)
-    nb = b.limiting_normals(point)
-    if na.is_zero or nb.is_zero:
-        return True
-    return bool(_opposition(na.cone_parts(), nb.cone_parts()) <= 1.0 - STRONG_REGULARITY_TOL)
+    # a zero cone has no components, and its opposition with any cone is 0
+    na = a.limiting_normals(point).cone_parts()
+    nb = b.limiting_normals(point).cone_parts()
+    return bool(_opposition(na, nb) <= 1.0 - STRONG_REGULARITY_TOL)
 
 
 def friedrichs_cosine(frame_a, frame_b):

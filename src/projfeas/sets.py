@@ -80,33 +80,6 @@ def _branch_mask(P, D):
 
 
 @dataclass(frozen=True)
-class NormalCone:
-    """Limiting normal cone at a point, as a union of components.
-
-    ``rays`` is a (m, dim) array of unit generators of one-sided rays;
-    ``subspaces`` is a tuple of orthonormal row-bases whose full spans belong
-    to the cone (the normal space of an affine set, the radial line of a
-    sphere).  The zero cone has no components.
-    """
-
-    rays: np.ndarray
-    subspaces: tuple
-
-    @property
-    def is_zero(self):
-        return self.rays.shape[0] == 0 and len(self.subspaces) == 0
-
-    def cone_parts(self):
-        """(rays, subspace stacks) in the form of ``NormalComponents.cone_parts``."""
-        return self.rays, [W[None] for W in self.subspaces]
-
-
-def _cone(dim, rays=(), subspaces=()):
-    R = np.vstack(rays) if len(rays) else np.zeros((0, dim))
-    return NormalCone(rays=R, subspaces=tuple(subspaces))
-
-
-@dataclass(frozen=True)
 class NormalGroup:
     """Rows of a sample array whose proximal cones share one component.
 
@@ -247,9 +220,15 @@ class ClosedSet:
         x = as_point(x, self.dim)
         return self.normal_components(x[None, :]).generators(0)[:max_samples]
 
-    def limiting_normals(self, x) -> NormalCone:
-        """Limiting normal cone at ``x``, assembled from nearby proximal cones."""
-        raise NotImplementedError
+    def limiting_normals(self, x) -> NormalComponents:
+        """Limiting normal cone at ``x``, as ``normal_components`` of one row.
+
+        It is the proximal cone wherever the two agree, as they do at every
+        point of an affine set, a ball or a sphere; a variant with points
+        where nearby proximal cones add more overrides it.  Raises if ``x``
+        is not in the set to ``MEMBERSHIP_TOL``.
+        """
+        return self.normal_components(as_point(x, self.dim)[None])
 
     def chart(self, anchor, delta, n, seed):
         """Deterministic points of the set within ``delta`` of ``anchor``,
@@ -261,12 +240,6 @@ class ClosedSet:
 
     def is_affine(self):
         return False
-
-    def _check_member(self, x):
-        x = as_point(x, self.dim)
-        if not self.contains(x):
-            raise ValueError(f"point {x} is not in the set (tol {MEMBERSHIP_TOL})")
-        return x
 
     def _check_members(self, X):
         X = as_points(X, self.dim)
@@ -311,12 +284,6 @@ class AffineSubspace(ClosedSet):
         if self.normal_basis.shape[0] and X.shape[0]:
             groups = (NormalGroup(self.normal_basis, np.arange(X.shape[0])),)
         return NormalComponents(*_no_own(X), groups=groups)
-
-    def limiting_normals(self, x):
-        self._check_member(x)
-        if self.normal_basis.shape[0] == 0:
-            return _cone(self.dim)
-        return _cone(self.dim, subspaces=[self.normal_basis])
 
     def chart(self, anchor, delta, n, seed):
         return _affine_chart(self.frame, anchor, delta, n, seed)
@@ -367,9 +334,6 @@ class Ball(ClosedSet):
         own = np.zeros_like(X)
         own[on_boundary] = D[on_boundary] / r[on_boundary, None]
         return NormalComponents(own, on_boundary)
-
-    def limiting_normals(self, x):
-        return _cone(self.dim, rays=self.proximal_normals(x))
 
     def chart(self, anchor, delta, n, seed):
         pts = _boundary_chart(self.center, self.radius, anchor, delta, n, seed)
@@ -425,10 +389,6 @@ class Sphere(ClosedSet):
         radial = D / row_norms(D)[:, None]
         return NormalComponents(radial, np.ones(X.shape[0], dtype=bool), own_lines=True)
 
-    def limiting_normals(self, x):
-        u, _ = self.proximal_normals(x)
-        return _cone(self.dim, subspaces=[u.reshape(1, -1)])
-
     def chart(self, anchor, delta, n, seed):
         return _boundary_chart(self.center, self.radius, anchor, delta, n, seed)
 
@@ -481,13 +441,13 @@ class UnionOfSubspaces(ClosedSet):
         return NormalComponents(*_no_own(X), groups=tuple(groups))
 
     def limiting_normals(self, x):
-        x = self._check_member(x)
-        subs = [
-            basis
-            for f, basis in zip(self.frames, self.normal_bases)
-            if basis.shape[0] and f.contains(x, MEMBERSHIP_TOL)
-        ]
-        return _cone(self.dim, subspaces=subs)
+        # every frame that holds x, also at a crossing: its normal space is
+        # the limit of the proximal cones along the frame
+        X = self._check_members(as_point(x, self.dim)[None])
+        held = self._candidates(X)[1][:, 0] <= MEMBERSHIP_TOL
+        groups = tuple(NormalGroup(basis, np.zeros(1, dtype=int))
+                       for basis, h in zip(self.normal_bases, held) if h and basis.shape[0])
+        return NormalComponents(*_no_own(X), groups=groups)
 
     def chart(self, anchor, delta, n, seed):
         per = max(1, n // len(self.frames))
@@ -553,11 +513,14 @@ class KinkedRegion(ClosedSet):
         return NormalComponents(*_no_own(X), groups=groups)
 
     def limiting_normals(self, x):
-        x = self._check_member(x)
-        if float(np.linalg.norm(x)) <= MEMBERSHIP_TOL:
-            return _cone(2, rays=[self.EDGE_NEG_NORMAL, self.EDGE_POS_NORMAL])
-        rays = self.proximal_normals(x)
-        return _cone(2, rays=rays)
+        X = self._check_members(as_point(x, self.dim)[None])
+        if row_norms(X)[0] > MEMBERSHIP_TOL:
+            return self.normal_components(X)
+        # the corner: each edge's normal is the limit along that edge
+        corner = np.zeros(1, dtype=int)
+        edges = (self.EDGE_NEG_NORMAL, self.EDGE_POS_NORMAL)
+        groups = tuple(NormalGroup(n[None, :].copy(), corner, one_sided=True) for n in edges)
+        return NormalComponents(*_no_own(X), groups=groups)
 
     def chart(self, anchor, delta, n, seed):
         span = float(np.linalg.norm(anchor)) + delta
@@ -581,60 +544,6 @@ class KinkedRegion(ClosedSet):
         return {"variant": "kinked"}
 
 
-class IntersectionSet(ClosedSet):
-    """Intersection of member sets; membership and distance queries only.
-
-    Projecting onto an intersection is exactly what the fixed-point algorithms
-    avoid, so ``project`` raises.  ``distance`` is exact only when a member
-    projection happens to land in every other member; otherwise a solution-set
-    description with a closed form must be used.
-    """
-
-    def __init__(self, members):
-        members = tuple(members)
-        if not members:
-            raise ValueError("intersection needs at least one member")
-        dims = {m.dim for m in members}
-        if len(dims) != 1:
-            raise ValueError("members have mixed ambient dimensions")
-        self.members = members
-        self.dim = dims.pop()
-
-    def contains_many(self, X, tol=MEMBERSHIP_TOL):
-        return np.logical_and.reduce([m.contains_many(X, tol) for m in self.members])
-
-    def distance_many(self, X):
-        """The least distance to a member projection that lands in every
-        member; raises for a row outside the intersection where none does."""
-        X = as_points(X, self.dim)
-        best = np.full(X.shape[0], INFINITE)
-        for m in self.members:
-            P = m.project_many(X)
-            best = np.where(self.contains_many(P), np.minimum(best, row_norms(X - P)), best)
-        best = np.where(self.contains_many(X), 0.0, best)
-        if not np.isfinite(best).all():
-            raise ValueError(
-                "intersection distance is not decidable from member projections; "
-                "use a solution set with an exact form"
-            )
-        return best
-
-    def _candidates(self, X):
-        raise NotImplementedError(
-            "projection onto an intersection is unsupported by design; "
-            "run a feasibility algorithm on the members instead"
-        )
-
-    def normal_components(self, X):
-        raise NotImplementedError("normal cones of intersections are not provided")
-
-    def limiting_normals(self, x):
-        raise NotImplementedError("normal cones of intersections are not provided")
-
-    def to_dict(self):
-        return {"variant": "intersection", "members": [m.to_dict() for m in self.members]}
-
-
 def set_from_dict(data):
     """Inverse of ``ClosedSet.to_dict`` (used by the config layer)."""
     variant = data.get("variant")
@@ -649,6 +558,4 @@ def set_from_dict(data):
         return UnionOfSubspaces(frames)
     if variant == "kinked":
         return KinkedRegion()
-    if variant == "intersection":
-        return IntersectionSet([set_from_dict(m) for m in data["members"]])
     raise ValueError(f"unknown set variant {variant!r}")

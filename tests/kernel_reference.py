@@ -4,14 +4,14 @@ The sets and operators write each formula once, over the rows of a point
 array.  These are the formulas they had before that, on 1-D arrays: plain
 matrix-vector products and ``np.linalg.norm`` of one point, the per-point
 tie rule ``select_ties`` (lexicographic for the kinked region, first frame
-for unions), the intersection's per-point distance and the nested loops of
-each operator's ``branch_apply``, and ``ref_sup_alignment``: the
-estimators' supremum of alignments over every sample x target pair, with
-no pair pruned.  The sampling
+for unions) and the nested loops of each operator's ``branch_apply``; and
+``ref_sup_alignment``, the estimators' supremum of alignments over every
+sample x target pair, with no pair pruned.  The sampling
 references are the scipy forms that ``qmc_unit``, ``ball_points`` and
 ``_ndtri`` used before the package computed the scrambled Halton sequence
 and the inverse normal CDF itself; only the tests import scipy.  Tests
-compare the package against all of them bit for bit.
+compare the package against all of them bit for bit.  ``PointMap`` builds
+a test operator from one formula and checks it through ``ref_step``.
 """
 
 import csv
@@ -23,11 +23,8 @@ from scipy.stats import norm, qmc
 from projfeas.operators import (
     BRANCH_CAP,
     AlternatingProjections,
-    Combination,
-    Companion,
     DouglasRachford,
-    SingleProjector,
-    SingleReflector,
+    FixedPointOperator,
     _dedup_sorted,
 )
 from projfeas.regularity import COINCIDENT, _block_sup, _dot, _norm
@@ -37,7 +34,6 @@ from projfeas.sets import (
     TIE_TOL,
     AffineSubspace,
     Ball,
-    IntersectionSet,
     KinkedRegion,
     ProjectionOutcome,
     Sphere,
@@ -121,24 +117,7 @@ def ref_project(s, x):
     return out.selected, out.distance
 
 
-def ref_intersection_distance(s, x):
-    """The per-point loop over member projections."""
-    if all(m.contains(x) for m in s.members):
-        return 0.0
-    best = None
-    for m in s.members:
-        p = ref_outcome(m, x).selected
-        if all(o.contains(p) for o in s.members):
-            d = float(np.linalg.norm(x - p))
-            best = d if best is None else min(best, d)
-    if best is None:
-        raise ValueError("intersection distance is not decidable from member projections")
-    return best
-
-
 def ref_distance(s, x):
-    if isinstance(s, IntersectionSet):
-        return ref_intersection_distance(s, x)
     return ref_project(s, x)[1]
 
 
@@ -151,32 +130,17 @@ def ref_sol_distance(sol, x):
 def ref_step(op, x):
     if hasattr(op, "point_step"):  # an operator defined by a test, with its own reference
         return op.point_step(x)
-    if isinstance(op, SingleProjector):
-        return ref_project(op.s, x)[0]
-    if isinstance(op, SingleReflector):
-        return 2.0 * ref_project(op.s, x)[0] - x
     if isinstance(op, AlternatingProjections):
         return ref_project(op.a, ref_project(op.b, x)[0])[0]
     if isinstance(op, DouglasRachford):
         z = ref_project(op.b, x)[0]
         return ref_project(op.a, 2.0 * z - x)[0] - z + x
-    if isinstance(op, Companion):
-        return 2.0 * ref_step(op.inner, x) - x
-    if isinstance(op, Combination):
-        acc = np.zeros(op.dim)
-        for w, term in op.terms:
-            acc = acc + w * ref_step(term, x)
-        return acc
     raise TypeError(type(op))
 
 
 def ref_branch_apply(op, x, cap=BRANCH_CAP):
     """All output branches of one point by nested loops over the branch
     sets, deduplicated and sorted."""
-    if isinstance(op, SingleProjector):
-        return _dedup_sorted(ref_outcome(op.s, x).branches, cap)
-    if isinstance(op, SingleReflector):
-        return _dedup_sorted(ref_outcome(op.s, x).reflected(x).branches, cap)
     if isinstance(op, AlternatingProjections):
         out = []
         for y in ref_outcome(op.b, x).branches:
@@ -188,15 +152,22 @@ def ref_branch_apply(op, x, cap=BRANCH_CAP):
             for w in ref_outcome(op.a, 2.0 * z - x).branches:
                 out.append(w - z + x)
         return _dedup_sorted(out, cap)
-    if isinstance(op, Companion):
-        return _dedup_sorted([2.0 * p - x for p in ref_branch_apply(op.inner, x, cap)], cap)
-    if isinstance(op, Combination):
-        combos = [np.zeros(op.dim)]
-        for w, term in op.terms:
-            term_branches = ref_branch_apply(term, x, cap)
-            combos = [acc + w * p for acc in combos for p in term_branches][: cap * 4]
-        return _dedup_sorted(combos, cap)
     raise TypeError(type(op))
+
+
+class PointMap(FixedPointOperator):
+    """A test operator ``x -> f(x, P)``, with ``P(s, x)`` the projection onto
+    a set ``s``: over rows through ``project_many``, and on one point
+    (``point_step``, which ``ref_step`` calls) through ``ref_project``."""
+
+    def __init__(self, dim, f):
+        self.dim, self.f = dim, f
+
+    def _stages(self, X):
+        return {}, self.f(X, lambda s, Y: s.project_many(Y))
+
+    def point_step(self, x):
+        return self.f(x, lambda s, y: ref_project(s, y)[0])
 
 
 def ref_trace_to_csv(trace, path):

@@ -16,12 +16,11 @@ import numpy as np
 import pytest
 
 from conftest import preset_pairs
+from kernel_reference import PointMap
 from projfeas.driver import fit_rate, iterate, probe_fixed_points
 from projfeas.operators import (
     AlternatingProjections,
-    Combination,
     DouglasRachford,
-    SingleProjector,
     check_step_energy_identity,
     dr_two_forms_agree,
 )
@@ -468,7 +467,7 @@ def test_criterion_10_convex_combination(cross_diag):
     rng = np.random.default_rng(10)
     worst = -np.inf
     for lam in (0.25, 0.5, 0.75):
-        comb = Combination([(lam, SingleProjector(cross)), (1 - lam, SingleProjector(diag))])
+        comb = PointMap(2, lambda x, P: lam * P(cross, x) + (1 - lam) * P(diag, x))
         for _ in range(1000):
             x = rng.normal(size=2) * 1.5
             xp = comb.step(x)

@@ -28,7 +28,6 @@ from projfeas.driver import (
     DIVERGENCE_NORM,
     STAGNATION_STEP,
     _advance,
-    _pair_sets,
     iterate,
     probe_fixed_points,
     trace_to_csv,
@@ -36,12 +35,8 @@ from projfeas.driver import (
 from projfeas.linalg import AffineFrame, row_norms
 from projfeas.operators import (
     AlternatingProjections,
-    Combination,
-    Companion,
     DouglasRachford,
     FixedPointOperator,
-    SingleProjector,
-    SingleReflector,
     dr_two_forms_agree,
 )
 from projfeas.regularity import Region
@@ -49,7 +44,6 @@ from projfeas.runner import random_subspace_pair
 from projfeas.sets import (
     AffineSubspace,
     Ball,
-    IntersectionSet,
     KinkedRegion,
     Sphere,
     UnionOfSubspaces,
@@ -57,6 +51,7 @@ from projfeas.sets import (
 from projfeas.solution import SolutionSet, singleton_solution, subspace_pair_solution
 
 from kernel_reference import (
+    PointMap,
     ref_branch_apply,
     ref_distance,
     ref_outcome,
@@ -154,16 +149,7 @@ def test_distance_many_matches_distance():
 def _operators():
     cross, diag = presets.cross_and_diagonal()
     circle, line = presets.circle_and_line()
-    line3, ball = presets.line_and_ball()
-    return {
-        "projector": SingleProjector(cross),
-        "reflector": SingleReflector(KinkedRegion()),
-        "map": AlternatingProjections(circle, line),
-        "dr": DouglasRachford(cross, diag),
-        "companion": Companion(DouglasRachford(ball, line3)),
-        "combination": Combination([(0.3, AlternatingProjections(line3, ball)),
-                                    (0.7, SingleReflector(circle))]),
-    }
+    return {"map": AlternatingProjections(circle, line), "dr": DouglasRachford(cross, diag)}
 
 
 @pytest.mark.parametrize("name", sorted(_operators()))
@@ -178,19 +164,9 @@ def test_step_many_matches_per_point_formula(name):
 
 
 def _branching_operators():
-    cross, diag = presets.cross_and_diagonal()
-    circle, line = presets.circle_and_line()
-    kink = KinkedRegion()
-    return {
-        "projector": SingleProjector(cross),
-        "reflector": SingleReflector(kink),
-        "map": AlternatingProjections(circle, cross),
-        "dr": DouglasRachford(kink, cross),
-        "companion": Companion(DouglasRachford(cross, diag)),
-        "combination": Combination([(0.3, AlternatingProjections(circle, cross)),
-                                    (0.2, SingleReflector(cross)),
-                                    (0.5, SingleReflector(kink))]),
-    }
+    cross, _ = presets.cross_and_diagonal()
+    circle, _ = presets.circle_and_line()
+    return {"map": AlternatingProjections(circle, cross), "dr": DouglasRachford(KinkedRegion(), cross)}
 
 
 @pytest.mark.parametrize("name", sorted(_branching_operators()))
@@ -297,8 +273,9 @@ def test_probe_matches_per_start_iterate(name):
 def test_one_batch_mixes_every_stop_reason():
     # x -> 4 P(x) - 3 x for the unit ball: interior points are fixed, and
     # outside the radius maps as r -> |4 - 3 r|
-    op = Companion(SingleReflector(Ball([0.0, 0.0], 1.0)))
-    sol = singleton_solution((op.inner.s,), [0.0, 0.0])
+    ball = Ball([0.0, 0.0], 1.0)
+    op = PointMap(2, lambda x, P: 2.0 * (2.0 * P(ball, x) - x) - x)
+    sol = singleton_solution((ball,), [0.0, 0.0])
     starts = np.array([[0.0, 0.0], [4.0 / 3.0, 0.0], [0.5, 0.0], [2.0, 0.0], [3.0, 0.0]])
     stops = _assert_batch_matches_reference(op, starts, sol, max_iters=60, tol=1e-9)
     assert list(stops) == ["tolerance", "tolerance", "stagnation", "max_iters", "divergence"]
@@ -315,7 +292,7 @@ def test_stop_precedence_after_a_step():
     # stops on divergence, not stagnation; a step shorter than
     # STAGNATION_STEP that lands within tol stops on tolerance
     axis = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
-    op = SingleProjector(axis)
+    op = PointMap(2, lambda x, P: P(axis, x))
     sol = singleton_solution((axis,), [0.0, 0.0])
     starts = np.array([[2e12, 0.0], [1e-9 * (1 - 2e-15), 1e-16], [3.0, 1.0]])
     stops = _assert_batch_matches_reference(op, starts, sol, max_iters=10, tol=1e-9)
@@ -328,7 +305,7 @@ def test_trace_distances_are_the_set_distances(name):
     # run_experiment writes them
     cfg = presets.preset(name)
     sol, op = cfg.solution_set(), cfg.operator()
-    a, b = _pair_sets(op)
+    a, b = op.constituent_sets()
     x0 = cfg.start.points(cfg.regularity.seed)[0]
     trace = iterate(op, x0, sol, max_iters=min(cfg.budget.max_iters, 2000), tol=cfg.budget.tol)
     for s, column in ((a, trace.dist_to_a), (b, trace.dist_to_b)):
@@ -386,14 +363,12 @@ def test_iterate_matches_reference_trace(name):
 # ---------------------------------------------------------------------------
 
 AXIS = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
-ORIGIN = AffineSubspace(AffineFrame.single_point([0.0, 0.0]))
 ORIGIN_SOL = singleton_solution((AXIS,), [0.0, 0.0])
 
 
 def _shrink(w):
-    """``x -> w x`` on the first axis: the projections onto the origin and
-    onto the axis, combined with weights ``1 - w`` and ``w``."""
-    return Combination([(1.0 - w, SingleProjector(ORIGIN)), (w, SingleProjector(AXIS))])
+    """``x -> w x``."""
+    return PointMap(2, lambda x, P: w * x)
 
 
 def _blocks(op, starts, sol, max_iters, tol):
@@ -453,6 +428,15 @@ def test_stops_on_the_boundaries_of_full_blocks():
     assert same_bits(finals[0], xs[last]) and same_bits(dists[0], ds[last])
 
 
+class _FiniteOnly(AffineSubspace):
+    """An affine set whose ``distance_many`` raises on a non-finite row."""
+
+    def distance_many(self, X):
+        if not np.isfinite(X).all():
+            raise ValueError("non-finite row")
+        return super().distance_many(X)
+
+
 class _Squaring(FixedPointOperator):
     """``x -> |x| x``: the norm squares on every step.  A block never runs
     past a stop by more steps than the row took to reach it, so only
@@ -470,10 +454,9 @@ class _Squaring(FixedPointOperator):
 def test_row_overflowing_past_its_stop_stays_out_of_the_distances():
     # from 1.2 the norm is 1.2**(2**n): past DIVERGENCE_NORM on step 8 and
     # infinite from step 12, inside the block of steps 8..15 of a batch of
-    # one.  The solution set's exact form is an intersection, whose distance
-    # rejects non-finite points
+    # one.  The solution set's exact form rejects non-finite points
     far = AffineSubspace(AffineFrame.single_point([0.0, 5.0]))
-    sol = SolutionSet((far,), [0.0, 5.0], IntersectionSet([far]))
+    sol = SolutionSet((far,), [0.0, 5.0], _FiniteOnly(far.frame))
     op, x0 = _Squaring(), np.array([[1.2, 0.0]])
     finite = []
     with warnings.catch_warnings(record=True) as caught:
@@ -482,17 +465,3 @@ def test_row_overflowing_past_its_stop_stays_out_of_the_distances():
         stops = _assert_batch_matches_reference(op, x0, sol, 100, 1e-9)
     assert list(stops) == ["divergence"] and not all(finite)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-
-def test_iterate_on_an_intersection_solution_set():
-    # MAP between two lines through the origin; the intersection's distance
-    # is a member projection that lands in every member, here the origin's
-    a = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
-    b = AffineSubspace.from_span([0.0, 0.0], [[1.0, 1.0]])
-    sol = SolutionSet((a, b), [0.0, 0.0], IntersectionSet([ORIGIN]))
-    op, x0 = AlternatingProjections(a, b), np.array([1.0, 0.3])
-    trace = iterate(op, x0, sol, max_iters=100, tol=1e-12)
-    xs, ds, steps, stop = reference_iterate(op, x0, sol, 100, 1e-12)
-    assert trace.stop_reason == stop == "tolerance" and len(trace) > 20
-    assert same_bits(trace.iterates, xs) and same_bits(trace.dist_to_s, ds)
-    assert same_bits(trace.step_norms, steps)

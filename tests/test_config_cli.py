@@ -43,11 +43,18 @@ def test_round_trip_all_presets():
 
 
 def test_unknown_set_variant():
-    bad = MINIMAL.replace("variant: affine, offset: [0.0, 0.0], basis: [[1.0, 0.0]]",
-                          "variant: frobnicate")
-    with pytest.raises(ConfigError) as err:
-        parse_config(bad)
-    assert "sets.A" in str(err.value)
+    line_a = "A: {variant: affine, offset: [0.0, 0.0], basis: [[1.0, 0.0]]}"
+    point = "{variant: affine, offset: [0.0, 0.0], basis: []}"
+    # no run builds an intersection, so the config does not know the variant
+    intersection = f"{{variant: intersection, members: [{point}]}}"
+    for old, new, path in (
+        (line_a, "A: {variant: frobnicate}", "sets.A"),
+        (line_a, f"A: {intersection}", "sets.A"),
+        (f"exact: {point}", f"exact: {intersection}", "solution.exact"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL.replace(old, new))
+        assert path in str(err.value)
 
 
 def test_wrong_dimension_start_point():

@@ -136,9 +136,15 @@ def reference_c(a, b, anchor, delta, samples, seed):
     for W in subs_a:
         if Rb.shape[0]:
             best = max(best, float(np.max(np.linalg.norm(Rb @ W.T, axis=1))))
+    # two lines meet at the principal cosine |u . v|; wider pairs take the SVD
+    lines_a = [W[0] for W in subs_a if W.shape[0] == 1]
+    lines_b = [W[0] for W in subs_b if W.shape[0] == 1]
+    if lines_a and lines_b:
+        best = max(best, float(np.max(np.abs(np.array(lines_a) @ np.array(lines_b).T))))
     for Wa in subs_a:
         for Wb in subs_b:
-            best = max(best, largest_principal_cosine(Wa, Wb))
+            if Wa.shape[0] > 1 or Wb.shape[0] > 1:
+                best = max(best, largest_principal_cosine(Wa, Wb))
     return float(np.clip(best, 0.0, 1.0))
 
 

@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import preset_pairs
+from kernel_reference import PointMap
 from projfeas.operators import (
     AlternatingProjections,
-    Combination,
-    Companion,
     DouglasRachford,
-    SingleProjector,
-    SingleReflector,
     averaged_reflector_form,
     check_step_energy_identity,
     dr_two_forms_agree,
-    identity_operator,
 )
 from projfeas.presets import circle_and_line, cross_and_diagonal, two_lines_2d
 from projfeas.regularity import eps_tilde_douglas_rachford, eps_tilde_projector, eps_tilde_reflector
@@ -95,38 +91,6 @@ def test_step_energy_identity_circle_line_near_witness():
         x = w + rng.normal(size=2) * 0.3
         y = w + rng.normal(size=2) * 0.3
         assert check_step_energy_identity(circle, line, x, y) <= 1e-9
-
-
-def test_companion_roundtrip_lemma():
-    # T == (identity + companion(T)) / 2 for every operator
-    circle, line = circle_and_line()
-    rng = np.random.default_rng(24)
-    for inner_op in (
-        DouglasRachford(circle, line),
-        AlternatingProjections(circle, line),
-        SingleProjector(circle),
-    ):
-        comb = Combination([(0.5, identity_operator(2)), (0.5, Companion(inner_op))])
-        for _ in range(50):
-            x = rng.normal(size=2) * 2
-            np.testing.assert_allclose(comb.step(x), inner_op.step(x), atol=1e-10)
-
-
-def test_combination_weight_validation():
-    circle, line = circle_and_line()
-    with pytest.raises(ValueError):
-        Combination([(0.6, SingleProjector(circle)), (0.5, SingleProjector(line))])
-    with pytest.raises(ValueError):
-        Combination([(-0.5, SingleProjector(circle)), (1.5, SingleProjector(line))])
-
-
-def test_single_reflector_matches_set_reflect():
-    circle, _ = circle_and_line()
-    rng = np.random.default_rng(25)
-    op = SingleReflector(circle)
-    for _ in range(20):
-        x = rng.normal(size=2)
-        np.testing.assert_allclose(op.step(x), circle.reflect(x).selected)
 
 
 def test_branch_apply_caps_and_dedups():
@@ -219,7 +183,7 @@ def test_convex_combination_preserves_firm_inequality():
     cross, diag = cross_and_diagonal()
     rng = np.random.default_rng(29)
     for lam in (0.25, 0.5, 0.75):
-        comb = Combination([(lam, SingleProjector(cross)), (1 - lam, SingleProjector(diag))])
+        comb = PointMap(2, lambda x, P: lam * P(cross, x) + (1 - lam) * P(diag, x))
         for _ in range(200):
             x = rng.normal(size=2) * 2
             xp = comb.step(x)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from projfeas.linalg import complement_basis, orthonormalize
-from projfeas.operators import SingleProjector
 from projfeas.presets import circle_and_line
 from projfeas.regularity import (
     Region,
@@ -21,7 +20,7 @@ from projfeas.runner import random_subspace_pair
 from projfeas.sets import AffineSubspace, KinkedRegion, UnionOfSubspaces
 from projfeas.solution import SolutionSet, singleton_solution, subspace_pair_solution
 
-from kernel_reference import ref_sol_distance, ref_step
+from kernel_reference import PointMap, ref_sol_distance, ref_step
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 
@@ -303,6 +302,29 @@ def test_predicted_rates_invariants():
     assert not rep.dr_certified  # b is not affine
 
 
+def test_predicted_rates_both_nonconvex():
+    # kappa = 2: gamma^2 = 0.25, and eta = (1 - 0.6) / 4 = 0.1.  MAP takes
+    # the larger eps: eps~ = 2 eps (1 + eps), rate 1 - gamma^2 + eps~,
+    # certified while eps~ <= gamma^2.  DR needs b affine.
+    def rates(eps_a, eps_b):
+        return predicted_rates(eps_a, eps_b, 2.0, 0.6, a_convex=False, b_convex=False,
+                               b_affine=False, delta=0.5)
+
+    rep = rates(0.1, 0.05)
+    assert rep.regime == "both_nonconvex"
+    assert rep.eps_tilde_map == pytest.approx(0.22)  # 2 * 0.1 * 1.1
+    assert rep.predicted_rate_map == pytest.approx(0.97)  # 0.75 + 0.22
+    assert rep.map_certified
+    assert rep.eps_tilde_dr == pytest.approx(0.3712)  # 0.22 + 0.105 + 8 * 0.11 * 0.0525
+    assert rep.eta == pytest.approx(0.1)
+    assert not rep.dr_certified
+    rep = rates(0.2, 0.0)
+    assert rep.regime == "both_nonconvex"
+    assert rep.eps_tilde_map == pytest.approx(0.48)  # 2 * 0.2 * 1.2
+    assert rep.predicted_rate_map == pytest.approx(1.23)  # 0.75 + 0.48
+    assert not rep.map_certified
+
+
 def test_predicted_rates_no_guarantee_flags():
     rep = predicted_rates(0.3, 0.0, 4.0, 0.9, a_convex=False, b_convex=True, b_affine=True, delta=1.0)
     # eta = 0.1/16 is far below the violation constant: no contraction
@@ -334,6 +356,10 @@ def coercivity_loop(op, sol, lam, region, samples, seed):
     return float(worst)
 
 
+def _projector(s):
+    return PointMap(s.dim, lambda x, P: P(s, x))
+
+
 def _coercivity(op, sol, lam, region, samples, seed):
     margin = verify_coercivity(op, sol, lam, region, samples=samples, seed=seed)
     reference = coercivity_loop(op, sol, lam, region, samples, seed)
@@ -343,21 +369,21 @@ def _coercivity(op, sol, lam, region, samples, seed):
 
 def test_coercivity_projector_two_lines(lines2):
     a, b, sol = lines2
-    margin = _coercivity(SingleProjector(b), sol, math.sin(math.pi / 4),
+    margin = _coercivity(_projector(b), sol, math.sin(math.pi / 4),
                          Region(np.zeros(2), 1.0, within=a), samples=256, seed=1)
     assert margin >= -1e-9
 
 
 def test_coercivity_fails_at_tangency(line_ball):
     line, ball, sol = line_ball
-    margin = _coercivity(SingleProjector(ball), sol, 0.5,
+    margin = _coercivity(_projector(ball), sol, 0.5,
                          Region(np.zeros(2), 1.0, within=line), samples=256, seed=1)
     assert margin < 0
 
 
 def test_coercivity_zero_on_solution_set(lines2):
     a, b, sol = lines2
-    margin = _coercivity(SingleProjector(b), sol, 1.0,
+    margin = _coercivity(_projector(b), sol, 1.0,
                          Region(np.zeros(2), 1e-12), samples=16, seed=0)
     assert abs(margin) <= 1e-9
 
@@ -366,7 +392,7 @@ def test_contraction_transfer_lemma(lines2):
     # wherever the firm inequality and the coercivity margin both hold, the
     # distance contracts by sqrt(1 + eps - lambda^2)
     a, b, sol = lines2
-    op = SingleProjector(b)
+    op = _projector(b)
     lam = math.sin(math.pi / 4)
     rng = np.random.default_rng(41)
     checked = 0

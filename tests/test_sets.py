@@ -7,7 +7,6 @@ from projfeas.linalg import AffineFrame
 from projfeas.sets import (
     AffineSubspace,
     Ball,
-    IntersectionSet,
     KinkedRegion,
     Sphere,
     UnionOfSubspaces,
@@ -283,45 +282,5 @@ def test_ball_interior_zero_cone():
 
 def test_kink_limiting_cone_at_corner_has_both_edge_normals():
     cone = KinkedRegion().limiting_normals([0.0, 0.0])
-    assert cone.rays.shape[0] == 2
+    assert cone.cone_parts()[0].shape[0] == 2
 
-
-# ---------------------------------------------------------------------------
-# intersection variant
-# ---------------------------------------------------------------------------
-
-
-def test_intersection_membership_and_distance():
-    line = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
-    ball = Ball([0.0, 0.0], 1.0)
-    inter = IntersectionSet([line, ball])
-    assert inter.contains([0.5, 0.0])
-    assert inter.distance([0.5, 0.0]) == 0.0
-    # projecting x=(3, 0) onto the line lands inside the ball? no; onto the
-    # ball lands on the line? yes at (1, 0): exact distance 2
-    assert inter.distance([3.0, 0.0]) == pytest.approx(2.0)
-
-
-def test_intersection_distance_many_is_per_row_distance():
-    line = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
-    inter = IntersectionSet([line, Ball([0.0, 0.0], 1.0)])
-    X = np.array([[0.5, 0.0], [3.0, 0.0], [-2.0, 0.0]])
-    np.testing.assert_array_equal(inter.distance_many(X), [inter.distance(x) for x in X])
-    with pytest.raises(NotImplementedError):
-        inter.chart(np.zeros(2), 1.0, 16, 0)
-
-
-def test_intersection_projection_unsupported():
-    line = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
-    inter = IntersectionSet([line])
-    with pytest.raises(NotImplementedError):
-        inter.project([1.0, 1.0])
-    with pytest.raises(NotImplementedError):
-        inter.project_many(np.ones((1, 2)))
-
-
-def test_intersection_undecidable_distance_raises():
-    a = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
-    b = AffineSubspace.from_span([0.0, 0.0], [[1.0, 1.0]])
-    with pytest.raises(ValueError):
-        IntersectionSet([a, b]).distance([1.0, 0.5])
