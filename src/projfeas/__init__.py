@@ -3,11 +3,7 @@ with numerically estimated regularity constants and rate certification."""
 
 from .config import ConfigError, ExperimentConfig, load_config, parse_config, serialize_config
 from .driver import IterationTrace, ProbeResult, RateFit, fit_rate, iterate, probe_fixed_points
-from .linalg import (
-    AffineFrame,
-    orthogonal_complement,
-    orthonormalize,
-)
+from .linalg import AffineFrame, orthonormalize
 from .operators import (
     AlternatingProjections,
     DouglasRachford,
@@ -68,7 +64,6 @@ __all__ = [
     "friedrichs_cosine",
     "iterate",
     "load_config",
-    "orthogonal_complement",
     "orthonormalize",
     "parse_config",
     "point_set_solution",

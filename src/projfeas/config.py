@@ -9,20 +9,23 @@ A config is a YAML document with nested key-value sections::
     algorithm: {kind: dr, a: A, b: B}          # kind: map | dr; omit for
                                                # estimator-only experiments
     start: {point: [1.0, 0.0]}                 # or {center: [...], radius: r,
-                                               #     count: n} for a sampled
-                                               #     region of starts
+                                               #     count: n} for n >= 1
+                                               #     starts sampled in a
+                                               #     ball of radius r >= 0
     solution:
       witness: [0.0, 0.0]
       members: [A, B]
       exact: {variant: affine, offset: [0.0, 0.0], basis: []}   # optional
-    budget: {max_iters: 1000, tol: 1.0e-10}
+    budget: {max_iters: 1000, tol: 1.0e-10}    # max_iters >= 1, tol > 0
     regularity: {deltas: [1.0, 0.5], samples: 4096, seed: 7}
     outputs: {trace_csv: run.trace.csv, report: run.report.txt}
 
 Set variants: ``affine`` (offset + spanning vectors, orthonormalized on
 load), ``ball`` / ``sphere`` (center + radius), ``union`` (list of affine
 frames) and ``kinked`` (the planar kinked region); any other variant is a
-``ConfigError`` at its ``sets.<key>`` or ``solution.exact`` path.
+``ConfigError`` at its ``sets.<key>`` or ``solution.exact`` path.  A budget
+or start out of range is a ``ConfigError`` at its field, whether it comes
+from YAML or from an override (``--max-iters``, ``--tol``).
 ``parse_config(serialize_config(cfg))`` reproduces ``cfg`` exactly.
 """
 
@@ -75,12 +78,18 @@ class AlgorithmSpec:
     b: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StartSpec:
     point: np.ndarray | None = None
     center: np.ndarray | None = None
     radius: float = 0.0
     count: int = 1
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ConfigError("start.count", f"must be at least 1, got {self.count}")
+        if self.radius < 0:
+            raise ConfigError("start.radius", f"must be non-negative, got {self.radius}")
 
     def points(self, seed):
         if self.point is not None:
@@ -88,23 +97,17 @@ class StartSpec:
         pts = ball_points(self.center, self.radius, max(self.count * 2, 8), seed)
         return pts[1 : self.count + 1]  # skip the prepended center
 
-    def __eq__(self, other):
-        if not isinstance(other, StartSpec):
-            return NotImplemented
-        return (
-            (self.point is None) == (other.point is None)
-            and (self.point is None or np.array_equal(self.point, other.point))
-            and (self.center is None) == (other.center is None)
-            and (self.center is None or np.array_equal(self.center, other.center))
-            and self.radius == other.radius
-            and self.count == other.count
-        )
-
 
 @dataclass(frozen=True)
 class BudgetSpec:
     max_iters: int = 1000
     tol: float = 1e-10
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ConfigError("budget.max_iters", f"must be at least 1, got {self.max_iters}")
+        if not self.tol > 0:
+            raise ConfigError("budget.tol", f"must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -152,32 +155,16 @@ class ExperimentConfig:
         return SolutionSet(members, self.solution_witness, self.solution_exact)
 
     def with_overrides(self, samples=None, seed=None, max_iters=None, tol=None):
-        cfg = self
-        if samples is not None or seed is not None:
-            cfg = replace(
-                cfg,
-                regularity=replace(
-                    cfg.regularity,
-                    **{
-                        k: v
-                        for k, v in {"samples": samples, "seed": seed}.items()
-                        if v is not None
-                    },
-                ),
-            )
-        if max_iters is not None or tol is not None:
-            cfg = replace(
-                cfg,
-                budget=replace(
-                    cfg.budget,
-                    **{
-                        k: v
-                        for k, v in {"max_iters": max_iters, "tol": tol}.items()
-                        if v is not None
-                    },
-                ),
-            )
-        return cfg
+        """A copy with each value that is not None in place of its field."""
+
+        def update(spec, **values):
+            return replace(spec, **{k: v for k, v in values.items() if v is not None})
+
+        return replace(
+            self,
+            regularity=update(self.regularity, samples=samples, seed=seed),
+            budget=update(self.budget, max_iters=max_iters, tol=tol),
+        )
 
     def to_dict(self):
         out = {"name": self.name, "sets": {k: s.to_dict() for k, s in self.sets.items()}}

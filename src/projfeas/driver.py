@@ -24,6 +24,7 @@ STAGNATION_STEP = 1e-15  # below this, the iterate is a numerical fixed point
 DIVERGENCE_NORM = 1e12
 BLOCK_ROWS = 4096  # bound on steps x running rows per block of the iteration loop
 CSV_CHUNK_ROWS = 1000  # trace rows formatted and written at a time
+TAIL_FRACTION = 0.5  # share of the usable trace entries that fit_rate fits
 
 
 @dataclass
@@ -176,18 +177,16 @@ class RateFit:
     linear: bool
 
 
-def fit_rate(trace: IterationTrace, tail_fraction=0.5):
+def fit_rate(trace: IterationTrace):
     """Fit ``log dist_to_s ~ slope * n`` over the trailing part of the trace.
 
-    Uses the trailing ``tail_fraction`` of entries with distance above 1e-14
+    Uses the trailing ``TAIL_FRACTION`` of entries with distance above 1e-14
     (earlier iterates are transient); needs at least ten usable entries.
     """
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must be in (0, 1]")
     usable = np.flatnonzero(trace.dist_to_s > 1e-14)
     if usable.size < 10:
         raise ValueError(f"only {usable.size} usable entries; need at least 10")
-    k = max(2, int(math.ceil(tail_fraction * usable.size)))
+    k = max(2, int(math.ceil(TAIL_FRACTION * usable.size)))
     tail = usable[-k:]
     n = tail.astype(float)
     y = np.log(trace.dist_to_s[tail])

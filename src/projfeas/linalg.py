@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Default tolerances.  All of them can be overridden per call; exact
-# arithmetic statements need explicit floating-point slack.
-ORTHONORMALITY_TOL = 1e-12
-RANK_CUTOFF = 1e-10
-SPAN_TOL = 1e-10
+# Floating-point slack for statements that hold exactly in real arithmetic.
+ORTHONORMALITY_TOL = 1e-12  # largest entry of |V V^T - I| of an orthonormal basis
+RANK_CUTOFF = 1e-10         # relative residual below which a vector adds no rank
+SPAN_TOL = 1e-10            # relative singular value below which a direction is shared
 
 
 def as_point(x, dim=None):
@@ -49,28 +48,20 @@ def row_norms(D):
     return np.sqrt(np.vecdot(D, D))
 
 
-def orthonormalize(vectors, rank_cutoff=None):
-    """Orthonormal basis of the span of ``vectors``.
+def orthonormalize(vectors):
+    """Orthonormal basis of the span of ``vectors``: a sequence of vectors,
+    or a 2-D array with vectors as rows.
 
     Modified Gram-Schmidt with a second re-orthogonalization pass.  Vectors
     whose residual after projection onto the accepted ones falls below
-    ``rank_cutoff`` times the largest input norm are discarded, which gives
+    ``RANK_CUTOFF`` times the largest input norm are discarded, which gives
     numerically stable rank detection without an SVD.
 
-    Parameters
-    ----------
-    vectors : sequence of array-like, or 2-D array with vectors as rows
-    rank_cutoff : float, optional
-        Defaults to the module-level ``RANK_CUTOFF``.
-
-    Returns
-    -------
-    ndarray of shape (rank, dim); ``(0, dim)`` for a zero span.  Input that is
-    already orthonormal (within ``ORTHONORMALITY_TOL``) is returned unchanged,
-    so the function is exactly idempotent on its own output.
+    Returns an array of shape (rank, dim); ``(0, dim)`` for a zero span.
+    Input that is already orthonormal (within ``ORTHONORMALITY_TOL``) is
+    returned unchanged, so the function is exactly idempotent on its own
+    output.
     """
-    if rank_cutoff is None:
-        rank_cutoff = RANK_CUTOFF
     rows = [as_point(v) for v in vectors]
     if not rows:
         return np.zeros((0, 0))
@@ -91,20 +82,18 @@ def orthonormalize(vectors, rank_cutoff=None):
             for q in basis:
                 w = w - np.dot(w, q) * q
         r = np.linalg.norm(w)
-        if r >= rank_cutoff * scale:
+        if r >= RANK_CUTOFF * scale:
             basis.append(w / r)
     if not basis:
         return np.zeros((0, dim))
     return np.vstack(basis)
 
 
-def _is_orthonormal(V, tol=None):
-    if tol is None:
-        tol = ORTHONORMALITY_TOL
+def _is_orthonormal(V):
     if V.shape[0] == 0:
         return True
     gram = V @ V.T
-    return bool(np.max(np.abs(gram - np.eye(V.shape[0]))) <= tol)
+    return bool(np.max(np.abs(gram - np.eye(V.shape[0]))) <= ORTHONORMALITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -140,10 +129,6 @@ class AffineFrame:
         if len(vectors) == 0:
             return cls(offset, np.zeros((0, offset.shape[0])))
         return cls(offset, orthonormalize(vectors))
-
-    @classmethod
-    def full_space(cls, dim):
-        return cls(np.zeros(dim), np.eye(dim))
 
     @classmethod
     def single_point(cls, offset):
@@ -187,19 +172,10 @@ class AffineFrame:
         return hash((self.offset.tobytes(), self.basis.tobytes()))
 
 
-def orthogonal_complement(frame):
-    """Frame through the same offset spanning the orthogonal complement.
-
-    ``dim_subspace`` of the result is ``dim_ambient - dim_subspace`` of the
-    input.  The complement basis is obtained deterministically by completing
-    the frame basis with identity directions.
-    """
-    comp = complement_basis(frame.basis, frame.dim_ambient)
-    return AffineFrame(frame.offset, comp)
-
-
 def complement_basis(basis, dim):
-    """Orthonormal basis (rows) of the orthogonal complement of ``span(basis)``."""
+    """Orthonormal basis (rows) of the orthogonal complement of ``span(basis)``,
+    ``dim - rank`` rows, found deterministically by completing the basis with
+    identity directions."""
     basis = np.asarray(basis, dtype=float).reshape(-1, dim)
     k = basis.shape[0]
     if k == 0:
@@ -209,14 +185,14 @@ def complement_basis(basis, dim):
     return full[k:]
 
 
-def subspace_intersection(basis_a, basis_b, tol=None):
+def subspace_intersection(basis_a, basis_b):
     """Orthonormal basis (rows) of the intersection of two linear subspaces.
 
     Solves for coefficient pairs with ``basis_a.T ca == basis_b.T cb`` via the
-    null space of the stacked column matrix.
+    null space of the stacked column matrix: the right singular vectors past
+    its rank and those whose singular value is at most ``SPAN_TOL`` times the
+    largest.
     """
-    if tol is None:
-        tol = SPAN_TOL
     basis_a = np.atleast_2d(np.asarray(basis_a, dtype=float))
     basis_b = np.atleast_2d(np.asarray(basis_b, dtype=float))
     if basis_a.shape[0] == 0 or basis_b.shape[0] == 0:
@@ -226,7 +202,7 @@ def subspace_intersection(basis_a, basis_b, tol=None):
     _, s, vt = np.linalg.svd(M)
     null_mask = np.zeros(vt.shape[0], dtype=bool)
     null_mask[len(s):] = True
-    null_mask[: len(s)] |= s <= tol * (s[0] if len(s) else 1.0)
+    null_mask[: len(s)] |= s <= SPAN_TOL * (s[0] if len(s) else 1.0)
     null = vt[null_mask]
     if null.shape[0] == 0:
         return np.zeros((0, basis_a.shape[1]))
@@ -235,17 +211,12 @@ def subspace_intersection(basis_a, basis_b, tol=None):
     return orthonormalize(vecs)
 
 
-def principal_cosines(basis_a, basis_b):
-    """Cosines of the principal angles between two row-basis subspaces,
-    sorted descending and clipped to ``[0, 1]``."""
+def largest_principal_cosine(basis_a, basis_b):
+    """Cosine of the smallest principal angle between two row-basis
+    subspaces, clipped to ``[0, 1]``; zero when either is trivial."""
     basis_a = np.atleast_2d(np.asarray(basis_a, dtype=float))
     basis_b = np.atleast_2d(np.asarray(basis_b, dtype=float))
     if basis_a.shape[0] == 0 or basis_b.shape[0] == 0:
-        return np.zeros(0)
+        return 0.0
     sigma = np.linalg.svd(basis_a @ basis_b.T, compute_uv=False)
-    return np.clip(sigma, 0.0, 1.0)
-
-
-def largest_principal_cosine(basis_a, basis_b):
-    cos = principal_cosines(basis_a, basis_b)
-    return float(cos[0]) if cos.size else 0.0
+    return float(np.clip(sigma[0], 0.0, 1.0))

@@ -28,7 +28,8 @@ import numpy as np
 from .linalg import as_point
 from .sets import ClosedSet
 
-BRANCH_CAP = 64
+BRANCH_CAP = 64  # branch_apply lists at most this many output branches
+FORMS_TOL = 1e-10  # the two Douglas-Rachford forms agree to this, relatively
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,17 @@ def _listed(s, X):
 
 
 class FixedPointOperator:
+    """An operator built from the closed sets ``a`` and ``b`` of one
+    ambient dimension."""
+
     dim: int
+
+    def __init__(self, a: ClosedSet, b: ClosedSet):
+        if a.dim != b.dim:
+            raise ValueError("sets have mixed ambient dimensions")
+        self.a = a
+        self.b = b
+        self.dim = a.dim
 
     def _stages(self, X, project=_selected):
         """The named intermediate points of every row of an ``(m, dim)``
@@ -70,54 +81,37 @@ class FixedPointOperator:
         path for iteration loops.  Unvalidated, like ``project_many``."""
         return self._stages(X)[1]
 
-    def branch_apply(self, x, cap=BRANCH_CAP):
+    def branch_apply(self, x):
         """All output branches (deduplicated, lexicographically sorted)."""
         Y = self._stages(as_point(x, self.dim)[None], _listed)[1][..., 0, :]
         # first projection's branches outermost, as nested loops list them:
         # of two branches that sort as equal, the first listed is kept
         Y = Y.transpose(tuple(range(Y.ndim - 2, -1, -1)) + (Y.ndim - 1,))
-        return _dedup_sorted(list(Y.reshape(-1, self.dim)), cap)
+        return _dedup_sorted(list(Y.reshape(-1, self.dim)))
 
     def constituent_sets(self):
         """The closed sets this operator is built from, in (a, b) order."""
-        return ()
+        return (self.a, self.b)
 
 
-def _dedup_sorted(points, cap):
+def _dedup_sorted(points):
     out = []
     for p in sorted(points, key=lambda q: tuple(q)):
         if not any(np.linalg.norm(p - q) <= 1e-12 for q in out):
             out.append(p)
-    return out[:cap]
+    return out[:BRANCH_CAP]
 
 
 class AlternatingProjections(FixedPointOperator):
     """x -> P_a(P_b(x)); one application is a full projection cycle."""
 
-    def __init__(self, a: ClosedSet, b: ClosedSet):
-        if a.dim != b.dim:
-            raise ValueError("sets have mixed ambient dimensions")
-        self.a = a
-        self.b = b
-        self.dim = a.dim
-
     def _stages(self, X, project=_selected):
         Y = project(self.b, X)
         return {"project_b": Y}, project(self.a, Y)
 
-    def constituent_sets(self):
-        return (self.a, self.b)
-
 
 class DouglasRachford(FixedPointOperator):
     """x -> P_a(2 P_b(x) - x) - P_b(x) + x  (the projector form)."""
-
-    def __init__(self, a: ClosedSet, b: ClosedSet):
-        if a.dim != b.dim:
-            raise ValueError("sets have mixed ambient dimensions")
-        self.a = a
-        self.b = b
-        self.dim = a.dim
 
     def _stages(self, X, project=_selected):
         Z = project(self.b, X)
@@ -125,11 +119,8 @@ class DouglasRachford(FixedPointOperator):
         W = project(self.a, R)
         return {"project_b": Z, "reflect_b": R, "project_a_reflect_b": W}, W - Z + X
 
-    def constituent_sets(self):
-        return (self.a, self.b)
 
-
-def averaged_reflector_form(a, b, x, cap=BRANCH_CAP):
+def averaged_reflector_form(a, b, x):
     """Douglas-Rachford branches via the averaged-reflector path
     ``(R_a(R_b(x)) + x) / 2``; selected branch first, full set second."""
     x = as_point(x, a.dim)
@@ -140,24 +131,25 @@ def averaged_reflector_form(a, b, x, cap=BRANCH_CAP):
     for r in rb.branches:
         for q in a.reflect(r).branches:
             branches.append(0.5 * (q + x))
-    return selected, _dedup_sorted(branches, cap)
+    return selected, _dedup_sorted(branches)
 
 
-def dr_two_forms_agree(a, b, x, tol=1e-10):
+def dr_two_forms_agree(a, b, x):
     """True iff the averaged-reflector and projector forms of one
-    Douglas-Rachford step produce the same selected point and branch set."""
+    Douglas-Rachford step produce the same selected point and branch set, to
+    ``FORMS_TOL`` relative to ``max(1, |x|)``."""
     x = as_point(x, a.dim)
     op = DouglasRachford(a, b)
     sel_proj = op.step(x)
     branches_proj = op.branch_apply(x)
     sel_refl, branches_refl = averaged_reflector_form(a, b, x)
     scale = max(1.0, float(np.linalg.norm(x)))
-    if np.linalg.norm(sel_proj - sel_refl) > tol * scale:
+    if np.linalg.norm(sel_proj - sel_refl) > FORMS_TOL * scale:
         return False
     if len(branches_proj) != len(branches_refl):
         return False
     return all(
-        np.linalg.norm(p - q) <= tol * scale
+        np.linalg.norm(p - q) <= FORMS_TOL * scale
         for p, q in zip(branches_proj, branches_refl)
     )
 

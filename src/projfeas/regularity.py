@@ -232,23 +232,24 @@ def estimate_subregularity(s, sol: SolutionSet, delta, samples=DEFAULT_SAMPLES, 
     the ball, unit proximal normals ``v`` at ``x`` and solution points
     ``xbar`` in the ball; clamped to ``[0, 1]``.  Zero for convex sets.
     """
-    anchor = sol.witness
-    X = on_set_points(s, anchor, delta, samples, seed)
-    if X.shape[0] == 0:
-        raise ValueError("no set samples found in the ball; delta too small")
-    targets = sol.sample_points(delta, max(64, samples // 8), seed + 1)
-    return float(np.clip(_sup_alignment(X, s.normal_components(X), targets), 0.0, 1.0))
+    return _sampled_alignment(s, sol.witness, delta, samples, seed,
+                              lambda X: sol.sample_points(delta, max(64, samples // 8), seed + 1))
 
 
 def estimate_pair_regularity(s, anchor, delta, samples=DEFAULT_SAMPLES, seed=0):
     """Sampled pair-regularity constant of ``s`` at ``anchor``: as
     ``estimate_subregularity`` but with the comparison points ranging over
     the set itself instead of a solution set."""
-    anchor = np.asarray(anchor, dtype=float)
+    return _sampled_alignment(s, np.asarray(anchor, dtype=float), delta, samples, seed, lambda X: X)
+
+
+def _sampled_alignment(s, anchor, delta, samples, seed, targets):
+    """``_sup_alignment`` of the set points ``X`` drawn near ``anchor`` with
+    ``targets(X)``, clamped to ``[0, 1]``."""
     X = on_set_points(s, anchor, delta, samples, seed)
     if X.shape[0] == 0:
         raise ValueError("no set samples found in the ball; delta too small")
-    return float(np.clip(_sup_alignment(X, s.normal_components(X), X), 0.0, 1.0))
+    return float(np.clip(_sup_alignment(X, s.normal_components(X), targets(X)), 0.0, 1.0))
 
 
 def estimate_kappa(a, b, sol: SolutionSet, delta, samples=DEFAULT_SAMPLES, seed=0):

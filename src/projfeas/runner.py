@@ -173,25 +173,21 @@ def _estimator_sweep(cfg, sol):
     """Per-delta raw constants plus the inflated rate report."""
     sweep = []
     pair = cfg.pair()
+    n, seed = cfg.regularity.samples, cfg.regularity.seed
     for delta in cfg.regularity.deltas:
         if pair is None:
             s = next(iter(cfg.sets.values()))
-            entry = {
+            sweep.append({
                 "delta": float(delta),
-                "eps_sub": estimate_subregularity(
-                    s, sol, delta, cfg.regularity.samples, cfg.regularity.seed
-                ),
-                "eps_pair": estimate_pair_regularity(
-                    s, sol.witness, delta, cfg.regularity.samples, cfg.regularity.seed
-                ),
-            }
-            sweep.append(entry)
+                "eps_sub": estimate_subregularity(s, sol, delta, n, seed),
+                "eps_pair": estimate_pair_regularity(s, sol.witness, delta, n, seed),
+            })
             continue
         a, b = pair
-        eps_a = estimate_subregularity(a, sol, delta, cfg.regularity.samples, cfg.regularity.seed)
-        eps_b = estimate_subregularity(b, sol, delta, cfg.regularity.samples, cfg.regularity.seed + 1)
-        kappa = estimate_kappa(a, b, sol, delta, cfg.regularity.samples, cfg.regularity.seed + 2)
-        c = estimate_c(a, b, sol.witness, delta, cfg.regularity.samples, cfg.regularity.seed + 3)
+        eps_a = estimate_subregularity(a, sol, delta, n, seed)
+        eps_b = estimate_subregularity(b, sol, delta, n, seed + 1)
+        kappa = estimate_kappa(a, b, sol, delta, n, seed + 2)
+        c = estimate_c(a, b, sol.witness, delta, n, seed + 3)
         report = predicted_rates(
             eps_a,
             eps_b,
@@ -481,7 +477,13 @@ def random_subspace_pair(seed, dims, ambient=5):
     return a, b, x0
 
 
-def subspace_iff_sweep(n_pairs=20, base_seed=2025, samples=2048, max_iters=5000, tol=1e-9):
+SWEEP_PAIRS = 20        # random subspace pairs, every other one strongly regular
+SWEEP_SAMPLES = 2048    # kappa's sample budget per strongly regular pair
+SWEEP_MAX_ITERS = 5000  # Douglas-Rachford budget per pair: steps ...
+SWEEP_TOL = 1e-9        # ... and the distance to the intersection that ends it
+
+
+def subspace_iff_sweep(base_seed=2025):
     """Random subspace pairs in five dimensions, half built so the normal
     spaces meet nontrivially.  Checks that the reflection algorithm converges
     linearly to the intersection exactly when the exact rank test says the
@@ -492,15 +494,15 @@ def subspace_iff_sweep(n_pairs=20, base_seed=2025, samples=2048, max_iters=5000,
     matches = []
     bound_ok = []
     details = []
-    for idx in range(n_pairs):
+    for idx in range(SWEEP_PAIRS):
         regular_intended = idx % 2 == 0
         dims = (3, 3) if regular_intended else (2, 2)
         a, b, x0 = random_subspace_pair(base_seed + idx, dims)
         sol = subspace_pair_solution(a, b, np.zeros(5))
         rank_regular = check_strong_regularity(a, b, np.zeros(5))
-        trace = iterate(DouglasRachford(a, b), x0, sol, max_iters=max_iters, tol=tol)
+        trace = iterate(DouglasRachford(a, b), x0, sol, max_iters=SWEEP_MAX_ITERS, tol=SWEEP_TOL)
         # a run cut off by the budget is judged by its fitted rate, like one
-        # that reached tol: a rate close to 1 needs more than max_iters steps
+        # that reached tol: a rate close to 1 needs more than SWEEP_MAX_ITERS steps
         fitted = trace.stop_reason in ("tolerance", "max_iters")
         linear = False
         if fitted:
@@ -518,7 +520,7 @@ def subspace_iff_sweep(n_pairs=20, base_seed=2025, samples=2048, max_iters=5000,
             c_exact = largest_principal_cosine(
                 complement_basis(a.frame.basis, 5), complement_basis(b.frame.basis, 5)
             )
-            kappa = estimate_kappa(a, b, sol, 1.0, samples=samples, seed=base_seed + idx)
+            kappa = estimate_kappa(a, b, sol, 1.0, samples=SWEEP_SAMPLES, seed=base_seed + idx)
             predicted = math.sqrt(max(1.0 - (1.0 - c_exact) / (kappa * SAFETY_INFLATION) ** 2, 0.0))
             ok = fit.observed_rate <= predicted + 0.02
             bound_ok.append(ok)

@@ -182,13 +182,9 @@ def dyadic_ladder(n):
     return 2.0 ** -np.arange(ladder_depth(n) + 1, dtype=float)
 
 
-def ball_points(center, radius, n, seed, floor_radius=0.0):
-    """Deterministic points filling the closed ball, center included.
-
-    ``floor_radius`` pushes samples off the center out to that radius; the
-    supremum estimators use it so that their finest resolved scale is the
-    dyadic ladder, never a stray quasirandom point.
-    """
+def ball_points(center, radius, n, seed):
+    """Deterministic points filling the closed ball of a radius ``>= 0``:
+    the center, then ``n`` quasirandom points."""
     center = np.asarray(center, dtype=float)
     d = center.shape[0]
     u = qmc_unit(n, d + 1, seed)
@@ -200,7 +196,7 @@ def ball_points(center, radius, n, seed, floor_radius=0.0):
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
     dirs = g / norms[:, None]
-    radii = np.maximum(radius * u[:, d] ** (1.0 / d), floor_radius)
+    radii = radius * u[:, d] ** (1.0 / d)
     pts = center + radii[:, None] * dirs
     return np.vstack([center[None, :], pts])
 

@@ -140,6 +140,14 @@ def _no_own(X):
     return np.zeros_like(X), np.zeros(X.shape[0], dtype=bool)
 
 
+def _frame_dict(frame):
+    """An affine frame's ``to_dict`` entries, as ``set_from_dict`` reads them."""
+    return {
+        "offset": [float(v) for v in frame.offset],
+        "basis": [[float(v) for v in row] for row in frame.basis],
+    }
+
+
 class ClosedSet:
     """Base class: a nonempty closed subset of Euclidean space."""
 
@@ -211,14 +219,13 @@ class ClosedSet:
         """
         raise NotImplementedError
 
-    def proximal_normals(self, x, max_samples=64):
+    def proximal_normals(self, x):
         """Unit generators of the proximal normal cone at ``x`` (in the set).
 
         An empty list means the zero cone.  Raises if ``x`` is not in the set
         to ``MEMBERSHIP_TOL``.
         """
-        x = as_point(x, self.dim)
-        return self.normal_components(x[None, :]).generators(0)[:max_samples]
+        return self.normal_components(as_point(x, self.dim)[None]).generators(0)
 
     def limiting_normals(self, x) -> NormalComponents:
         """Limiting normal cone at ``x``, as ``normal_components`` of one row.
@@ -295,15 +302,13 @@ class AffineSubspace(ClosedSet):
         return True
 
     def to_dict(self):
-        return {
-            "variant": "affine",
-            "offset": [float(v) for v in self.frame.offset],
-            "basis": [[float(v) for v in row] for row in self.frame.basis],
-        }
+        return {"variant": "affine", **_frame_dict(self.frame)}
 
 
-class Ball(ClosedSet):
-    """Closed Euclidean ball."""
+class _Round(ClosedSet):
+    """A center and a positive radius, as ``Ball`` and ``Sphere`` share them."""
+
+    variant: str  # the ``to_dict`` name
 
     def __init__(self, center, radius):
         self.center = as_point(center)
@@ -311,6 +316,19 @@ class Ball(ClosedSet):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         self.dim = self.center.shape[0]
+
+    def to_dict(self):
+        return {
+            "variant": self.variant,
+            "center": [float(v) for v in self.center],
+            "radius": float(self.radius),
+        }
+
+
+class Ball(_Round):
+    """Closed Euclidean ball."""
+
+    variant = "ball"
 
     def distance_many(self, X):
         return np.maximum(row_norms(X - self.center) - self.radius, 0.0)
@@ -344,23 +362,11 @@ class Ball(ClosedSet):
     def is_convex(self):
         return True
 
-    def to_dict(self):
-        return {
-            "variant": "ball",
-            "center": [float(v) for v in self.center],
-            "radius": float(self.radius),
-        }
 
-
-class Sphere(ClosedSet):
+class Sphere(_Round):
     """Euclidean sphere (boundary only); the model nonconvex smooth set."""
 
-    def __init__(self, center, radius):
-        self.center = as_point(center)
-        self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        self.dim = self.center.shape[0]
+    variant = "sphere"
 
     def distance_many(self, X):
         return np.abs(row_norms(X - self.center) - self.radius)
@@ -391,13 +397,6 @@ class Sphere(ClosedSet):
 
     def chart(self, anchor, delta, n, seed):
         return _boundary_chart(self.center, self.radius, anchor, delta, n, seed)
-
-    def to_dict(self):
-        return {
-            "variant": "sphere",
-            "center": [float(v) for v in self.center],
-            "radius": float(self.radius),
-        }
 
 
 class UnionOfSubspaces(ClosedSet):
@@ -458,16 +457,7 @@ class UnionOfSubspaces(ClosedSet):
         return np.vstack(parts)
 
     def to_dict(self):
-        return {
-            "variant": "union",
-            "frames": [
-                {
-                    "offset": [float(v) for v in f.offset],
-                    "basis": [[float(v) for v in row] for row in f.basis],
-                }
-                for f in self.frames
-            ],
-        }
+        return {"variant": "union", "frames": [_frame_dict(f) for f in self.frames]}
 
 
 class KinkedRegion(ClosedSet):

@@ -2,7 +2,7 @@
 
 Every experiment in this package has an intersection that is either a finite
 point set or an affine subspace, so the distance to it is exact whenever a
-closed form is supplied.  Without one, the set is treated as the singleton
+closed form is supplied.  Without one, the closed form is the singleton
 ``{witness}``.
 """
 
@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AffineFrame, as_point, row_norms, subspace_intersection
+from .linalg import AffineFrame, as_point, subspace_intersection
 from .sets import AffineSubspace, ClosedSet, UnionOfSubspaces
-
-WITNESS_TOL = 1e-9
 
 
 @dataclass
@@ -27,11 +25,13 @@ class SolutionSet:
     members : sequence of ClosedSet
         The sets whose intersection is the solution set.
     witness : array-like
-        A point lying in every member (checked to ``WITNESS_TOL``).
+        A point lying in every member and in ``exact`` (checked to
+        ``sets.MEMBERSHIP_TOL``).
     exact : ClosedSet, optional
         Closed form of the intersection itself (a zero-dimensional frame for
         a single point, a union of such frames for finitely many points, an
-        affine subspace, ...).  Enables exact distances and projections.
+        affine subspace, ...), which distances, projections and samples of
+        the solution set read.  Defaults to the single point ``witness``.
     """
 
     members: tuple
@@ -41,11 +41,11 @@ class SolutionSet:
     def __post_init__(self):
         self.members = tuple(self.members)
         self.witness = as_point(self.witness)
-        for m in self.members:
-            if not m.contains(self.witness, WITNESS_TOL):
-                raise ValueError("witness is not in every member set")
-        if self.exact is not None and not self.exact.contains(self.witness, WITNESS_TOL):
-            raise ValueError("witness is not in the exact solution set")
+        if self.exact is None:
+            self.exact = AffineSubspace(AffineFrame.single_point(self.witness))
+        for m in self.members + (self.exact,):
+            if not m.contains(self.witness):
+                raise ValueError("witness is not in every member set and the exact form")
 
     @property
     def dim(self):
@@ -56,21 +56,15 @@ class SolutionSet:
 
     def distance_many(self, X):
         """Distance of every row of an ``(m, dim)`` array; unvalidated."""
-        if self.exact is not None:
-            return self.exact.distance_many(X)
-        return row_norms(X - self.witness)
+        return self.exact.distance_many(X)
 
     def project(self, x):
-        if self.exact is not None:
-            return self.exact.project(x).selected
-        return self.witness.copy()
+        return self.exact.project(x).selected
 
     def sample_points(self, delta, n, seed):
         """Solution-set points within ``delta`` of the witness."""
         from .sampling import on_set_points
 
-        if self.exact is None:
-            return self.witness[None, :].copy()
         pts = on_set_points(self.exact, self.witness, delta, n, seed)
         if pts.shape[0] == 0:
             return self.witness[None, :].copy()
@@ -78,8 +72,7 @@ class SolutionSet:
 
 
 def singleton_solution(members, point):
-    point = as_point(point)
-    return SolutionSet(tuple(members), point, AffineSubspace(AffineFrame.single_point(point)))
+    return SolutionSet(tuple(members), point)
 
 
 def point_set_solution(members, points, witness=None):

@@ -21,7 +21,6 @@ from scipy.special import ndtri
 from scipy.stats import norm, qmc
 
 from projfeas.operators import (
-    BRANCH_CAP,
     AlternatingProjections,
     DouglasRachford,
     FixedPointOperator,
@@ -122,9 +121,7 @@ def ref_distance(s, x):
 
 
 def ref_sol_distance(sol, x):
-    if sol.exact is not None:
-        return ref_distance(sol.exact, x)
-    return float(np.linalg.norm(x - sol.witness))
+    return ref_distance(sol.exact, x)
 
 
 def ref_step(op, x):
@@ -138,20 +135,20 @@ def ref_step(op, x):
     raise TypeError(type(op))
 
 
-def ref_branch_apply(op, x, cap=BRANCH_CAP):
+def ref_branch_apply(op, x):
     """All output branches of one point by nested loops over the branch
     sets, deduplicated and sorted."""
     if isinstance(op, AlternatingProjections):
         out = []
         for y in ref_outcome(op.b, x).branches:
             out.extend(ref_outcome(op.a, y).branches)
-        return _dedup_sorted(out, cap)
+        return _dedup_sorted(out)
     if isinstance(op, DouglasRachford):
         out = []
         for z in ref_outcome(op.b, x).branches:
             for w in ref_outcome(op.a, 2.0 * z - x).branches:
                 out.append(w - z + x)
-        return _dedup_sorted(out, cap)
+        return _dedup_sorted(out)
     raise TypeError(type(op))
 
 
@@ -199,7 +196,7 @@ def ref_qmc_unit(n, dim, seed):
     return qmc.Halton(d=dim, scramble=True, seed=int(seed)).random(int(n))
 
 
-def ref_ball_points(center, radius, n, seed, floor_radius=0.0):
+def ref_ball_points(center, radius, n, seed):
     """``ball_points`` on ``ref_qmc_unit`` with ``norm.ppf`` for the Gaussian."""
     center = np.asarray(center, dtype=float)
     d = center.shape[0]
@@ -208,7 +205,7 @@ def ref_ball_points(center, radius, n, seed, floor_radius=0.0):
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
     dirs = g / norms[:, None]
-    radii = np.maximum(radius * u[:, d] ** (1.0 / d), floor_radius)
+    radii = radius * u[:, d] ** (1.0 / d)
     pts = center + radii[:, None] * dirs
     return np.vstack([center[None, :], pts])
 

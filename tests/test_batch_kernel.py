@@ -137,13 +137,17 @@ def test_distance_many_matches_distance():
         assert same_bits([s.distance(x) for x in X], ref), name
         # the projection measures the same distance
         assert same_bits([s.project(x).distance for x in X], ref), name
-    # a solution set with no closed form measures the distance to its witness
+    # a solution set with no closed form measures the distance to its
+    # witness, projects onto it and samples only it
     ball = Ball([0.0, 0.0, 0.0], 1.0)
     sol = SolutionSet((ball,), [0.6, 0.0, 0.8])
     X = rng.normal(scale=2.0, size=(500, 3))
-    ref = [ref_sol_distance(sol, x) for x in X]
+    ref = [float(np.linalg.norm(x - sol.witness)) for x in X]
     assert same_bits(sol.distance_many(X), ref)
     assert same_bits([sol.distance(x) for x in X], ref)
+    assert all(same_bits(sol.project(x), sol.witness) for x in X[:20])
+    for delta, n, seed in ((1.0, 64, 0), (0.25, 4096, 7), (1e-9, 8, 3)):
+        assert same_bits(sol.sample_points(delta, n, seed), sol.witness[None, :])
 
 
 def _operators():
@@ -442,7 +446,8 @@ class _Squaring(FixedPointOperator):
     past a stop by more steps than the row took to reach it, so only
     growth faster than geometric can overflow inside one."""
 
-    dim = 2
+    def __init__(self):
+        self.dim = 2
 
     def _stages(self, X):
         return {}, row_norms(X)[:, None] * X

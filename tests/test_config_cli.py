@@ -57,6 +57,28 @@ def test_unknown_set_variant():
         assert path in str(err.value)
 
 
+def test_out_of_range_budget_and_start():
+    region = "start: {center: [0.0, 0.0], radius: 1.0, count: 3}"
+    budget = "budget: {max_iters: 200, tol: 1.0e-10}"
+    for old, new, path in (
+        (budget, "budget: {max_iters: 0, tol: 1.0e-10}", "budget.max_iters"),
+        (budget, "budget: {max_iters: 200, tol: 0.0}", "budget.tol"),
+        (budget, "budget: {max_iters: 200, tol: -1.0}", "budget.tol"),
+        (region, "start: {center: [0.0, 0.0], radius: 1.0, count: 0}", "start.count"),
+        (region, "start: {center: [0.0, 0.0], radius: -1.0, count: 3}", "start.radius"),
+    ):
+        text = MINIMAL.replace("start: {point: [1.0, 0.0]}", region)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace(old, new))
+        assert path in str(err.value)
+    # overrides go through the same checks
+    cfg = parse_config(MINIMAL)
+    for override, path in (({"max_iters": 0}, "budget.max_iters"), ({"tol": -1.0}, "budget.tol")):
+        with pytest.raises(ConfigError) as err:
+            cfg.with_overrides(**override)
+        assert path in str(err.value)
+
+
 def test_wrong_dimension_start_point():
     bad = MINIMAL.replace("start: {point: [1.0, 0.0]}", "start: {point: [1.0, 0.0, 3.0]}")
     with pytest.raises(ConfigError) as err:
@@ -129,9 +151,17 @@ def test_cli_rates_only(tmp_path, capsys):
     assert "eps_pair" in out
 
 
-def test_cli_config_error_exit_2(capsys):
+def test_cli_config_error_exit_2(tmp_path, capsys):
     assert main(["run", "no-such-preset"]) == 2
     capsys.readouterr()
+    # out-of-range budgets and starts are config errors, not a failed verdict
+    for flag, value in (("--max-iters", "0"), ("--tol", "-1")):
+        assert main(["run", "example-i", "--out-dir", str(tmp_path), flag, value]) == 2
+        assert "config error: budget." in capsys.readouterr().err
+    path = tmp_path / "cfg.yaml"
+    path.write_text(MINIMAL.replace("{point: [1.0, 0.0]}", "{center: [0.0, 0.0], radius: 1.0, count: 0}"))
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "config error: start.count" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_2(capsys):
