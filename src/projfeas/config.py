@@ -23,9 +23,9 @@ A config is a YAML document with nested key-value sections::
 Set variants: ``affine`` (offset + spanning vectors, orthonormalized on
 load), ``ball`` / ``sphere`` (center + radius), ``union`` (list of affine
 frames) and ``kinked`` (the planar kinked region); any other variant is a
-``ConfigError`` at its ``sets.<key>`` or ``solution.exact`` path.  A budget
-or start out of range is a ``ConfigError`` at its field, whether it comes
-from YAML or from an override (``--max-iters``, ``--tol``).
+``ConfigError`` at its ``sets.<key>`` or ``solution.exact`` path.  So is a
+section that is not a mapping, a value that does not convert (integer fields
+take whole numbers only) and a value out of range, from YAML or an override.
 ``parse_config(serialize_config(cfg))`` reproduces ``cfg`` exactly.
 """
 
@@ -59,13 +59,42 @@ def _require(data, key, path, kind=None):
     return value
 
 
+def _section(data, key):
+    """The mapping under ``key``; empty when absent or null."""
+    return {} if data.get(key) is None else _require(data, key, "<root>", dict)
+
+
+def _number(value, path, kind=float):
+    """``value`` (or a string: YAML reads ``1e-10`` as one) as a ``float`` or
+    ``int`` ``kind``; one that does not convert exactly is a ``ConfigError``."""
+    try:
+        number = float(value) if isinstance(value, str) else value
+        if not isinstance(value, bool) and kind(number) == number:
+            return kind(number)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(path, f"expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+
+
+def _set(data, path):
+    try:
+        return set_from_dict(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
+def _check(ok, path, need, value):
+    if not ok:
+        raise ConfigError(path, f"must be {need}, got {value}")
+
+
 def _point(data, path, dim=None):
     try:
         p = np.asarray(data, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(path, "not a numeric vector") from None
-    if p.ndim != 1:
-        raise ConfigError(path, "expected a flat list of numbers")
+    if p.ndim != 1 or not np.isfinite(p).all():
+        raise ConfigError(path, "expected a flat list of finite numbers")
     if dim is not None and p.shape[0] != dim:
         raise ConfigError(path, f"dimension {p.shape[0]} does not match ambient dimension {dim}")
     return p
@@ -86,10 +115,8 @@ class StartSpec:
     count: int = 1
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError("start.count", f"must be at least 1, got {self.count}")
-        if self.radius < 0:
-            raise ConfigError("start.radius", f"must be non-negative, got {self.radius}")
+        _check(self.count >= 1, "start.count", "at least 1", self.count)
+        _check(0 <= self.radius < np.inf, "start.radius", "finite and non-negative", self.radius)
 
     def points(self, seed):
         if self.point is not None:
@@ -104,10 +131,8 @@ class BudgetSpec:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigError("budget.max_iters", f"must be at least 1, got {self.max_iters}")
-        if not self.tol > 0:
-            raise ConfigError("budget.tol", f"must be positive, got {self.tol}")
+        _check(self.max_iters >= 1, "budget.max_iters", "at least 1", self.max_iters)
+        _check(self.tol > 0, "budget.tol", "positive", self.tol)
 
 
 @dataclass(frozen=True)
@@ -115,6 +140,12 @@ class RegularitySpec:
     deltas: tuple = (1.0, 0.5, 0.25, 0.125)
     samples: int = 4096
     seed: int = 0
+
+    def __post_init__(self):
+        positive = self.deltas and all(0 < d < np.inf for d in self.deltas)
+        _check(positive, "regularity.deltas", "finite and positive", list(self.deltas))
+        _check(self.samples >= 1, "regularity.samples", "at least 1", self.samples)
+        _check(self.seed >= 0, "regularity.seed", "non-negative", self.seed)
 
 
 @dataclass(frozen=True)
@@ -192,12 +223,9 @@ class ExperimentConfig:
             "samples": int(self.regularity.samples),
             "seed": int(self.regularity.seed),
         }
-        if self.outputs.trace_csv or self.outputs.report:
-            out["outputs"] = {}
-            if self.outputs.trace_csv:
-                out["outputs"]["trace_csv"] = self.outputs.trace_csv
-            if self.outputs.report:
-                out["outputs"]["report"] = self.outputs.report
+        outputs = {k: v for k, v in vars(self.outputs).items() if v}
+        if outputs:
+            out["outputs"] = outputs
         return out
 
     def __eq__(self, other):
@@ -215,10 +243,7 @@ def config_from_dict(data):
     sets = {}
     dims = set()
     for key, sd in raw_sets.items():
-        try:
-            sets[key] = set_from_dict(sd)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"sets.{key}", str(exc)) from None
+        sets[key] = _set(sd, f"sets.{key}")
         dims.add(sets[key].dim)
     if len(dims) > 1:
         raise ConfigError("sets", f"mixed ambient dimensions {sorted(dims)}")
@@ -239,14 +264,14 @@ def config_from_dict(data):
 
     start = None
     if data.get("start") is not None:
-        sd = data["start"]
+        sd = _section(data, "start")
         if "point" in sd:
             start = StartSpec(point=_point(sd["point"], "start.point", dim))
         else:
             start = StartSpec(
                 center=_point(_require(sd, "center", "start"), "start.center", dim),
-                radius=float(_require(sd, "radius", "start")),
-                count=int(sd.get("count", 1)),
+                radius=_number(_require(sd, "radius", "start"), "start.radius"),
+                count=_number(sd.get("count", 1), "start.count", int),
             )
 
     sol = _require(data, "solution", "<root>", dict)
@@ -255,22 +280,20 @@ def config_from_dict(data):
     for m in members:
         if m not in sets:
             raise ConfigError("solution.members", f"references unknown set {m!r}")
-    exact = None
-    if sol.get("exact") is not None:
-        try:
-            exact = set_from_dict(sol["exact"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError("solution.exact", str(exc)) from None
+    exact = None if sol.get("exact") is None else _set(sol["exact"], "solution.exact")
 
-    bd = data.get("budget", {})
-    budget = BudgetSpec(int(bd.get("max_iters", 1000)), float(bd.get("tol", 1e-10)))
-    rd = data.get("regularity", {})
-    regularity = RegularitySpec(
-        tuple(float(d) for d in rd.get("deltas", (1.0, 0.5, 0.25, 0.125))),
-        int(rd.get("samples", 4096)),
-        int(rd.get("seed", 0)),
+    bd, rd = _section(data, "budget"), _section(data, "regularity")
+    budget = BudgetSpec(
+        _number(bd.get("max_iters", BudgetSpec.max_iters), "budget.max_iters", int),
+        _number(bd.get("tol", BudgetSpec.tol), "budget.tol"),
     )
-    od = data.get("outputs", {})
+    deltas = _require(rd, "deltas", "regularity", list) if "deltas" in rd else RegularitySpec.deltas
+    regularity = RegularitySpec(
+        tuple(_number(d, "regularity.deltas") for d in deltas),
+        _number(rd.get("samples", RegularitySpec.samples), "regularity.samples", int),
+        _number(rd.get("seed", RegularitySpec.seed), "regularity.seed", int),
+    )
+    od = _section(data, "outputs")
     outputs = OutputSpec(od.get("trace_csv"), od.get("report"))
 
     cfg = ExperimentConfig(

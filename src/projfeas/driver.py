@@ -82,8 +82,9 @@ def _advance(op, X, sol, max_iters, tol, record=None):
     first divergence or stagnation reach ``sol.distance_many``.
 
     ``record(n, Xs, ds, steps)`` sees the starts (``n = 0``, a block of one,
-    ``steps`` None) and then each block: ``Xs[j]`` holds the ``(n + j)``-th
-    iterates of the rows running at the block's start, ``ds[j]`` their
+    ``steps`` None, ``ds`` a view that the loop overwrites as rows stop) and
+    then each block: ``Xs[j]`` holds the ``(n + j)``-th iterates of the rows
+    running at the block's start, in ascending order, ``ds[j]`` their
     distances to the solution set and ``steps[j]`` the norms of the steps
     that led to them.  A row's entries past its stop are not part of its
     iteration.  Returns the final iterates, their distances to the solution
@@ -128,6 +129,29 @@ def _advance(op, X, sol, max_iters, tol, record=None):
     return finals, dists, stops, used
 
 
+def iterate_many(op: FixedPointOperator, X0, sol: SolutionSet, max_iters=1000, tol=1e-12):
+    """One ``IterationTrace`` per row of ``X0``, all cut out of the blocks
+    of one ``_advance`` over the rows."""
+    _check_budget(max_iters, tol)
+    blocks = []
+
+    def record(n, xs, ds, steps):
+        if steps is None:  # the starts: ds is a view of the distances _advance overwrites
+            ds, steps = ds.copy(), np.empty((0, xs.shape[1]))
+        blocks.append((n, xs, ds, steps))
+
+    def cut(i, u):  # the running rows stay in order: row i is column count_nonzero(used[:i] >= n)
+        parts = [[a[: u + 1 - n, np.count_nonzero(used[:i] >= n)] for a in blk]
+                 for n, *blk in blocks if n <= u]
+        return [np.concatenate(p) for p in zip(*parts)]
+
+    _, _, stops, used = _advance(op, as_points(X0, op.dim), sol, max_iters, tol, record)
+    rows = [cut(i, u) for i, u in enumerate(used.tolist())]
+    blocks.clear()  # the rows are copies: free the blocks before the distances
+    return [IterationTrace(X, op.a.distance_many(X), op.b.distance_many(X), D, steps, stop)
+            for (X, D, steps), stop in zip(rows, stops)]
+
+
 def iterate(op: FixedPointOperator, x0, sol: SolutionSet, max_iters=1000, tol=1e-12):
     """Run the Picard iteration with the deterministic branch selection.
 
@@ -135,32 +159,9 @@ def iterate(op: FixedPointOperator, x0, sol: SolutionSet, max_iters=1000, tol=1e
     on a step shorter than ``STAGNATION_STEP`` while still off the solution
     set ("stagnation": a fixed point away from the intersection), or on the
     iterate norm exceeding ``DIVERGENCE_NORM`` ("divergence").  This is the
-    batch of one of the loop behind ``probe_fixed_points``.
+    batch of one of ``iterate_many``.
     """
-    _check_budget(max_iters, tol)
-    a, b = op.constituent_sets()
-    x = as_point(x0, op.dim)
-    X = np.empty((max_iters + 1, op.dim))
-    d_s = np.empty(max_iters + 1)
-    steps = np.empty(max_iters)
-
-    def record(n, xs, ds, step_norms):
-        # blocks never run past max_iters; the entries past the stop are cut below
-        X[n : n + len(xs)], d_s[n : n + len(xs)] = xs[:, 0], ds[:, 0]
-        if n:
-            steps[n - 1 : n - 1 + len(xs)] = step_norms[:, 0]
-
-    _, _, stops, used = _advance(op, x[None], sol, max_iters, tol, record)
-    used = int(used[0])
-    X = X[: used + 1].copy()
-    return IterationTrace(
-        iterates=X,
-        dist_to_a=a.distance_many(X),
-        dist_to_b=b.distance_many(X),
-        dist_to_s=d_s[: used + 1].copy(),
-        step_norms=steps[:used].copy(),
-        stop_reason=stops[0],
-    )
+    return iterate_many(op, as_point(x0, op.dim)[None], sol, max_iters, tol)[0]
 
 
 @dataclass
@@ -225,12 +226,11 @@ def probe_fixed_points(op, region: Region, samples, seed, sol: SolutionSet,
     limits = list(zip(finals, dists.tolist()))
     frame = None
     if isinstance(op, DouglasRachford):
-        a, b = op.constituent_sets()
-        if isinstance(a, AffineSubspace) and isinstance(b, AffineSubspace):
-            meet = subspace_intersection(a.frame.basis, b.frame.basis)
+        if isinstance(op.a, AffineSubspace) and isinstance(op.b, AffineSubspace):
+            meet = subspace_intersection(op.a.frame.basis, op.b.frame.basis)
             normal_meet = subspace_intersection(
-                complement_basis(a.frame.basis, op.dim),
-                complement_basis(b.frame.basis, op.dim),
+                complement_basis(op.a.frame.basis, op.dim),
+                complement_basis(op.b.frame.basis, op.dim),
             )
             frame = AffineFrame.from_span(
                 sol.witness, np.vstack([meet, normal_meet]) if meet.size + normal_meet.size else []

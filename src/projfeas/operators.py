@@ -89,10 +89,6 @@ class FixedPointOperator:
         Y = Y.transpose(tuple(range(Y.ndim - 2, -1, -1)) + (Y.ndim - 1,))
         return _dedup_sorted(list(Y.reshape(-1, self.dim)))
 
-    def constituent_sets(self):
-        """The closed sets this operator is built from, in (a, b) order."""
-        return (self.a, self.b)
-
 
 def _dedup_sorted(points):
     out = []

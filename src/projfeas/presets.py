@@ -59,10 +59,6 @@ def circle_and_line():
     return circle, line
 
 
-def _origin_solution(dim):
-    return AffineSubspace(AffineFrame.single_point(np.zeros(dim)))
-
-
 def _circle_line_solution():
     pts = [
         AffineFrame.single_point(np.array([HALF_SQRT2, HALF_SQRT2])),
@@ -71,7 +67,7 @@ def _circle_line_solution():
     return UnionOfSubspaces(pts)
 
 
-def _cfg(name, sets, algorithm, start, witness, exact, budget, deltas, seed=7, samples=4096):
+def _cfg(name, sets, algorithm, start, witness, budget, deltas, exact=None, seed=7, samples=4096):
     return ExperimentConfig(
         name=name,
         sets=sets,
@@ -95,7 +91,6 @@ def example_i(algorithm="dr"):
         AlgorithmSpec(algorithm, "A", "B"),
         StartSpec(point=np.array([1.0, 0.0])),
         [0.0, 0.0],
-        _origin_solution(2),
         BudgetSpec(max_iters=500, tol=1e-10),
         deltas=(1.0, 0.5, 0.25, 0.125),
     )
@@ -115,7 +110,6 @@ def example_ii(inplane=False):
         AlgorithmSpec("dr", "A", "B"),
         start,
         [0.0, 0.0, 0.0],
-        _origin_solution(3),
         BudgetSpec(max_iters=500, tol=1e-10),
         deltas=(1.0, 0.5, 0.25, 0.125),
     )
@@ -131,7 +125,6 @@ def example_iii(algorithm="map"):
             AlgorithmSpec("map", "A", "B"),
             StartSpec(point=np.array([1.0, 0.0])),
             [0.0, 0.0],
-            _origin_solution(2),
             BudgetSpec(max_iters=1_000_000, tol=1e-6),
             deltas=(1.0, 0.5, 0.25, 0.125),
         )
@@ -142,7 +135,6 @@ def example_iii(algorithm="map"):
         AlgorithmSpec("dr", "A", "B"),
         StartSpec(center=np.array([0.0, 1.0]), radius=1.5, count=24),
         [0.0, 0.0],
-        _origin_solution(2),
         BudgetSpec(max_iters=3000, tol=1e-9),
         deltas=(1.0, 0.5, 0.25, 0.125),
     )
@@ -157,7 +149,6 @@ def example_iv(algorithm="dr"):
         AlgorithmSpec(algorithm, "A", "B"),
         StartSpec(center=np.zeros(2), radius=1.0, count=100),
         [0.0, 0.0],
-        _origin_solution(2),
         BudgetSpec(max_iters=400, tol=1e-8),
         deltas=(1.0, 0.5, 0.25, 0.125),
     )
@@ -173,9 +164,9 @@ def example_v(algorithm="dr"):
         AlgorithmSpec(algorithm, "A", "B"),
         StartSpec(point=witness + np.array([0.05, 0.05])),
         witness,
-        _circle_line_solution(),
         BudgetSpec(max_iters=400, tol=1e-13),
         deltas=(0.1, 0.05, 0.025),
+        exact=_circle_line_solution(),
     )
 
 
@@ -186,7 +177,6 @@ def kinked_regularity():
         None,
         None,
         [0.0, 0.0],
-        _origin_solution(2),
         BudgetSpec(),
         deltas=(1.0,),
     )

@@ -405,7 +405,8 @@ class RegularityReport:
     projection), ``predicted_rate_dr`` a per-step factor.  Either may exceed
     one, in which case the matching ``*_certified`` flag is False and the
     value only signals "no guarantee".  ``inflation`` records the safety
-    factor that was applied to the estimated constants.
+    factor that was applied to the estimated constants.  ``friedrichs_cos``
+    and ``strongly_regular`` stay None; they keep their keys in the report.
     """
 
     eps_a: float
@@ -427,13 +428,8 @@ class RegularityReport:
     strongly_regular: bool | None = None
 
     def to_dict(self):
-        out = {}
-        for k, v in self.__dict__.items():
-            if isinstance(v, (bool, str)) or v is None:
-                out[k] = v
-            else:
-                out[k] = float(v)
-        return out
+        return {k: v if isinstance(v, (bool, str)) or v is None else float(v)
+                for k, v in vars(self).items()}
 
 
 def predicted_rates(
@@ -446,8 +442,6 @@ def predicted_rates(
     b_convex,
     b_affine,
     delta,
-    friedrichs_cos=None,
-    strongly_regular=None,
     inflation=1.0,
 ):
     """Assemble a ``RegularityReport`` from raw constants.
@@ -509,6 +503,4 @@ def predicted_rates(
         map_certified=bool(map_ok),
         dr_certified=dr_ok,
         inflation=float(inflation),
-        friedrichs_cos=friedrichs_cos,
-        strongly_regular=strongly_regular,
     )

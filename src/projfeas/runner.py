@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import fit_rate, iterate, trace_to_csv
+from .driver import fit_rate, iterate, iterate_many, trace_to_csv
 from .linalg import complement_basis, largest_principal_cosine
 from .operators import DouglasRachford
 from .presets import PRESETS, SWEEPS, preset
@@ -230,10 +230,8 @@ def run_experiment(cfg, out_dir=None, samples=None, seed=None, max_iters=None, t
             art.strongly_regular = None
         art.op = cfg.operator()
         if cfg.start is not None:
-            for x0 in cfg.start.points(cfg.regularity.seed):
-                art.traces.append(
-                    iterate(art.op, x0, sol, max_iters=cfg.budget.max_iters, tol=cfg.budget.tol)
-                )
+            art.traces = iterate_many(art.op, cfg.start.points(cfg.regularity.seed), sol,
+                                      max_iters=cfg.budget.max_iters, tol=cfg.budget.tol)
             try:
                 art.fit = fit_rate(art.traces[0])
             except ValueError:

@@ -6,9 +6,10 @@ are the per-point formulas they had before that, on 1-D arrays
 (``kernel_reference``), and the per-start loop ``reference_iterate``.
 ``project_many``, ``project``, ``distance_many``, ``distance``,
 ``step_many``, ``step``, ``apply`` and the blocked, masked loop behind
-``iterate`` and ``probe_fixed_points`` are checked against them, the loop
-also with stops on the boundaries of its blocks; ``trace_to_csv`` is checked
-against the ``csv.writer`` loop it replaced.  Every comparison is on the
+``iterate_many``, ``iterate`` and ``probe_fixed_points`` are checked against
+them, the loop also with stops on the boundaries of its blocks, and each
+``iterate_many`` trace against ``iterate`` from its start; ``trace_to_csv``
+is checked against the ``csv.writer`` loop it replaced.  Every comparison is on the
 bytes of the results, so signed zeros count.
 """
 
@@ -29,6 +30,7 @@ from projfeas.driver import (
     STAGNATION_STEP,
     _advance,
     iterate,
+    iterate_many,
     probe_fixed_points,
     trace_to_csv,
 )
@@ -272,6 +274,26 @@ def test_probe_matches_per_start_iterate(name):
     for x0, (limit, dist) in zip(starts, probe.limits):
         trace = iterate(op, x0, sol, **budget)
         assert same_bits(limit, trace.final) and same_bits(dist, trace.final_dist_to_s)
+    # one iterate_many over these starts and the preset's, with the budget
+    # and with one that cuts the longest runs short
+    starts = np.vstack([starts, cfg.start.points(cfg.regularity.seed)])
+    longest = max(len(t) - 1 for t in iterate_many(op, starts, sol, **budget))
+    kinds = set()
+    for max_iters in (budget["max_iters"], longest // 2):
+        traces = iterate_many(op, starts, sol, max_iters, budget["tol"])
+        spans = _blocks(op, starts, sol, max_iters, budget["tol"])
+        for x0, trace in zip(starts, traces):
+            alone = iterate(op, x0, sol, max_iters, budget["tol"])
+            for field in ("iterates", "dist_to_a", "dist_to_b", "dist_to_s", "step_norms"):
+                assert same_bits(getattr(trace, field), getattr(alone, field)), field
+            assert trace.stop_reason == alone.stop_reason
+            # the start's distance, not the one the loop overwrites as the row stops
+            assert same_bits(trace.dist_to_s[0], sol.distance(x0))
+            used = len(trace) - 1
+            kinds.add("no step" if used == 0 else trace.stop_reason)
+            if any(first <= used < last for first, last in spans):
+                kinds.add("inside a block")
+    assert {"no step", "inside a block", "max_iters"} <= kinds
 
 
 def test_one_batch_mixes_every_stop_reason():
@@ -309,7 +331,7 @@ def test_trace_distances_are_the_set_distances(name):
     # run_experiment writes them
     cfg = presets.preset(name)
     sol, op = cfg.solution_set(), cfg.operator()
-    a, b = op.constituent_sets()
+    a, b = op.a, op.b
     x0 = cfg.start.points(cfg.regularity.seed)[0]
     trace = iterate(op, x0, sol, max_iters=min(cfg.budget.max_iters, 2000), tol=cfg.budget.tol)
     for s, column in ((a, trace.dist_to_a), (b, trace.dist_to_b)):
@@ -354,12 +376,14 @@ def test_iterate_matches_reference_trace(name):
     cfg = presets.preset(name)
     sol, op = cfg.solution_set(), cfg.operator()
     max_iters = min(cfg.budget.max_iters, 2000)
-    for x0 in cfg.start.points(cfg.regularity.seed)[:5]:
-        trace = iterate(op, x0, sol, max_iters=max_iters, tol=cfg.budget.tol)
+    starts = cfg.start.points(cfg.regularity.seed)[:5]
+    many = iterate_many(op, starts, sol, max_iters=max_iters, tol=cfg.budget.tol)
+    for x0, batched in zip(starts, many):
         xs, ds, steps, stop = reference_iterate(op, x0, sol, max_iters, cfg.budget.tol)
-        assert trace.stop_reason == stop
-        assert same_bits(trace.iterates, xs) and same_bits(trace.dist_to_s, ds)
-        assert same_bits(trace.step_norms, steps)
+        for trace in (iterate(op, x0, sol, max_iters=max_iters, tol=cfg.budget.tol), batched):
+            assert trace.stop_reason == stop
+            assert same_bits(trace.iterates, xs) and same_bits(trace.dist_to_s, ds)
+            assert same_bits(trace.step_norms, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ solution:
 budget: {max_iters: 200, tol: 1.0e-10}
 regularity: {deltas: [1.0], samples: 256, seed: 3}
 """
+REGULARITY = "regularity: {deltas: [1.0], samples: 256, seed: 3}"
 
 
 def test_parse_minimal_config():
@@ -66,6 +67,23 @@ def test_out_of_range_budget_and_start():
         (budget, "budget: {max_iters: 200, tol: -1.0}", "budget.tol"),
         (region, "start: {center: [0.0, 0.0], radius: 1.0, count: 0}", "start.count"),
         (region, "start: {center: [0.0, 0.0], radius: -1.0, count: 3}", "start.radius"),
+        # values that do not convert, and sections that are not mappings
+        (budget, "budget: {max_iters: abc, tol: 1.0e-10}", "budget.max_iters"),
+        (budget, "budget: [1, 2]", "<root>.budget"),
+        (region, "start: {center: [0.0, 0.0], radius: abc, count: 3}", "start.radius"),
+        (region, "start: {center: [0.0, 0.0], radius: .nan, count: 3}", "start.radius"),
+        (region, "start: {center: [.inf, 0.0], radius: 1.0, count: 3}", "start.center"),
+        (region, "start: {point: [.nan, 0.0]}", "start.point"),
+        (region, "start: {center: [0.0, 0.0], radius: 1.0, count: 2.7}", "start.count"),
+        (REGULARITY, "regularity: {deltas: [1.0], samples: abc, seed: 3}", "regularity.samples"),
+        (REGULARITY, "regularity: {deltas: 5, samples: 256, seed: 3}", "regularity.deltas"),
+        (REGULARITY, "regularity: {deltas: [1.0], samples: 256, seed: 1.5}", "regularity.seed"),
+        # and values out of range
+        (REGULARITY, "regularity: {deltas: [-1.0], samples: 256, seed: 3}", "regularity.deltas"),
+        (REGULARITY, "regularity: {deltas: [0.0], samples: 256, seed: 3}", "regularity.deltas"),
+        (REGULARITY, "regularity: {deltas: [1.0], samples: 0, seed: 3}", "regularity.samples"),
+        (REGULARITY, "regularity: {deltas: [1.0], samples: -5, seed: 3}", "regularity.samples"),
+        (REGULARITY, "regularity: {deltas: [1.0], samples: 256, seed: -3}", "regularity.seed"),
     ):
         text = MINIMAL.replace("start: {point: [1.0, 0.0]}", region)
         with pytest.raises(ConfigError) as err:
@@ -73,7 +91,12 @@ def test_out_of_range_budget_and_start():
         assert path in str(err.value)
     # overrides go through the same checks
     cfg = parse_config(MINIMAL)
-    for override, path in (({"max_iters": 0}, "budget.max_iters"), ({"tol": -1.0}, "budget.tol")):
+    for override, path in (
+        ({"max_iters": 0}, "budget.max_iters"),
+        ({"tol": -1.0}, "budget.tol"),
+        ({"samples": 0}, "regularity.samples"),
+        ({"seed": -3}, "regularity.seed"),
+    ):
         with pytest.raises(ConfigError) as err:
             cfg.with_overrides(**override)
         assert path in str(err.value)
@@ -154,14 +177,27 @@ def test_cli_rates_only(tmp_path, capsys):
 def test_cli_config_error_exit_2(tmp_path, capsys):
     assert main(["run", "no-such-preset"]) == 2
     capsys.readouterr()
-    # out-of-range budgets and starts are config errors, not a failed verdict
-    for flag, value in (("--max-iters", "0"), ("--tol", "-1")):
+    # malformed and out-of-range values are config errors, not a failed verdict
+    for flag, value, path in (
+        ("--max-iters", "0", "budget."),
+        ("--tol", "-1", "budget."),
+        ("--samples", "0", "regularity.samples"),
+        ("--seed", "-3", "regularity.seed"),
+    ):
         assert main(["run", "example-i", "--out-dir", str(tmp_path), flag, value]) == 2
-        assert "config error: budget." in capsys.readouterr().err
-    path = tmp_path / "cfg.yaml"
-    path.write_text(MINIMAL.replace("{point: [1.0, 0.0]}", "{center: [0.0, 0.0], radius: 1.0, count: 0}"))
-    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
-    assert "config error: start.count" in capsys.readouterr().err
+        assert f"config error: {path}" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.yaml"
+    for old, new, path in (
+        ("{point: [1.0, 0.0]}", "{center: [0.0, 0.0], radius: 1.0, count: 0}", "start.count"),
+        ("max_iters: 200", "max_iters: abc", "budget.max_iters"),
+        ("budget: {max_iters: 200, tol: 1.0e-10}", "budget: [1, 2]", "<root>.budget"),
+        ("deltas: [1.0]", "deltas: 5", "regularity.deltas"),
+        ("deltas: [1.0]", "deltas: [0.0]", "regularity.deltas"),
+        ("seed: 3", "seed: -3", "regularity.seed"),
+    ):
+        cfg.write_text(MINIMAL.replace(old, new))
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert f"config error: {path}" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_2(capsys):
