@@ -16,7 +16,7 @@ A config is a YAML document with nested key-value sections::
       witness: [0.0, 0.0]
       members: [A, B]
       exact: {variant: affine, offset: [0.0, 0.0], basis: []}   # optional
-    budget: {max_iters: 1000, tol: 1.0e-10}    # max_iters >= 1, tol > 0
+    budget: {max_iters: 1000, tol: 1.0e-10}    # max_iters >= 1, finite tol > 0
     regularity: {deltas: [1.0, 0.5], samples: 4096, seed: 7}
     outputs: {trace_csv: run.trace.csv, report: run.report.txt}
 
@@ -25,7 +25,12 @@ load), ``ball`` / ``sphere`` (center + radius), ``union`` (list of affine
 frames) and ``kinked`` (the planar kinked region); any other variant is a
 ``ConfigError`` at its ``sets.<key>`` or ``solution.exact`` path.  So is a
 section that is not a mapping, a value that does not convert (integer fields
-take whole numbers only) and a value out of range, from YAML or an override.
+take whole numbers only), a value out of range, from YAML or an override, an
+``outputs`` entry that is not a string, and a key the schema does not name,
+at ``<path>.<key>``: the root, each section, each set descriptor (the keys
+its variant writes) and each union frame take no others, and a ``point``
+start takes ``point`` alone.  Required fields are read first, so a misspelt
+one reads as missing.
 ``parse_config(serialize_config(cfg))`` reproduces ``cfg`` exactly.
 """
 
@@ -59,9 +64,21 @@ def _require(data, key, path, kind=None):
     return value
 
 
-def _section(data, key):
-    """The mapping under ``key``; empty when absent or null."""
-    return {} if data.get(key) is None else _require(data, key, "<root>", dict)
+def _section(data, key, keys=None):
+    """The mapping under ``key``; empty when absent or null.  With ``keys``,
+    any other key in it is a ``ConfigError`` (``_known``)."""
+    section = {} if data.get(key) is None else _require(data, key, "<root>", dict)
+    return section if keys is None else _known(section, keys, key)
+
+
+def _known(data, keys, path):
+    """``data``, a mapping whose every key is in ``keys``; the first that is
+    not is a ``ConfigError`` at ``<path>.<key>``.  Callers read required
+    fields first, so a misspelt one is reported missing."""
+    for key in data:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}", f"unknown key; expected one of {', '.join(keys)}")
+    return data
 
 
 def _number(value, path, kind=float):
@@ -77,10 +94,17 @@ def _number(value, path, kind=float):
 
 
 def _set(data, path):
+    """The set ``data`` describes, with the keys its ``to_dict`` writes."""
+    if not isinstance(data, dict):
+        raise ConfigError(path, "expected a mapping")
     try:
-        return set_from_dict(data)
+        s = set_from_dict(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from None
+    _known(data, s.to_dict(), path)
+    for i, frame in enumerate(data.get("frames", ())):
+        _known(frame, ("offset", "basis"), f"{path}.frames[{i}]")
+    return s
 
 
 def _check(ok, path, need, value):
@@ -132,7 +156,7 @@ class BudgetSpec:
 
     def __post_init__(self):
         _check(self.max_iters >= 1, "budget.max_iters", "at least 1", self.max_iters)
-        _check(self.tol > 0, "budget.tol", "positive", self.tol)
+        _check(0 < self.tol < np.inf, "budget.tol", "finite and positive", self.tol)
 
 
 @dataclass(frozen=True)
@@ -251,7 +275,7 @@ def config_from_dict(data):
 
     algorithm = None
     if data.get("algorithm") is not None:
-        ad = data["algorithm"]
+        ad = _section(data, "algorithm")
         kind = _require(ad, "kind", "algorithm", str)
         if kind not in ("map", "dr"):
             raise ConfigError("algorithm.kind", f"unknown algorithm {kind!r}; use map or dr")
@@ -261,6 +285,7 @@ def config_from_dict(data):
             if ref not in sets:
                 raise ConfigError(label, f"references unknown set {ref!r}")
         algorithm = AlgorithmSpec(kind, a, b)
+        _known(ad, ("kind", "a", "b"), "algorithm")
 
     start = None
     if data.get("start") is not None:
@@ -273,6 +298,7 @@ def config_from_dict(data):
                 radius=_number(_require(sd, "radius", "start"), "start.radius"),
                 count=_number(sd.get("count", 1), "start.count", int),
             )
+        _known(sd, ("point",) if "point" in sd else ("center", "radius", "count"), "start")
 
     sol = _require(data, "solution", "<root>", dict)
     witness = _point(_require(sol, "witness", "solution"), "solution.witness", dim)
@@ -281,8 +307,10 @@ def config_from_dict(data):
         if m not in sets:
             raise ConfigError("solution.members", f"references unknown set {m!r}")
     exact = None if sol.get("exact") is None else _set(sol["exact"], "solution.exact")
+    _known(sol, ("witness", "members", "exact"), "solution")
 
-    bd, rd = _section(data, "budget"), _section(data, "regularity")
+    bd = _section(data, "budget", ("max_iters", "tol"))
+    rd = _section(data, "regularity", ("deltas", "samples", "seed"))
     budget = BudgetSpec(
         _number(bd.get("max_iters", BudgetSpec.max_iters), "budget.max_iters", int),
         _number(bd.get("tol", BudgetSpec.tol), "budget.tol"),
@@ -293,8 +321,10 @@ def config_from_dict(data):
         _number(rd.get("samples", RegularitySpec.samples), "regularity.samples", int),
         _number(rd.get("seed", RegularitySpec.seed), "regularity.seed", int),
     )
-    od = _section(data, "outputs")
-    outputs = OutputSpec(od.get("trace_csv"), od.get("report"))
+    od = _section(data, "outputs", ("trace_csv", "report"))
+    outputs = OutputSpec(**{k: _require(od, k, "outputs", str) for k in od if od[k] is not None})
+    sections = ("name", "sets", "algorithm", "start", "solution", "budget", "regularity", "outputs")
+    _known(data, sections, "<root>")
 
     cfg = ExperimentConfig(
         name=name,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
+from .linalg import (  # noqa: F401  complement_basis: perfbench/tracing.py counts calls through it
     AffineFrame,
     as_point,
     as_points,
@@ -228,10 +228,7 @@ def probe_fixed_points(op, region: Region, samples, seed, sol: SolutionSet,
     if isinstance(op, DouglasRachford):
         if isinstance(op.a, AffineSubspace) and isinstance(op.b, AffineSubspace):
             meet = subspace_intersection(op.a.frame.basis, op.b.frame.basis)
-            normal_meet = subspace_intersection(
-                complement_basis(op.a.frame.basis, op.dim),
-                complement_basis(op.b.frame.basis, op.dim),
-            )
+            normal_meet = subspace_intersection(op.a.normal_basis, op.b.normal_basis)
             frame = AffineFrame.from_span(
                 sol.witness, np.vstack([meet, normal_meet]) if meet.size + normal_meet.size else []
             )

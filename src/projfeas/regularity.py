@@ -62,21 +62,14 @@ def _sup_alignment(X, comps, targets):
     A pair is coincident, and skipped, when ``|t - x|`` is at most
     ``COINCIDENT`` times the largest coordinate magnitude of ``X`` and
     ``targets``, so scaling both by a power of two moves no bit of the
-    result.  Each group's rows are compared block by block with the targets
-    that can still raise the supremum (``_group_sup``); rows with their own
-    normals are compared with every target.
+    result.  The rows of a group with one basis per row are compared with
+    every target; those of a shared basis block by block with the targets
+    that can still raise the supremum (``_group_sup``).
     """
     scale = max(float(np.max(np.abs(X), initial=0.0)), float(np.max(np.abs(targets), initial=0.0)))
     best = 0.0
     for g in comps.groups:
         best = _group_sup(X[g.rows], g, targets, scale, best)
-    own = comps.own[comps.has_own]
-    if own.shape[0]:
-        def along_own(U, block):
-            v = _dot(U, own[block].T[:, :, None])
-            return np.abs(v) if comps.own_lines else v
-
-        best = max(best, _block_sup(X[comps.has_own], targets, along_own, COINCIDENT * scale))
     return best
 
 
@@ -84,7 +77,8 @@ def _group_sup(rows, g, targets, scale, best):
     """``max(best, sup)`` of the alignments of the group ``g`` of ``rows``
     with ``targets``, bit for bit, from the pairs that can exceed ``best``.
 
-    The rows are cut into compact blocks of at most ``PRUNE_ROWS`` rows
+    A group with one basis per row meets every target.  The rows of a
+    shared basis are cut into compact blocks of at most ``PRUNE_ROWS`` rows
     (``_compact_blocks``).  A block with centre ``c`` and radius ``r`` (each
     row ``x`` within ``r`` of ``c``) has ``|t - x| >= |t - c| - r``, so every
     pair of the block and a target ``t`` aligns at most
@@ -122,6 +116,16 @@ def _group_sup(rows, g, targets, scale, best):
     power-of-two scaling of the points prunes the same pairs.
     """
     coincident = COINCIDENT * scale
+    if g.per_row:
+        B = g.basis.transpose(1, 2, 0)[:, :, :, None]  # (k, dim, rows, 1)
+
+        def align(U, block):
+            planes = [_dot(U, b[:, block]) for b in B]
+            if g.one_sided or len(planes) == 1:  # a ray's <v, u>, a line's |<v, u>|
+                return planes[0] if g.one_sided else np.abs(planes[0])
+            return _norm(planes)
+
+        return max(best, _block_sup(rows, targets, align, coincident))
     if g.one_sided:
         w = g.basis[0]
 

@@ -81,31 +81,35 @@ def _branch_mask(P, D):
 
 @dataclass(frozen=True)
 class NormalGroup:
-    """Rows of a sample array whose proximal cones share one component.
+    """Rows of a sample array whose proximal cones hold one component each.
 
-    ``basis`` has orthonormal rows.  With ``one_sided`` it has a single row
-    and the component is the ray through it; otherwise the component is the
-    full span of its rows.
+    ``basis`` has orthonormal rows: a ``(k, dim)`` basis that all the
+    ``rows`` share, or an ``(r, k, dim)`` stack with one basis per row.
+    With ``one_sided`` a basis has a single row and the component is the ray
+    through it; otherwise the component is the full span of its rows.
     """
 
     basis: np.ndarray
     rows: np.ndarray
     one_sided: bool = False
 
+    @property
+    def per_row(self):
+        """Whether ``basis`` is a stack with one basis per row."""
+        return self.basis.ndim == 3
+
 
 @dataclass(frozen=True)
 class NormalComponents:
-    """Proximal normal cones at every row of an on-set sample array.
+    """Proximal normal cones at every row of an on-set sample array of
+    dimension ``dim``.
 
-    Row ``i``'s cone is the union of the groups whose ``rows`` hold ``i`` and,
-    where ``has_own[i]``, of the row's own unit vector ``own[i]``: a ray, or
-    with ``own_lines`` the whole line through it.  A row named by neither has
-    the zero cone.  Groups list only rows they hold, and none is empty.
+    Row ``i``'s cone is the union of the components of the groups whose
+    ``rows`` hold ``i``; a row no group holds has the zero cone.  Groups list
+    only rows they hold, and none is empty.
     """
 
-    own: np.ndarray
-    has_own: np.ndarray
-    own_lines: bool = False
+    dim: int
     groups: tuple = ()
 
     def generators(self, i):
@@ -113,31 +117,24 @@ class NormalComponents:
         them: a span contributes its basis and its negation."""
         out = []
         for g in self.groups:
-            if i in g.rows:
-                out.extend(g.basis if g.one_sided else np.vstack([g.basis, -g.basis]))
-        if self.has_own[i]:
-            out.append(self.own[i])
-            if self.own_lines:
-                out.append(-self.own[i])
+            for j in np.flatnonzero(g.rows == i):
+                b = g.basis[j] if g.per_row else g.basis
+                out.extend(b if g.one_sided else np.vstack([b, -b]))
         return out
 
     def cone_parts(self):
         """(rays, subspace stacks) over all rows, for opposition checks: a
         ``(m, dim)`` array of rays and a list of ``(m, k, dim)`` stacks of
         orthonormal subspace bases."""
-        rays = [g.basis for g in self.groups if g.one_sided]
-        subs = [g.basis[None] for g in self.groups if not g.one_sided]
-        own = self.own[self.has_own]
-        if own.shape[0] and self.own_lines:
-            subs.append(own[:, None, :])
-        elif own.shape[0]:
-            rays.append(own)
-        R = np.vstack(rays) if rays else np.zeros((0, self.own.shape[1]))
-        return R, subs
+        rays = [g.basis.reshape(-1, self.dim) for g in self.groups if g.one_sided]
+        subs = [g.basis if g.per_row else g.basis[None] for g in self.groups if not g.one_sided]
+        return (np.vstack(rays) if rays else np.zeros((0, self.dim))), subs
 
 
-def _no_own(X):
-    return np.zeros_like(X), np.zeros(X.shape[0], dtype=bool)
+def _cones(dim, *groups):
+    """``NormalComponents`` of the ``groups`` that hold a row and a nonzero
+    component."""
+    return NormalComponents(dim, tuple(g for g in groups if g.rows.size and g.basis.shape[-2]))
 
 
 def _frame_dict(frame):
@@ -214,8 +211,8 @@ class ClosedSet:
         return self.distance_many(X) <= tol
 
     def normal_components(self, X) -> NormalComponents:
-        """Proximal normal cones at every row of ``X`` as shared and per-row
-        components.  Raises if a row is not in the set to ``MEMBERSHIP_TOL``.
+        """Proximal normal cones at every row of ``X`` as normal groups.
+        Raises if a row is not in the set to ``MEMBERSHIP_TOL``.
         """
         raise NotImplementedError
 
@@ -287,10 +284,7 @@ class AffineSubspace(ClosedSet):
 
     def normal_components(self, X):
         X = self._check_members(X)
-        groups = ()
-        if self.normal_basis.shape[0] and X.shape[0]:
-            groups = (NormalGroup(self.normal_basis, np.arange(X.shape[0])),)
-        return NormalComponents(*_no_own(X), groups=groups)
+        return _cones(self.dim, NormalGroup(self.normal_basis, np.arange(X.shape[0])))
 
     def chart(self, anchor, delta, n, seed):
         return _affine_chart(self.frame, anchor, delta, n, seed)
@@ -348,10 +342,8 @@ class Ball(_Round):
         X = self._check_members(X)
         D = X - self.center
         r = row_norms(D)
-        on_boundary = r >= self.radius - MEMBERSHIP_TOL
-        own = np.zeros_like(X)
-        own[on_boundary] = D[on_boundary] / r[on_boundary, None]
-        return NormalComponents(own, on_boundary)
+        rows = np.flatnonzero(r >= self.radius - MEMBERSHIP_TOL)
+        return _cones(self.dim, NormalGroup((D[rows] / r[rows, None])[:, None], rows, one_sided=True))
 
     def chart(self, anchor, delta, n, seed):
         pts = _boundary_chart(self.center, self.radius, anchor, delta, n, seed)
@@ -392,8 +384,7 @@ class Sphere(_Round):
     def normal_components(self, X):
         X = self._check_members(X)
         D = X - self.center
-        radial = D / row_norms(D)[:, None]
-        return NormalComponents(radial, np.ones(X.shape[0], dtype=bool), own_lines=True)
+        return _cones(self.dim, NormalGroup((D / row_norms(D)[:, None])[:, None], np.arange(X.shape[0])))
 
     def chart(self, anchor, delta, n, seed):
         return _boundary_chart(self.center, self.radius, anchor, delta, n, seed)
@@ -432,21 +423,16 @@ class UnionOfSubspaces(ClosedSet):
         # at a frame crossing the projector preimage collapses to the point
         # itself, so the proximal cone is the zero cone
         alone = held.sum(axis=0) == 1
-        groups = []
-        for basis, h in zip(self.normal_bases, held):
-            rows = np.flatnonzero(h & alone)
-            if basis.shape[0] and rows.size:
-                groups.append(NormalGroup(basis, rows))
-        return NormalComponents(*_no_own(X), groups=tuple(groups))
+        return _cones(self.dim, *(NormalGroup(basis, np.flatnonzero(h & alone))
+                                  for basis, h in zip(self.normal_bases, held)))
 
     def limiting_normals(self, x):
         # every frame that holds x, also at a crossing: its normal space is
         # the limit of the proximal cones along the frame
         X = self._check_members(as_point(x, self.dim)[None])
-        held = self._candidates(X)[1][:, 0] <= MEMBERSHIP_TOL
-        groups = tuple(NormalGroup(basis, np.zeros(1, dtype=int))
-                       for basis, h in zip(self.normal_bases, held) if h and basis.shape[0])
-        return NormalComponents(*_no_own(X), groups=groups)
+        held = self._candidates(X)[1] <= MEMBERSHIP_TOL
+        return _cones(self.dim, *(NormalGroup(basis, np.flatnonzero(h))
+                                  for basis, h in zip(self.normal_bases, held)))
 
     def chart(self, anchor, delta, n, seed):
         per = max(1, n // len(self.frames))
@@ -495,12 +481,10 @@ class KinkedRegion(ClosedSet):
         off_corner = row_norms(X) > MEMBERSHIP_TOL  # reflex corner: zero cone
         on_neg = off_corner & (X[:, 0] < 0) & (np.abs(X[:, 1] + X[:, 0]) <= MEMBERSHIP_TOL)
         on_pos = off_corner & (X[:, 0] > 0) & (np.abs(X[:, 1]) <= MEMBERSHIP_TOL)
-        groups = tuple(
+        return _cones(self.dim, *(
             NormalGroup(normal[None, :].copy(), np.flatnonzero(on_edge), one_sided=True)
             for normal, on_edge in ((self.EDGE_NEG_NORMAL, on_neg), (self.EDGE_POS_NORMAL, on_pos))
-            if on_edge.any()
-        )
-        return NormalComponents(*_no_own(X), groups=groups)
+        ))
 
     def limiting_normals(self, x):
         X = self._check_members(as_point(x, self.dim)[None])
@@ -509,8 +493,7 @@ class KinkedRegion(ClosedSet):
         # the corner: each edge's normal is the limit along that edge
         corner = np.zeros(1, dtype=int)
         edges = (self.EDGE_NEG_NORMAL, self.EDGE_POS_NORMAL)
-        groups = tuple(NormalGroup(n[None, :].copy(), corner, one_sided=True) for n in edges)
-        return NormalComponents(*_no_own(X), groups=groups)
+        return _cones(self.dim, *(NormalGroup(n[None, :].copy(), corner, one_sided=True) for n in edges))
 
     def chart(self, anchor, delta, n, seed):
         span = float(np.linalg.norm(anchor)) + delta

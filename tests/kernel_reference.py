@@ -217,26 +217,25 @@ def ref_ndtri(y):
 
 def ref_sup_alignment(X, comps, targets):
     """``regularity._sup_alignment`` before it bounded blocks of rows: each
-    group's rows and the own-normal rows against every target through
-    ``_block_sup``.  No pair is pruned, and the targets below every row of a
-    ray group, which that kernel dropped with an absolute ``1e-12`` slack,
-    are kept too."""
+    group's rows against every target through ``_block_sup``.  No pair is
+    pruned, and the targets below every row of a ray group, which that
+    kernel dropped with an absolute ``1e-12`` slack, are kept too."""
     scale = max(float(np.max(np.abs(X), initial=0.0)), float(np.max(np.abs(targets), initial=0.0)))
     coincident = COINCIDENT * scale
     best = 0.0
     for g in comps.groups:
         rows = X[g.rows]
-        if g.one_sided:
-            w = g.basis[0]
-            best = max(best, _block_sup(rows, targets, lambda U, _: _dot(U, w), coincident))
+        if g.per_row:
+            def align(U, block, g=g):
+                planes = [_dot(U, B.T[:, :, None]) for B in g.basis[block].swapaxes(0, 1)]
+                if g.one_sided or len(planes) == 1:
+                    return planes[0] if g.one_sided else np.abs(planes[0])
+                return _norm(planes)
+        elif g.one_sided:
+            def align(U, _, w=g.basis[0]):
+                return _dot(U, w)
         else:
-            W = g.basis
-            best = max(best, _block_sup(rows, targets, lambda U, _: _norm([_dot(U, b) for b in W]), coincident))
-    own = comps.own[comps.has_own]
-    if own.shape[0]:
-        def along_own(U, block):
-            v = _dot(U, own[block].T[:, :, None])
-            return np.abs(v) if comps.own_lines else v
-
-        best = max(best, _block_sup(X[comps.has_own], targets, along_own, coincident))
+            def align(U, _, W=g.basis):
+                return _norm([_dot(U, b) for b in W])
+        best = max(best, _block_sup(rows, targets, align, coincident))
     return best

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -84,6 +85,22 @@ def test_out_of_range_budget_and_start():
         (REGULARITY, "regularity: {deltas: [1.0], samples: 0, seed: 3}", "regularity.samples"),
         (REGULARITY, "regularity: {deltas: [1.0], samples: -5, seed: 3}", "regularity.samples"),
         (REGULARITY, "regularity: {deltas: [1.0], samples: 256, seed: -3}", "regularity.seed"),
+        (budget, "budget: {max_iters: 200, tol: .inf}", "budget.tol"),
+        # keys the schema does not name, at every level, and outputs that are not strings
+        (budget, "budget: {max_iter: 5}", "budget.max_iter"),
+        (region, "start: {point: [1.0, 0.0], count: 5}", "start.count"),
+        (region, "start: {center: [0.0, 0.0], radius: 1.0, count: 3, seed: 1}", "start.seed"),
+        (REGULARITY, "regularity: {deltas: [1.0], sample: 256, seed: 3}", "regularity.sample"),
+        (budget, f"{budget}\noutputs: {{report: 5}}", "outputs.report"),
+        (budget, f"{budget}\nbudgets: {{max_iters: 5}}", "<root>.budgets"),
+        ("algorithm: {kind: dr, a: A, b: B}", "algorithm: {kind: dr, a: A, b: B, c: B}", "algorithm.c"),
+        ("members: [A, B]", "members: [A, B]\n  anchor: [0.0, 0.0]", "solution.anchor"),
+        ("basis: []}", "basis: [], radius: 1.0}", "solution.exact.radius"),
+        ("A: {variant: affine,", "A: {variant: affine, center: [0.0, 0.0],", "sets.A.center"),
+        ("A: {variant: affine, offset: [0.0, 0.0], basis: [[1.0, 0.0]]}", "A: [1.0, 0.0]", "sets.A"),
+        ("A: {variant: affine, offset: [0.0, 0.0], basis: [[1.0, 0.0]]}",
+         "A: {variant: union, frames: [{offset: [0.0, 0.0], basis: [[1.0, 0.0]], scale: 2.0}]}",
+         "sets.A.frames[0].scale"),
     ):
         text = MINIMAL.replace("start: {point: [1.0, 0.0]}", region)
         with pytest.raises(ConfigError) as err:
@@ -151,6 +168,19 @@ def test_reports_deterministic_modulo_timestamp(tmp_path):
     assert t1 == t2
 
 
+def test_claim_bounds_follow_the_run():
+    # a bound prints the budget and the start count the run had
+    doc = run_experiment(preset("example-iii"), samples=256, max_iters=2000)
+    (tolerance,) = [v for v in doc.verdicts if v.claim_id == "iii-map-tolerance-within-budget"]
+    assert tolerance.bound == "< 1e-6 within 2000 iterations"
+    assert tolerance.detail.endswith("unreachable in 2000 iterations")
+    cfg = preset("example-iv")
+    doc = run_experiment(replace(cfg, start=replace(cfg.start, count=5)), samples=256)
+    (converge,) = [v for v in doc.verdicts if v.claim_id == "iv-dr-all-starts-converge"]
+    assert len(doc.artifacts.traces) == 5
+    assert converge.bound == "all 5 starts < 1e-8"
+
+
 def test_cli_run_preset(tmp_path, capsys):
     code = main(["run", "example-i", "--out-dir", str(tmp_path), "--samples", "256"])
     out = capsys.readouterr().out
@@ -183,6 +213,7 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         ("--tol", "-1", "budget."),
         ("--samples", "0", "regularity.samples"),
         ("--seed", "-3", "regularity.seed"),
+        ("--tol", "inf", "budget.tol"),
     ):
         assert main(["run", "example-i", "--out-dir", str(tmp_path), flag, value]) == 2
         assert f"config error: {path}" in capsys.readouterr().err
@@ -194,6 +225,10 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         ("deltas: [1.0]", "deltas: 5", "regularity.deltas"),
         ("deltas: [1.0]", "deltas: [0.0]", "regularity.deltas"),
         ("seed: 3", "seed: -3", "regularity.seed"),
+        ("tol: 1.0e-10", "tol: .inf", "budget.tol"),
+        ("max_iters: 200", "max_iter: 200", "budget.max_iter"),
+        ("{point: [1.0, 0.0]}", "{point: [1.0, 0.0], count: 5}", "start.count"),
+        ("name: two-lines", "name: two-lines\noutputs: {report: 5}", "outputs.report"),
     ):
         cfg.write_text(MINIMAL.replace(old, new))
         assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2

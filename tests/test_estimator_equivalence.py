@@ -288,7 +288,7 @@ def sets_and_samples(draw):
 def test_normal_components_match_per_point_normals(case):
     s, X = case
     comps = s.normal_components(X)
-    assert comps.has_own.shape == (X.shape[0],)
+    assert all(0 <= g.rows.min() and g.rows.max() < X.shape[0] for g in comps.groups)
     for i, x in enumerate(X):
         batched = comps.generators(i)
         for per_point in (reference_generators(s, x), s.proximal_normals(x)):
@@ -309,7 +309,7 @@ def _unit_rows(rng, n, dim):
 
 @st.composite
 def alignment_cases(draw):
-    """Sample rows, one normal group or per-row normals, and targets in 2-4
+    """Sample rows, one normal group (shared or per-row), and targets in 2-4
     D: random points, copies of rows (coincident pairs), repeated targets,
     and targets along a few rays from a row, whose pairs align equally in
     exact arithmetic, so that with one-row blocks they lie on the bound."""
@@ -328,16 +328,15 @@ def alignment_cases(draw):
     T = np.vstack(parts)
     if T.shape[0]:
         T = np.vstack([T, T[rng.integers(0, T.shape[0], size=draw(st.integers(0, 5)))]])
-    own, has_own = np.zeros_like(X), np.zeros(n, dtype=bool)
-    groups = ()
     if kind == "one-sided":
-        groups = (NormalGroup(_unit_rows(rng, 1, dim), np.flatnonzero(rng.random(n) < 0.8), one_sided=True),)
+        group = NormalGroup(_unit_rows(rng, 1, dim), np.flatnonzero(rng.random(n) < 0.8), one_sided=True)
     elif kind == "span":
         basis = np.linalg.qr(rng.normal(size=(dim, draw(st.integers(1, dim)))))[0].T
-        groups = (NormalGroup(basis, np.arange(n)),)
-    else:
-        own, has_own = _unit_rows(rng, n, dim), rng.random(n) < 0.8
-    comps = NormalComponents(own, has_own, own_lines=kind == "own-lines", groups=groups)
+        group = NormalGroup(basis, np.arange(n))
+    else:  # one ray, or one line, per row
+        own, rows = _unit_rows(rng, n, dim), np.flatnonzero(rng.random(n) < 0.8)
+        group = NormalGroup(own[rows][:, None], rows, one_sided=kind == "own-rays")
+    comps = NormalComponents(dim, (group,) if group.rows.size else ())
     return X, comps, T
 
 
@@ -371,7 +370,7 @@ def test_pruned_sup_alignment_keeps_ties_on_the_bound(monkeypatch, kind):
         v = -v if v @ group.basis[0] < 0 else v
         T = x + rng.uniform(0.5, 1.0, size=(64, 1)) * 2.0**-20 * v
         X = x[None, :]
-        comps = NormalComponents(np.zeros_like(X), np.zeros(1, dtype=bool), groups=(group,))
+        comps = NormalComponents(dim, (group,))
         if regularity._sup_alignment(X, comps, T) != ref_sup_alignment(X, comps, T):
             bad.append(case)
     assert bad == []
@@ -420,7 +419,7 @@ def test_kinked_pair_estimate_evaluates_few_pairs(monkeypatch):
     kink = KinkedRegion()
     X = on_set_points(kink, np.zeros(2), 1.0, 4096, 7)
     comps = kink.normal_components(X)
-    assert not comps.has_own.any()
+    assert not any(g.per_row for g in comps.groups)
     candidates = 0
     for g in comps.groups:
         height = X[g.rows] @ g.basis[0]
