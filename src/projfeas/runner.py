@@ -391,7 +391,7 @@ def _claims_example_v_map(art):
 def _claims_kinked(art):
     from .sets import KinkedRegion
 
-    eps_pair, (lo, hi) = art.sweep[0]["eps_pair"], (0.70, 0.7072)
+    eps_pair, lo, hi = art.sweep[0]["eps_pair"], 0.70, 0.7072
     normals = KinkedRegion().proximal_normals(np.zeros(2))
     return [
         _v("kink-pair-regularity-interval", lo <= eps_pair <= hi, eps_pair, f"[{lo:.2f}, {_num(hi)}]"),
