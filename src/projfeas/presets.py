@@ -14,11 +14,13 @@ import numpy as np
 
 from .config import (
     AlgorithmSpec,
+    BallStart,
     BudgetSpec,
     ExperimentConfig,
     OutputSpec,
+    PointStart,
     RegularitySpec,
-    StartSpec,
+    SolutionSpec,
 )
 from .linalg import AffineFrame
 from .sets import AffineSubspace, Ball, KinkedRegion, Sphere, UnionOfSubspaces
@@ -71,9 +73,11 @@ def _cfg(name, sets, algorithm, start, witness, budget, deltas, exact=None, seed
     return ExperimentConfig(
         name=name,
         sets=sets,
-        solution_witness=np.asarray(witness, dtype=float),
-        solution_members=tuple(sets.keys())[:2] if algorithm is None else (algorithm.a, algorithm.b),
-        solution_exact=exact,
+        solution=SolutionSpec(
+            np.asarray(witness, dtype=float),
+            tuple(sets.keys())[:2] if algorithm is None else (algorithm.a, algorithm.b),
+            exact,
+        ),
         algorithm=algorithm,
         start=start,
         budget=budget,
@@ -89,7 +93,7 @@ def example_i(algorithm="dr"):
         name,
         {"A": a, "B": b},
         AlgorithmSpec(algorithm, "A", "B"),
-        StartSpec(point=np.array([1.0, 0.0])),
+        PointStart(np.array([1.0, 0.0])),
         [0.0, 0.0],
         BudgetSpec(max_iters=500, tol=1e-10),
         deltas=(1.0, 0.5, 0.25, 0.125),
@@ -99,10 +103,10 @@ def example_i(algorithm="dr"):
 def example_ii(inplane=False):
     a, b = two_lines_3d()
     if inplane:
-        start = StartSpec(point=np.array([1.0, 0.5, 0.0]))
+        start = PointStart(np.array([1.0, 0.5, 0.0]))
         name = "example-ii-inplane"
     else:
-        start = StartSpec(point=np.array([0.0, 0.0, 1.0]))
+        start = PointStart(np.array([0.0, 0.0, 1.0]))
         name = "example-ii"
     return _cfg(
         name,
@@ -123,7 +127,7 @@ def example_iii(algorithm="map"):
             "example-iii",
             {"A": line, "B": ball},
             AlgorithmSpec("map", "A", "B"),
-            StartSpec(point=np.array([1.0, 0.0])),
+            PointStart(np.array([1.0, 0.0])),
             [0.0, 0.0],
             BudgetSpec(max_iters=1_000_000, tol=1e-6),
             deltas=(1.0, 0.5, 0.25, 0.125),
@@ -133,7 +137,7 @@ def example_iii(algorithm="map"):
         "example-iii-dr",
         {"A": ball, "B": line},
         AlgorithmSpec("dr", "A", "B"),
-        StartSpec(center=np.array([0.0, 1.0]), radius=1.5, count=24),
+        BallStart(np.array([0.0, 1.0]), radius=1.5, count=24),
         [0.0, 0.0],
         BudgetSpec(max_iters=3000, tol=1e-9),
         deltas=(1.0, 0.5, 0.25, 0.125),
@@ -147,7 +151,7 @@ def example_iv(algorithm="dr"):
         name,
         {"A": cross, "B": diag},
         AlgorithmSpec(algorithm, "A", "B"),
-        StartSpec(center=np.zeros(2), radius=1.0, count=100),
+        BallStart(np.zeros(2), radius=1.0, count=100),
         [0.0, 0.0],
         BudgetSpec(max_iters=400, tol=1e-8),
         deltas=(1.0, 0.5, 0.25, 0.125),
@@ -162,7 +166,7 @@ def example_v(algorithm="dr"):
         name,
         {"A": circle, "B": line},
         AlgorithmSpec(algorithm, "A", "B"),
-        StartSpec(point=witness + np.array([0.05, 0.05])),
+        PointStart(witness + np.array([0.05, 0.05])),
         witness,
         BudgetSpec(max_iters=400, tol=1e-13),
         deltas=(0.1, 0.05, 0.025),

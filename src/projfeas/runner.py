@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import fit_rate, iterate, iterate_many, trace_to_csv
+from .driver import RateFit, fit_rate, iterate, iterate_many, trace_to_csv
 from .linalg import (  # noqa: F401  complement_basis: perfbench/tracing.py counts calls through it
     complement_basis,
     largest_principal_cosine,
@@ -62,12 +62,26 @@ class Verdict:
         }
 
 
+@dataclass(frozen=True)
+class Missing:
+    """An input the run did not produce, and why.  Each of its fields is
+    missing for the same reason, so ``art.fit.observed_rate`` reads alike
+    whether or not the rate fit exists."""
+
+    reason: str
+
+    def __getattr__(self, name):
+        if name.startswith("__"):  # protocol lookups (copy, pickle) find none
+            raise AttributeError(name)
+        return self
+
+
 @dataclass
 class RunArtifacts:
     cfg: object
     solution: object
     traces: list = field(default_factory=list)
-    fit: object = None
+    fit: object = None  # a RateFit, a Missing one if the trace is too short, or None
     sweep: list = field(default_factory=list)
     friedrichs: float | None = None
     strongly_regular: bool | None = None
@@ -93,7 +107,7 @@ class ReportDocument:
             "strongly_regular": art.strongly_regular,
             "verdicts": [v.to_dict() for v in self.verdicts],
         }
-        if art.fit is not None:
+        if isinstance(art.fit, RateFit):
             out["fit"] = {
                 "observed_rate": art.fit.observed_rate,
                 "r_squared": art.fit.r_squared,
@@ -145,7 +159,7 @@ class ReportDocument:
                 lines.append(
                     "delta {delta:g}: eps_sub={eps_sub:.6f} eps_pair={eps_pair:.6f}".format(**entry)
                 )
-        if art.fit is not None:
+        if isinstance(art.fit, RateFit):
             lines.append(
                 f"rate fit: observed={art.fit.observed_rate:.6f} "
                 f"r2={art.fit.r_squared:.4f} linear={art.fit.linear}"
@@ -235,8 +249,8 @@ def run_experiment(cfg, out_dir=None, samples=None, seed=None, max_iters=None, t
                                       max_iters=cfg.budget.max_iters, tol=cfg.budget.tol)
             try:
                 art.fit = fit_rate(art.traces[0])
-            except ValueError:
-                art.fit = None
+            except ValueError as exc:
+                art.fit = Missing(f"no rate fit: {exc}")
     verdicts = CLAIMS.get(cfg.name, lambda art: [])(art) if with_claims else []
     doc = ReportDocument(
         name=cfg.name,
@@ -266,6 +280,15 @@ def _v(claim_id, passed, measured, bound, detail=""):
 # Each claim kind builds its check and its bound text from the same numbers.
 
 
+def _claim(claim_id, x, check, bound, measured=None, detail=""):
+    """``check(x)``, measured as ``measured(x)`` (``x`` itself by default).  Every
+    claim kind goes through here, so a ``Missing`` ``x`` reads FAIL, measured
+    None, with its reason as the detail."""
+    if isinstance(x, Missing):
+        return _v(claim_id, False, None, bound, x.reason)
+    return _v(claim_id, check(x), x if measured is None else measured(x), bound, detail)
+
+
 def _num(x):
     """``x`` as a bound prints it: the shortest ``g`` form from six digits
     on that reads back as ``x``, with a bare exponent (``1e-9``, ``1e6``)."""
@@ -276,31 +299,31 @@ def _num(x):
 def _below(claim_id, x, limit, budget=None, detail=""):
     """``x < limit``; with a ``budget``, within that many iterations."""
     within = "" if budget is None else f" within {_num(budget)} iterations"
-    return _v(claim_id, x < limit, x, f"< {_num(limit)}{within}", detail)
+    return _claim(claim_id, x, lambda x: x < limit, f"< {_num(limit)}{within}", detail=detail)
 
 
 def _near(claim_id, x, target, tol, name=None):
     """``|x - target| <= tol``; ``name`` prints the target."""
-    return _v(claim_id, abs(x - target) <= tol, x, f"{name or _num(target)} +/- {_num(tol)}")
+    return _claim(claim_id, x, lambda x: abs(x - target) <= tol, f"{name or _num(target)} +/- {_num(tol)}")
 
 
 def _is(claim_id, value, want, name=None):
     """``value is want`` (True or False); ``name`` prints the value's name."""
-    return _v(claim_id, value is want, value, f"{name} == {want}" if name else str(want))
+    return _claim(claim_id, value, lambda v: v is want, f"{name} == {want}" if name else str(want))
 
 
 def _all_converge(claim_id, traces, tol):
     """Every trace ends within ``tol`` of the solution set."""
     finals = [t.final_dist_to_s for t in traces]
     bound = f"all {len(finals)} starts < {_num(tol)}"
-    return _v(claim_id, all(d < tol for d in finals), max(finals), bound)
+    return _claim(claim_id, finals, lambda f: all(d < tol for d in f), bound, max)
 
 
 def _linear_fit(claim_id, fit, r2=0.98, rate=0.99):
     """The rate fit reads linear: ``r_squared >= r2`` and ``observed_rate <= rate``."""
-    measured = (round(fit.observed_rate, 6), round(fit.r_squared, 6))
-    return _v(claim_id, fit.r_squared >= r2 and fit.observed_rate <= rate, measured,
-              f"r2 >= {_num(r2)} and rate <= {_num(rate)}")
+    return _claim(claim_id, fit, lambda f: f.r_squared >= r2 and f.observed_rate <= rate,
+                  f"r2 >= {_num(r2)} and rate <= {_num(rate)}",
+                  lambda f: (round(f.observed_rate, 6), round(f.r_squared, 6)))
 
 
 def _claims_example_i(art):
@@ -348,7 +371,7 @@ def _claims_example_iii(art):
         # within the budget; kept as an honest record of the gap
         _below("iii-map-tolerance-within-budget", art.traces[0].final_dist_to_s, 1e-6, n,
                detail=f"sublinear decay ~ n**-0.5 makes this unreachable in {_num(n)} iterations"),
-        _is("iii-map-sublinear", art.fit.linear if art.fit else None, False, "linear"),
+        _is("iii-map-sublinear", art.fit.linear, False, "linear"),
         _v("iii-kappa-refinement-diverges", all(r >= least for r in ratios), [round(r, 3) for r in ratios],
            f"each refinement ratio >= {_num(least)}"),
     ]
@@ -373,14 +396,13 @@ def _claims_example_iv_map(art):
 
 
 def _claims_example_v(art):
-    fit = art.fit
     rep = art.sweep[-1]["report"]  # smallest delta of the sweep
+    predicted = rep["predicted_rate_dr"]
     return [
-        _linear_fit("v-dr-linear-fit", fit),
-        _v("v-dr-bound-dominates", fit.observed_rate <= rep["predicted_rate_dr"],
-           (round(fit.observed_rate, 6), round(rep["predicted_rate_dr"], 6)),
-           "observed <= predicted (inflated constants)",
-           detail=f"delta={art.sweep[-1]['delta']}, certified={rep['dr_certified']}"),
+        _linear_fit("v-dr-linear-fit", art.fit),
+        _claim("v-dr-bound-dominates", art.fit.observed_rate, lambda x: x <= predicted,
+               "observed <= predicted (inflated constants)", lambda x: (round(x, 6), round(predicted, 6)),
+               detail=f"delta={art.sweep[-1]['delta']}, certified={rep['dr_certified']}"),
     ]
 
 

@@ -300,15 +300,15 @@ class AffineSubspace(ClosedSet):
 
 
 class _Round(ClosedSet):
-    """A center and a positive radius, as ``Ball`` and ``Sphere`` share them."""
+    """A center and a finite positive radius, as ``Ball`` and ``Sphere`` share them."""
 
     variant: str  # the ``to_dict`` name
 
     def __init__(self, center, radius):
         self.center = as_point(center)
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         self.dim = self.center.shape[0]
 
     def to_dict(self):
@@ -517,18 +517,25 @@ class KinkedRegion(ClosedSet):
         return {"variant": "kinked"}
 
 
+def _independent_frame(data):
+    """The frame ``data`` spans; unlike ``from_span``, no vector may be dependent."""
+    frame = AffineFrame.from_span(data["offset"], data["basis"])
+    if frame.dim_subspace < len(data["basis"]):
+        raise ValueError(f"{len(data['basis'])} basis vectors span only {frame.dim_subspace} dimensions")
+    return frame
+
+
 def set_from_dict(data):
     """Inverse of ``ClosedSet.to_dict`` (used by the config layer)."""
     variant = data.get("variant")
     if variant == "affine":
-        return AffineSubspace.from_span(data["offset"], data["basis"])
+        return AffineSubspace(_independent_frame(data))
     if variant == "ball":
         return Ball(data["center"], data["radius"])
     if variant == "sphere":
         return Sphere(data["center"], data["radius"])
     if variant == "union":
-        frames = [AffineFrame.from_span(f["offset"], f["basis"]) for f in data["frames"]]
-        return UnionOfSubspaces(frames)
+        return UnionOfSubspaces([_independent_frame(f) for f in data["frames"]])
     if variant == "kinked":
         return KinkedRegion()
     raise ValueError(f"unknown set variant {variant!r}")

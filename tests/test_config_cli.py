@@ -1,9 +1,12 @@
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from projfeas import config
 from projfeas.cli import main
 from projfeas.config import ConfigError, parse_config, serialize_config
 from projfeas.presets import PRESETS, SWEEPS, preset
@@ -24,6 +27,17 @@ budget: {max_iters: 200, tol: 1.0e-10}
 regularity: {deltas: [1.0], samples: 256, seed: 3}
 """
 REGULARITY = "regularity: {deltas: [1.0], samples: 256, seed: 3}"
+LINE_B = "B: {variant: affine, offset: [0.0, 0.0], basis: [[1.0, 1.0]]}"
+# inputs that are out of range however they reach the schema: (old, new, path)
+DEGENERATE = (
+    ("members: [A, B]", "members: []", "solution.members"),
+    ("members: [A, B]", "members: [[A], B]", "solution.members"),
+    (LINE_B, "B: {variant: ball, center: [0.0, 0.0], radius: .inf}", "sets.B"),
+    (LINE_B, "B: {variant: sphere, center: [0.0, 0.0], radius: .nan}", "sets.B"),
+    (LINE_B, "B: {variant: affine, offset: [0.0, 0.0], basis: [[0.0, 0.0]]}", "sets.B"),
+    (LINE_B, "B: {variant: affine, offset: [0.0, 0.0], basis: [[1.0, 1.0], [2.0, 2.0]]}", "sets.B"),
+    ("deltas: [1.0]", "deltas: [1.0e300]", "regularity.deltas"),
+)
 
 
 def test_parse_minimal_config():
@@ -101,6 +115,8 @@ def test_out_of_range_budget_and_start():
         ("A: {variant: affine, offset: [0.0, 0.0], basis: [[1.0, 0.0]]}",
          "A: {variant: union, frames: [{offset: [0.0, 0.0], basis: [[1.0, 0.0]], scale: 2.0}]}",
          "sets.A.frames[0].scale"),
+        (region, "start: {center: [0.0, 0.0], radius: 1.0e300, count: 3}", "start.radius"),
+        *DEGENERATE,
     ):
         text = MINIMAL.replace("start: {point: [1.0, 0.0]}", region)
         with pytest.raises(ConfigError) as err:
@@ -181,6 +197,33 @@ def test_claim_bounds_follow_the_run():
     assert converge.bound == "all 5 starts < 1e-8"
 
 
+@pytest.mark.parametrize("name, claim_id", [
+    ("example-i", "i-dr-step-rate"),
+    ("example-i-map", "i-map-cycle-rate"),
+    ("example-ii-inplane", "ii-dr-inplane-rate"),
+    ("example-v", "v-dr-linear-fit"),
+    ("example-v-map", "v-map-linear-fit"),
+])
+def test_rate_claim_without_a_fit_fails(tmp_path, name, claim_id):
+    # five steps leave too few entries to fit a rate: the claim reads FAIL
+    # with the reason, and the report is still written
+    doc = run_experiment(preset(name), out_dir=tmp_path, samples=64, max_iters=5)
+    (rate,) = [v for v in doc.verdicts if v.claim_id == claim_id]
+    assert doc.exit_status == 1
+    assert not rate.passed and rate.measured is None
+    assert "need at least 10" in rate.detail
+    assert (tmp_path / f"{name}.report.txt").exists()
+
+
+def test_documented_configs_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1]
+    readme_yaml = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    docstring_yaml = textwrap.dedent(config.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0])
+    for text in (readme_yaml, docstring_yaml):
+        assert parse_config(text).name == "two-lines"
+
+
 def test_cli_run_preset(tmp_path, capsys):
     code = main(["run", "example-i", "--out-dir", str(tmp_path), "--samples", "256"])
     out = capsys.readouterr().out
@@ -229,6 +272,8 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         ("max_iters: 200", "max_iter: 200", "budget.max_iter"),
         ("{point: [1.0, 0.0]}", "{point: [1.0, 0.0], count: 5}", "start.count"),
         ("name: two-lines", "name: two-lines\noutputs: {report: 5}", "outputs.report"),
+        ("{point: [1.0, 0.0]}", "{center: [0.0, 0.0], radius: 1.0e300, count: 3}", "start.radius"),
+        *DEGENERATE,
     ):
         cfg.write_text(MINIMAL.replace(old, new))
         assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
