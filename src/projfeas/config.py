@@ -227,8 +227,7 @@ class BallStart(_Section):
     count: int = _field(_int, int, lambda n: n >= 1, "at least 1", default=1)
 
     def points(self, seed):
-        pts = ball_points(self.center, self.radius, max(self.count * 2, 8), seed)
-        return pts[1 : self.count + 1]  # skip the prepended center
+        return ball_points(self.center, self.radius, self.count, seed)[1:]  # skip the prepended center
 
 
 @dataclass(frozen=True, eq=False)

@@ -211,12 +211,19 @@ def subspace_intersection(basis_a, basis_b):
     return orthonormalize(vecs)
 
 
+def principal_cosines(basis_a, basis_b):
+    """Cosines of the principal angles between the row spans of two
+    orthonormal bases, largest first and clipped to ``[0, 1]``: the singular
+    values of ``basis_a @ basis_b.T``, none when either span is trivial.  On
+    two stacks of bases, ``(n, k, dim)`` and ``(n, l, dim)``, one row per
+    pair, each bit for bit as the pair alone gives it."""
+    a = np.asarray(basis_a, dtype=float)
+    b = np.asarray(basis_b, dtype=float)
+    return np.clip(np.linalg.svd(a @ np.swapaxes(b, -1, -2), compute_uv=False), 0.0, 1.0)
+
+
 def largest_principal_cosine(basis_a, basis_b):
     """Cosine of the smallest principal angle between two row-basis
-    subspaces, clipped to ``[0, 1]``; zero when either is trivial."""
-    basis_a = np.atleast_2d(np.asarray(basis_a, dtype=float))
-    basis_b = np.atleast_2d(np.asarray(basis_b, dtype=float))
-    if basis_a.shape[0] == 0 or basis_b.shape[0] == 0:
-        return 0.0
-    sigma = np.linalg.svd(basis_a @ basis_b.T, compute_uv=False)
-    return float(np.clip(sigma[0], 0.0, 1.0))
+    subspaces; zero when either is trivial."""
+    cosines = principal_cosines(np.atleast_2d(basis_a), np.atleast_2d(basis_b))
+    return float(cosines[0]) if cosines.size else 0.0

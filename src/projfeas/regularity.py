@@ -20,6 +20,7 @@ from .linalg import (  # noqa: F401  complement_basis: perfbench/tracing.py coun
     complement_basis,
     largest_principal_cosine,
     orthonormalize,
+    principal_cosines,
     row_norms,
     subspace_intersection,
 )
@@ -306,8 +307,7 @@ def _largest_cosine(Sa, Sb):
     step = max(1, BLOCK_PAIRS // Sb.shape[0])
     best = 0.0
     for i in range(0, Sa.shape[0], step):
-        products = Sa[i : i + step, None] @ Sb[None].swapaxes(-1, -2)
-        best = max(best, float(np.max(np.linalg.svd(products, compute_uv=False)[..., 0])))
+        best = max(best, float(np.max(principal_cosines(Sa[i : i + step, None], Sb[None])[..., 0])))
     return best
 
 
@@ -351,28 +351,15 @@ def check_strong_regularity(a, b, point):
 
 
 def friedrichs_cosine(frame_a, frame_b):
-    """Cosine of the angle between two subspaces modulo their intersection.
-
-    Exact: the largest principal cosine between ``A n (A n B)^perp`` and
-    ``B n (A n B)^perp``; zero when either factor is trivial.
-    """
+    """Cosine of the Friedrichs angle: the angle between two subspaces modulo
+    their intersection.  Their principal cosines begin with ``dim(A n B)``
+    ones, one per shared direction; the next one is the cosine, and it is
+    zero when none follows."""
     if frame_a.dim_ambient != frame_b.dim_ambient:
         raise ValueError("frames have mixed ambient dimensions")
-    meet = subspace_intersection(frame_a.basis, frame_b.basis)
-
-    def _mod_meet(basis):
-        if basis.shape[0] == 0:
-            return basis
-        if meet.shape[0] == 0:
-            return basis
-        reduced = basis - (basis @ meet.T) @ meet
-        return orthonormalize(reduced)
-
-    a_part = _mod_meet(frame_a.basis)
-    b_part = _mod_meet(frame_b.basis)
-    if a_part.shape[0] == 0 or b_part.shape[0] == 0:
-        return 0.0
-    return largest_principal_cosine(a_part, b_part)
+    shared = subspace_intersection(frame_a.basis, frame_b.basis).shape[0]
+    cosines = principal_cosines(frame_a.basis, frame_b.basis)
+    return float(cosines[shared]) if shared < cosines.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -456,34 +443,27 @@ def predicted_rates(
     """
     eps_a = float(eps_a) * inflation
     eps_b = float(eps_b) * inflation
-    kappa = float(kappa) * inflation
+    kappa = max(float(kappa) * inflation, 1.0)  # >= 1 by definition; sampling may undershoot
     c = min(float(c) * inflation, 1.0)
-    if kappa < 1.0:
-        # the modulus is >= 1 by definition; sampling noise may undershoot
-        kappa = 1.0
     gamma = 1.0 / kappa
 
+    contraction = 1.0 - gamma**2
     if a_convex and b_convex:
         regime = "both_convex"
-        eps_map = 0.0
+        etm = 0.0  # a convex set's projector is firmly nonexpansive
+        rate_map = contraction
+        map_cond = True
     elif a_convex or b_convex:
         regime = "one_convex"
-        eps_map = eps_b if a_convex else eps_a
+        etm = eps_tilde_projector(eps_b if a_convex else eps_a)
+        rate_map = math.sqrt(max(contraction + etm, 0.0)) * math.sqrt(contraction)
+        map_cond = contraction < 1e-15 or etm <= (2.0 * gamma - gamma**2) / contraction
     else:
         regime = "both_nonconvex"
-        eps_map = max(eps_a, eps_b)
-    etm = eps_tilde_projector(eps_map)
-
-    if regime == "both_convex":
-        rate_map = 1.0 - gamma**2
-        map_ok = rate_map < 1.0
-    elif regime == "one_convex":
-        rate_map = math.sqrt(max(1.0 - gamma**2 + etm, 0.0)) * math.sqrt(1.0 - gamma**2)
-        cond = (1.0 - gamma**2) < 1e-15 or etm <= (2.0 * gamma - gamma**2) / (1.0 - gamma**2)
-        map_ok = cond and rate_map < 1.0
-    else:
-        rate_map = 1.0 - gamma**2 + etm
-        map_ok = etm <= gamma**2 and rate_map < 1.0
+        etm = eps_tilde_projector(max(eps_a, eps_b))
+        rate_map = contraction + etm
+        map_cond = etm <= gamma**2
+    map_ok = map_cond and rate_map < 1.0
 
     etd = eps_tilde_douglas_rachford(eps_a, eps_b)
     eta = (1.0 - c) / kappa**2

@@ -35,7 +35,7 @@ from .regularity import (
     friedrichs_cosine,
     predicted_rates,
 )
-from .sets import AffineSubspace
+from .sets import AffineSubspace, KinkedRegion
 from .solution import subspace_pair_solution
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
@@ -76,15 +76,28 @@ class Missing:
         return self
 
 
+NO_TRACE = Missing("no trace: the config has no start")
+
+
 @dataclass
 class RunArtifacts:
     cfg: object
     solution: object
     traces: list = field(default_factory=list)
-    fit: object = None  # a RateFit, a Missing one if the trace is too short, or None
+    fit: object = NO_TRACE  # a RateFit, or a Missing one: no trace, or one too short
     sweep: list = field(default_factory=list)
     friedrichs: float | None = None
     strongly_regular: bool | None = None
+
+    @property
+    def trace(self):
+        """The first trace, or ``NO_TRACE`` when nothing was iterated."""
+        return self.traces[0] if self.traces else NO_TRACE
+
+
+def _exit_status(verdicts):
+    """0 when every verdict passes (or there are none), else 1."""
+    return 0 if all(v.passed for v in verdicts) else 1
 
 
 @dataclass
@@ -96,7 +109,7 @@ class ReportDocument:
 
     @property
     def exit_status(self):
-        return 0 if all(v.passed for v in self.verdicts) else 1
+        return _exit_status(self.verdicts)
 
     def to_machine_dict(self):
         art = self.artifacts
@@ -128,11 +141,9 @@ class ReportDocument:
     def to_text(self):
         art = self.artifacts
         lines = [f"# generated: {self.generated}", f"experiment: {self.name}"]
-        cfg = art.cfg
-        if cfg is not None and cfg.algorithm is not None:
-            lines.append(
-                f"algorithm: {cfg.algorithm.kind} (a={cfg.algorithm.a}, b={cfg.algorithm.b})"
-            )
+        alg = art.cfg.algorithm
+        if alg is not None:
+            lines.append(f"algorithm: {alg.kind} (a={alg.a}, b={alg.b})")
         if art.strongly_regular is not None:
             lines.append(f"strongly regular at witness: {art.strongly_regular}")
         if art.friedrichs is not None:
@@ -248,10 +259,10 @@ def run_experiment(cfg, out_dir=None, samples=None, seed=None, max_iters=None, t
             art.traces = iterate_many(cfg.operator(), cfg.start.points(cfg.regularity.seed), sol,
                                       max_iters=cfg.budget.max_iters, tol=cfg.budget.tol)
             try:
-                art.fit = fit_rate(art.traces[0])
+                art.fit = fit_rate(art.trace)
             except ValueError as exc:
                 art.fit = Missing(f"no rate fit: {exc}")
-    verdicts = CLAIMS.get(cfg.name, lambda art: [])(art) if with_claims else []
+    verdicts = _preset_claims(art) if with_claims else []
     doc = ReportDocument(
         name=cfg.name,
         generated=datetime.now(timezone.utc).isoformat(),
@@ -262,7 +273,7 @@ def run_experiment(cfg, out_dir=None, samples=None, seed=None, max_iters=None, t
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if art.traces and cfg.outputs.trace_csv:
-            trace_to_csv(art.traces[0], out / cfg.outputs.trace_csv)
+            trace_to_csv(art.trace, out / cfg.outputs.trace_csv)
         if cfg.outputs.report:
             (out / cfg.outputs.report).write_text(doc.to_text())
     return doc
@@ -273,20 +284,29 @@ def run_experiment(cfg, out_dir=None, samples=None, seed=None, max_iters=None, t
 # --------------------------------------------------------------------------
 
 
-def _v(claim_id, passed, measured, bound, detail=""):
-    return Verdict(claim_id, bool(passed), measured, bound, detail)
+def _preset_claims(art):
+    """The verdicts of the preset ``art.cfg`` is named after, from ``CLAIMS``
+    at call time, if it keeps the preset's sets, algorithm and solution: the
+    claims are statements about that geometry.  Its start, budget,
+    regularity and outputs may differ."""
+    cfg = art.cfg
+    if cfg.name not in CLAIMS:
+        return []
+    mine, theirs = cfg.to_dict(), preset(cfg.name).to_dict()
+    same = all(mine.get(key) == theirs.get(key) for key in ("sets", "algorithm", "solution"))
+    return CLAIMS[cfg.name](art) if same else []
 
 
 # Each claim kind builds its check and its bound text from the same numbers.
 
 
 def _claim(claim_id, x, check, bound, measured=None, detail=""):
-    """``check(x)``, measured as ``measured(x)`` (``x`` itself by default).  Every
-    claim kind goes through here, so a ``Missing`` ``x`` reads FAIL, measured
-    None, with its reason as the detail."""
+    """The one ``Verdict`` builder: ``check(x)``, measured as ``measured(x)``
+    (``x`` itself by default).  A ``Missing`` ``x`` reads FAIL, measured None,
+    with its reason as the detail."""
     if isinstance(x, Missing):
-        return _v(claim_id, False, None, bound, x.reason)
-    return _v(claim_id, check(x), x if measured is None else measured(x), bound, detail)
+        return Verdict(claim_id, False, None, bound, x.reason)
+    return Verdict(claim_id, bool(check(x)), x if measured is None else measured(x), bound, detail)
 
 
 def _num(x):
@@ -312,11 +332,16 @@ def _is(claim_id, value, want, name=None):
     return _claim(claim_id, value, lambda v: v is want, f"{name} == {want}" if name else str(want))
 
 
-def _all_converge(claim_id, traces, tol):
-    """Every trace ends within ``tol`` of the solution set."""
-    finals = [t.final_dist_to_s for t in traces]
-    bound = f"all {len(finals)} starts < {_num(tol)}"
+def _all_converge(claim_id, art, tol):
+    """Every trace ends within ``tol`` of the solution set; no trace reads FAIL."""
+    finals = [t.final_dist_to_s for t in art.traces] or art.trace
+    bound = f"all {len(art.traces)} starts < {_num(tol)}"
     return _claim(claim_id, finals, lambda f: all(d < tol for d in f), bound, max)
+
+
+def _all_pass(claim_id, oks, bound):
+    """Every check of ``oks`` passed, and there was one: measured ``passed/total``."""
+    return _claim(claim_id, oks, lambda o: bool(o) and all(o), bound, lambda o: f"{sum(o)}/{len(o)}")
 
 
 def _linear_fit(claim_id, fit, r2=0.98, rate=0.99):
@@ -328,7 +353,7 @@ def _linear_fit(claim_id, fit, r2=0.98, rate=0.99):
 
 def _claims_example_i(art):
     return [
-        _below("i-dr-tolerance", art.traces[0].final_dist_to_s, 1e-10),
+        _below("i-dr-tolerance", art.trace.final_dist_to_s, 1e-10),
         _near("i-dr-step-rate", art.fit.observed_rate, HALF_SQRT2, 0.01, "sqrt(2)/2"),
         _is("i-strongly-regular", art.strongly_regular, True),
         _near("i-c-exact", art.sweep[0]["c"], HALF_SQRT2, 1e-10, "sqrt(2)/2"),
@@ -337,17 +362,17 @@ def _claims_example_i(art):
 
 def _claims_example_i_map(art):
     return [
-        _below("i-map-tolerance", art.traces[0].final_dist_to_s, 1e-10),
+        _below("i-map-tolerance", art.trace.final_dist_to_s, 1e-10),
         _near("i-map-cycle-rate", art.fit.observed_rate, 0.5, 0.01),
     ]
 
 
 def _claims_example_ii(art):
-    t, dist = art.traces[0], 1.0
-    stuck = t.stop_reason == "stagnation" and abs(t.final_dist_to_s - dist) <= 1e-12
+    dist = 1.0
     return [
-        _v("ii-dr-fixed-off-intersection", stuck, (t.stop_reason, t.final_dist_to_s),
-           f"stagnation at distance {_num(dist)}"),
+        _claim("ii-dr-fixed-off-intersection", art.trace,
+               lambda t: t.stop_reason == "stagnation" and abs(t.final_dist_to_s - dist) <= 1e-12,
+               f"stagnation at distance {_num(dist)}", lambda t: (t.stop_reason, t.final_dist_to_s)),
         _is("ii-not-strongly-regular", art.strongly_regular, False),
         _near("ii-friedrichs", art.friedrichs, HALF_SQRT2, 1e-10, "sqrt(2)/2"),
     ]
@@ -369,30 +394,30 @@ def _claims_example_iii(art):
     return [
         # the iterates decay like 1/sqrt(n), so this target cannot be met
         # within the budget; kept as an honest record of the gap
-        _below("iii-map-tolerance-within-budget", art.traces[0].final_dist_to_s, 1e-6, n,
+        _below("iii-map-tolerance-within-budget", art.trace.final_dist_to_s, 1e-6, n,
                detail=f"sublinear decay ~ n**-0.5 makes this unreachable in {_num(n)} iterations"),
         _is("iii-map-sublinear", art.fit.linear, False, "linear"),
-        _v("iii-kappa-refinement-diverges", all(r >= least for r in ratios), [round(r, 3) for r in ratios],
-           f"each refinement ratio >= {_num(least)}"),
+        _claim("iii-kappa-refinement-diverges", ratios, lambda rs: all(r >= least for r in rs),
+               f"each refinement ratio >= {_num(least)}", lambda rs: [round(r, 3) for r in rs]),
     ]
 
 
 def _claims_example_iii_dr(art):
-    worst, floor = max(t.final_dist_to_s for t in art.traces), 0.01
+    worst, floor = max((t.final_dist_to_s for t in art.traces), default=art.trace), 0.01
     bound = f"> {_num(floor)} for at least one limit"
-    return [_v("iii-dr-fixed-point-off-intersection", worst > floor, worst, bound)]
+    return [_claim("iii-dr-fixed-point-off-intersection", worst, lambda w: w > floor, bound)]
 
 
 def _claims_example_iv(art):
     return [
         _near("iv-subregularity-zero", art.sweep[0]["eps_a"], 0.0, 1e-9),
         _is("iv-strongly-regular", art.strongly_regular, True),
-        _all_converge("iv-dr-all-starts-converge", art.traces, 1e-8),
+        _all_converge("iv-dr-all-starts-converge", art, 1e-8),
     ]
 
 
 def _claims_example_iv_map(art):
-    return [_all_converge("iv-map-all-starts-converge", art.traces, 1e-8)]
+    return [_all_converge("iv-map-all-starts-converge", art, 1e-8)]
 
 
 def _claims_example_v(art):
@@ -411,13 +436,11 @@ def _claims_example_v_map(art):
 
 
 def _claims_kinked(art):
-    from .sets import KinkedRegion
-
     eps_pair, lo, hi = art.sweep[0]["eps_pair"], 0.70, 0.7072
     normals = KinkedRegion().proximal_normals(np.zeros(2))
     return [
-        _v("kink-pair-regularity-interval", lo <= eps_pair <= hi, eps_pair, f"[{lo:.2f}, {_num(hi)}]"),
-        _v("kink-zero-proximal-cone", normals == [], normals, "zero cone at the corner"),
+        _claim("kink-pair-regularity-interval", eps_pair, lambda e: lo <= e <= hi, f"[{lo:.2f}, {_num(hi)}]"),
+        _claim("kink-zero-proximal-cone", normals, lambda n: n == [], "zero cone at the corner"),
     ]
 
 
@@ -502,34 +525,16 @@ def subspace_iff_sweep(base_seed=2025):
         details.append(detail)
     elapsed = time.perf_counter() - t0
     verdicts = [
-        _v(
-            "subspace-iff-rank-test-match",
-            all(matches),
-            f"{sum(matches)}/{len(matches)}",
-            "linear convergence to the intersection iff the exact rank test passes",
-        ),
-        _v(
-            "subspace-dr-rate-bound",
-            bool(bound_ok) and all(bound_ok),
-            f"{sum(bound_ok)}/{len(bound_ok)}",
-            f"observed rate <= sqrt(1-(1-c)/({_num(SAFETY_INFLATION)}*kappa)^2) + {_num(SWEEP_RATE_SLACK)}",
-        ),
+        _all_pass("subspace-iff-rank-test-match", matches,
+                  "linear convergence to the intersection iff the exact rank test passes"),
+        _all_pass("subspace-dr-rate-bound", bound_ok,
+                  f"observed rate <= sqrt(1-(1-c)/({_num(SAFETY_INFLATION)}*kappa)^2) + {_num(SWEEP_RATE_SLACK)}"),
         # the seconds vary from run to run, so they stay out of the measured
         # value that suite output and reports print
-        _v("subspace-sweep-runtime", elapsed < SWEEP_SECONDS, elapsed < SWEEP_SECONDS,
-           f"< {_num(SWEEP_SECONDS)} s", detail=f"{elapsed:.2f} s"),
+        _claim("subspace-sweep-runtime", elapsed < SWEEP_SECONDS, bool, f"< {_num(SWEEP_SECONDS)} s",
+               detail=f"{elapsed:.2f} s"),
     ]
     return verdicts, details
-
-
-def _run_sweep_doc():
-    verdicts, _ = subspace_iff_sweep()
-    return ReportDocument(
-        name="subspace-iff",
-        generated=datetime.now(timezone.utc).isoformat(),
-        artifacts=RunArtifacts(cfg=None, solution=None),
-        verdicts=verdicts,
-    )
 
 
 def run_suite(names=None, out_dir=None, samples=None, seed=None,
@@ -543,16 +548,16 @@ def run_suite(names=None, out_dir=None, samples=None, seed=None,
     status = 0
     for name in names:
         if name in SWEEPS:
-            doc = _run_sweep_doc()
+            verdicts, _ = subspace_iff_sweep()
         else:
-            doc = run_experiment(
+            verdicts = run_experiment(
                 preset(name), out_dir=out_dir, samples=samples, seed=seed,
                 max_iters=max_iters, tol=tol,
-            )
-        for v in doc.verdicts:
+            ).verdicts
+        for v in verdicts:
             mark = "pass" if v.passed else "FAIL"
-            echo(f"[{mark}] {doc.name} :: {v.claim_id} (measured={v.measured}, bound={v.bound})")
-        if not doc.verdicts:
-            echo(f"[pass] {doc.name} :: no claims registered (report only)")
-        status = max(status, doc.exit_status)
+            echo(f"[{mark}] {name} :: {v.claim_id} (measured={v.measured}, bound={v.bound})")
+        if not verdicts:
+            echo(f"[pass] {name} :: no claims registered (report only)")
+        status = max(status, _exit_status(verdicts))
     return status

@@ -6,7 +6,8 @@ matrix-vector products and ``np.linalg.norm`` of one point, the per-point
 tie rule ``select_ties`` (lexicographic for the kinked region, first frame
 for unions) and the nested loops of each operator's ``branch_apply``; and
 ``ref_sup_alignment``, the estimators' supremum of alignments over every
-sample x target pair, with no pair pruned.  The sampling
+sample x target pair, with no pair pruned; and ``ref_friedrichs_cosine``,
+the Friedrichs cosine reduced modulo the intersection.  The sampling
 references are the scipy forms that ``qmc_unit``, ``ball_points`` and
 ``_ndtri`` used before the package computed the scrambled Halton sequence
 and the inverse normal CDF itself; only the tests import scipy.  Tests
@@ -20,6 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import norm, qmc
 
+from projfeas.linalg import largest_principal_cosine, orthonormalize, subspace_intersection
 from projfeas.operators import (
     AlternatingProjections,
     DouglasRachford,
@@ -239,3 +241,20 @@ def ref_sup_alignment(X, comps, targets):
                 return _norm([_dot(U, b) for b in W])
         best = max(best, _block_sup(rows, targets, align, coincident))
     return best
+
+
+def ref_friedrichs_cosine(frame_a, frame_b):
+    """The largest principal cosine of ``A n (A n B)^perp`` and
+    ``B n (A n B)^perp``: each basis reduced modulo the intersection and
+    orthonormalized again; zero when either part is trivial.  When one space
+    contains the other, its reduced basis is rounding noise that
+    ``orthonormalize`` keeps, so compare on pairs where each space has a
+    direction of its own."""
+    meet = subspace_intersection(frame_a.basis, frame_b.basis)
+
+    def mod_meet(basis):
+        if basis.shape[0] == 0 or meet.shape[0] == 0:
+            return basis
+        return orthonormalize(basis - (basis @ meet.T) @ meet)
+
+    return largest_principal_cosine(mod_meet(frame_a.basis), mod_meet(frame_b.basis))

@@ -5,12 +5,16 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projfeas import config
 from projfeas.cli import main
-from projfeas.config import ConfigError, parse_config, serialize_config
+from projfeas.config import ConfigError, config_from_dict, parse_config, serialize_config
 from projfeas.presets import PRESETS, SWEEPS, preset
 from projfeas.runner import run_experiment
+from projfeas.sets import Ball
 
 MINIMAL = """
 name: two-lines
@@ -213,6 +217,77 @@ def test_rate_claim_without_a_fit_fails(tmp_path, name, claim_id):
     assert not rate.passed and rate.measured is None
     assert "need at least 10" in rate.detail
     assert (tmp_path / f"{name}.report.txt").exists()
+
+
+# the claims of each iterating preset that read its first trace, every trace or the rate fit
+TRACE_CLAIMS = {
+    "example-i": ("i-dr-tolerance", "i-dr-step-rate"),
+    "example-i-map": ("i-map-tolerance", "i-map-cycle-rate"),
+    "example-ii": ("ii-dr-fixed-off-intersection",),
+    "example-ii-inplane": ("ii-dr-inplane-rate",),
+    "example-iii": ("iii-map-tolerance-within-budget", "iii-map-sublinear"),
+    "example-iii-dr": ("iii-dr-fixed-point-off-intersection",),
+    "example-iv": ("iv-dr-all-starts-converge",),
+    "example-iv-map": ("iv-map-all-starts-converge",),
+    "example-v": ("v-dr-linear-fit", "v-dr-bound-dominates"),
+    "example-v-map": ("v-map-linear-fit",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CLAIMS))
+def test_trace_claims_without_a_start_fail(name):
+    # nothing is iterated, so every claim on a trace or its fit reads FAIL
+    # with the reason; zero starts never pass
+    doc = run_experiment(replace(preset(name), start=None), samples=64)
+    assert doc.exit_status == 1
+    read = [v for v in doc.verdicts if v.claim_id in TRACE_CLAIMS[name]]
+    assert len(read) == len(TRACE_CLAIMS[name])
+    for v in read:
+        assert not v.passed and v.measured is None
+        assert "no trace" in v.detail
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CLAIMS))
+def test_preset_claims_need_the_preset_geometry(name):
+    # a preset's claims are statements about its sets, algorithm and
+    # solution: a config that changes one of them is report-only
+    doc = run_experiment(replace(preset(name), algorithm=None), samples=64)
+    assert doc.verdicts == [] and doc.exit_status == 0
+    cfg = preset(name)
+    mine, read_back = ([v.claim_id for v in run_experiment(c, samples=64, max_iters=50).verdicts]
+                       for c in (cfg, parse_config(serialize_config(cfg))))
+    assert mine == read_back and set(TRACE_CLAIMS[name]) <= set(mine)
+
+
+def test_preset_with_another_set_is_report_only():
+    cfg = preset("example-ii")
+    cfg = replace(cfg, sets={**cfg.sets, "B": Ball([0.0, 0.0, 0.0], 1.0)})
+    doc = run_experiment(cfg, samples=64)
+    assert doc.verdicts == [] and doc.exit_status == 0
+
+
+DROPS = ("start", "algorithm", "solution.exact", "solution", "budget", "regularity", "outputs",
+         "name", "sets")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PRESETS)), st.sampled_from((None,) + DROPS),
+       st.integers(1, 50), st.integers(1, 64))
+def test_preset_without_a_section_ends_in_a_config_error_or_verdicts(name, drop, max_iters, samples):
+    data = yaml.safe_load(serialize_config(preset(name)))
+    if drop is not None:
+        *parents, key = drop.split(".")
+        section = data
+        for parent in parents:
+            section = section[parent]
+        section.pop(key, None)
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError as err:
+        assert err.path
+        return
+    doc = run_experiment(cfg, samples=samples, max_iters=max_iters)
+    assert doc.exit_status in (0, 1)
 
 
 def test_documented_configs_parse():

@@ -6,6 +6,7 @@ from projfeas.linalg import (
     complement_basis,
     largest_principal_cosine,
     orthonormalize,
+    principal_cosines,
     row_norms,
     subspace_intersection,
 )
@@ -123,6 +124,22 @@ def test_largest_principal_cosine_known_angle():
     a = orthonormalize([[1.0, 0.0]])
     b = orthonormalize([[1.0, 1.0]])
     assert largest_principal_cosine(a, b) == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
+
+
+def test_principal_cosines_on_stacks_equal_each_pair():
+    rng = np.random.default_rng(21)
+    for k, l in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        A = np.stack([orthonormalize(rng.normal(size=(k, 5))) for _ in range(9)])
+        B = np.stack([orthonormalize(rng.normal(size=(l, 5))) for _ in range(9)])
+        stacked = principal_cosines(A, B)
+        assert stacked.shape == (9, min(k, l))
+        for i in range(9):
+            pair = principal_cosines(A[i], B[i])
+            assert np.array_equal(stacked[i], pair)
+            assert np.all(np.diff(pair) <= 0) and np.all((0.0 <= pair) & (pair <= 1.0))
+            assert largest_principal_cosine(A[i], B[i]) == pair[0]
+    assert principal_cosines(np.zeros((0, 3)), np.eye(3)).size == 0
+    assert largest_principal_cosine(np.zeros((0, 3)), np.eye(3)) == 0.0
 
 
 def test_affine_frame_invariants():

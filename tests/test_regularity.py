@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from projfeas.linalg import complement_basis, orthonormalize
+from projfeas.linalg import complement_basis, largest_principal_cosine, orthonormalize, subspace_intersection
 from projfeas.presets import circle_and_line
 from projfeas.regularity import (
     Region,
+    _largest_cosine,
     check_strong_regularity,
     estimate_c,
     estimate_kappa,
@@ -20,7 +21,7 @@ from projfeas.runner import random_subspace_pair
 from projfeas.sets import AffineSubspace, KinkedRegion, UnionOfSubspaces
 from projfeas.solution import SolutionSet, singleton_solution, subspace_pair_solution
 
-from kernel_reference import PointMap, ref_sol_distance, ref_step
+from kernel_reference import PointMap, ref_friedrichs_cosine, ref_sol_distance, ref_step
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 
@@ -270,6 +271,41 @@ def test_friedrichs_complement_duality():
         assert friedrichs_cosine(fca.frame, fcb.frame) == pytest.approx(
             friedrichs_cosine(fa.frame, fb.frame), abs=1e-10
         )
+
+
+def test_friedrichs_matches_the_reduction_modulo_the_meet():
+    # pairs sharing one or two directions, each with directions of its own:
+    # the cosine after the shared ones is the reduced pair's largest
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        shared = int(rng.integers(1, 3))
+        ka = int(rng.integers(1, 5 - shared))
+        kb = int(rng.integers(1, 6 - shared - ka))
+        common = rng.normal(size=(shared, 5))
+        a = AffineSubspace.from_span(np.zeros(5), np.vstack([common, rng.normal(size=(ka, 5))]))
+        b = AffineSubspace.from_span(np.zeros(5), np.vstack([common, rng.normal(size=(kb, 5))]))
+        assert subspace_intersection(a.frame.basis, b.frame.basis).shape[0] == shared
+        assert friedrichs_cosine(a.frame, b.frame) == pytest.approx(
+            ref_friedrichs_cosine(a.frame, b.frame), abs=1e-12
+        )
+
+
+def test_friedrichs_nested_pair_is_zero():
+    # a line inside a plane: every cosine is a shared direction's one
+    plane = AffineSubspace.from_span(np.zeros(3), [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    for direction in ([1.0, 2.0, 0.0], [0.3, -0.7, 0.0], [1.0, 0.0, 0.0]):
+        line = AffineSubspace.from_span(np.zeros(3), [direction])
+        assert friedrichs_cosine(line.frame, plane.frame) == 0.0
+        assert friedrichs_cosine(plane.frame, line.frame) == 0.0
+
+
+def test_largest_cosine_of_one_pair_is_the_largest_principal_cosine():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        k, l = rng.integers(1, 5, size=2)
+        a = orthonormalize(rng.normal(size=(k, 4)))
+        b = orthonormalize(rng.normal(size=(l, 4)))
+        assert _largest_cosine(a[None], b[None]) == largest_principal_cosine(a, b)
 
 
 # ---------------------------------------------------------------------------
