@@ -57,6 +57,14 @@ from .solution import SolutionSet
 # must not exceed the largest double.
 MAGNITUDE = math.sqrt(sys.float_info.max) / 2
 
+# The largest ``regularity.samples`` and ``start.count``: 256 times the
+# default 4096 samples, and about 10,000 times the most starts a preset
+# draws.  Each is the row count of arrays a run holds at once, and a sampled
+# estimator run peaks near 200 bytes a sample, so a run at this many samples
+# fits in a few hundred MB; a far larger count would end in numpy's
+# allocation error, a traceback, instead of a ``ConfigError``.
+MAX_COUNT = 2**20
+
 
 class ConfigError(ValueError):
     """Invalid configuration; ``path`` names the offending field."""
@@ -224,7 +232,7 @@ class BallStart(_Section):
     path = "start"
     center: np.ndarray = _field(_point, _floats)
     radius: float = _field(_float, float, lambda r: 0 <= r <= MAGNITUDE, f"in [0, {MAGNITUDE:g}]")
-    count: int = _field(_int, int, lambda n: n >= 1, "at least 1", default=1)
+    count: int = _field(_int, int, lambda n: 1 <= n <= MAX_COUNT, f"in [1, {MAX_COUNT}]", default=1)
 
     def points(self, seed):
         return ball_points(self.center, self.radius, self.count, seed)[1:]  # skip the prepended center
@@ -254,7 +262,7 @@ class RegularitySpec(_Section):
         partial(_list, _float), _floats, lambda ds: len(ds) > 0 and all(0 < d <= MAGNITUDE for d in ds),
         f"at least one, each in (0, {MAGNITUDE:g}]", default=(1.0, 0.5, 0.25, 0.125),
     )
-    samples: int = _field(_int, int, lambda n: n >= 1, "at least 1", default=4096)
+    samples: int = _field(_int, int, lambda n: 1 <= n <= MAX_COUNT, f"in [1, {MAX_COUNT}]", default=4096)
     seed: int = _field(_int, int, lambda n: n >= 0, "non-negative", default=0)
 
 

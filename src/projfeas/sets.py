@@ -14,12 +14,19 @@ result does not depend on the batch it is in.  A single-valued variant
 writes ``project_many`` and ``distance_many`` itself, and its one candidate is
 that projection.  Each variant also owns its sampling ``chart``, the on-set
 points the estimators draw near an anchor.
+
+Each variant writes its normal-cone rule once, in ``_normal_groups``: the
+normals of every piece of the set (a frame, an edge, the whole set) that
+holds a point.  That is its limiting cone, and its proximal cone too, save
+at a point more than one piece holds (a union's frame crossing, the kinked
+corner), where the proximal cone is the zero cone.  The reflector is written
+once, as ``2p - x`` over the branches ``project`` gives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,16 +53,6 @@ class ProjectionOutcome:
     branches: tuple
     branch_count: float
     distance: float
-
-    def reflected(self, x):
-        """Outcome of ``2p - x`` over every branch; keeps the projection distance."""
-        refl = tuple(2.0 * p - x for p in self.branches)
-        return ProjectionOutcome(
-            selected=2.0 * self.selected - x,
-            branches=refl,
-            branch_count=self.branch_count,
-            distance=self.distance,
-        )
 
 
 def _select_ties_many(D):
@@ -97,6 +94,10 @@ class NormalGroup:
     def per_row(self):
         """Whether ``basis`` is a stack with one basis per row."""
         return self.basis.ndim == 3
+
+    def restricted(self, keep):
+        """The group on the ``rows`` where the mask ``keep`` holds."""
+        return NormalGroup(self.basis[keep] if self.per_row else self.basis, self.rows[keep], self.one_sided)
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,12 @@ class ClosedSet:
         return np.where(kept[..., None], P, selected).reshape(P.shape[:1] + X.shape)
 
     def reflect(self, x) -> ProjectionOutcome:
-        """All branches of ``2 P(x) - x``."""
+        """All branches of ``2 P(x) - x``; keeps the projection's branch
+        count and distance."""
         x = as_point(x, self.dim)
-        return self.project(x).reflected(x)
+        out = self.project(x)
+        branches = tuple(2.0 * p - x for p in out.branches)
+        return replace(out, selected=branches[0], branches=branches)
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         return bool(self.contains_many(as_point(x, self.dim)[None], tol)[0])
@@ -210,11 +214,20 @@ class ClosedSet:
         """Row-wise ``contains`` of an ``(m, dim)`` array; unvalidated."""
         return self.distance_many(X) <= tol
 
-    def normal_components(self, X) -> NormalComponents:
-        """Proximal normal cones at every row of ``X`` as normal groups.
-        Raises if a row is not in the set to ``MEMBERSHIP_TOL``.
-        """
+    def _normal_groups(self, X):
+        """One normal group per piece of the set, on the rows of the member
+        array ``X`` that the piece holds: the limiting normal cones."""
         raise NotImplementedError
+
+    def normal_components(self, X) -> NormalComponents:
+        """Proximal normal cones at every row of ``X`` as normal groups: the
+        limiting cones, save that a row more than one piece holds has the
+        zero cone.  Raises if a row is not in the set to ``MEMBERSHIP_TOL``.
+        """
+        X = self._check_members(X)
+        groups = self._normal_groups(X)
+        pieces = np.bincount(np.concatenate([g.rows for g in groups]), minlength=X.shape[0])
+        return _cones(self.dim, *(g.restricted(pieces[g.rows] == 1) for g in groups))
 
     def proximal_normals(self, x):
         """Unit generators of the proximal normal cone at ``x`` (in the set).
@@ -225,14 +238,11 @@ class ClosedSet:
         return self.normal_components(as_point(x, self.dim)[None]).generators(0)
 
     def limiting_normals(self, x) -> NormalComponents:
-        """Limiting normal cone at ``x``, as ``normal_components`` of one row.
-
-        It is the proximal cone wherever the two agree, as they do at every
-        point of an affine set, a ball or a sphere; a variant with points
-        where nearby proximal cones add more overrides it.  Raises if ``x``
-        is not in the set to ``MEMBERSHIP_TOL``.
+        """Limiting normal cone at ``x``, as ``normal_components`` of one row:
+        the normals of every piece that holds ``x``.  Raises if ``x`` is not in
+        the set to ``MEMBERSHIP_TOL``.
         """
-        return self.normal_components(as_point(x, self.dim)[None])
+        return _cones(self.dim, *self._normal_groups(self._check_members(as_point(x, self.dim)[None])))
 
     def chart(self, anchor, delta, n, seed):
         """Deterministic points of the set within ``delta`` of ``anchor``,
@@ -282,9 +292,8 @@ class AffineSubspace(ClosedSet):
     def project_many(self, X):
         return self.frame.project_rows(X)
 
-    def normal_components(self, X):
-        X = self._check_members(X)
-        return _cones(self.dim, NormalGroup(self.normal_basis, np.arange(X.shape[0])))
+    def _normal_groups(self, X):
+        return (NormalGroup(self.normal_basis, np.arange(X.shape[0])),)
 
     def chart(self, anchor, delta, n, seed):
         return _affine_chart(self.frame, anchor, delta, n, seed)
@@ -338,12 +347,11 @@ class Ball(_Round):
     def project_many(self, X):
         return self._nearest(X)[0]
 
-    def normal_components(self, X):
-        X = self._check_members(X)
+    def _normal_groups(self, X):
         D = X - self.center
         r = row_norms(D)
         rows = np.flatnonzero(r >= self.radius - MEMBERSHIP_TOL)
-        return _cones(self.dim, NormalGroup((D[rows] / r[rows, None])[:, None], rows, one_sided=True))
+        return (NormalGroup((D[rows] / r[rows, None])[:, None], rows, one_sided=True),)
 
     def chart(self, anchor, delta, n, seed):
         pts = _boundary_chart(self.center, self.radius, anchor, delta, n, seed)
@@ -381,10 +389,9 @@ class Sphere(_Round):
         # at the center the full sphere is nearest
         return self._nearest(X)[2]
 
-    def normal_components(self, X):
-        X = self._check_members(X)
+    def _normal_groups(self, X):
         D = X - self.center
-        return _cones(self.dim, NormalGroup((D / row_norms(D)[:, None])[:, None], np.arange(X.shape[0])))
+        return (NormalGroup((D / row_norms(D)[:, None])[:, None], np.arange(X.shape[0])),)
 
     def chart(self, anchor, delta, n, seed):
         return _boundary_chart(self.center, self.radius, anchor, delta, n, seed)
@@ -417,22 +424,12 @@ class UnionOfSubspaces(ClosedSet):
         P = np.stack([f.project_rows(X) for f in self.frames])
         return P, row_norms(X - P)
 
-    def normal_components(self, X):
-        X = self._check_members(X)
+    def _normal_groups(self, X):
+        # every frame that holds a row, also at a crossing: its normal space
+        # is the limit of the proximal cones along the frame, while the
+        # projector preimage of the crossing collapses to the point itself
         held = self._candidates(X)[1] <= MEMBERSHIP_TOL
-        # at a frame crossing the projector preimage collapses to the point
-        # itself, so the proximal cone is the zero cone
-        alone = held.sum(axis=0) == 1
-        return _cones(self.dim, *(NormalGroup(basis, np.flatnonzero(h & alone))
-                                  for basis, h in zip(self.normal_bases, held)))
-
-    def limiting_normals(self, x):
-        # every frame that holds x, also at a crossing: its normal space is
-        # the limit of the proximal cones along the frame
-        X = self._check_members(as_point(x, self.dim)[None])
-        held = self._candidates(X)[1] <= MEMBERSHIP_TOL
-        return _cones(self.dim, *(NormalGroup(basis, np.flatnonzero(h))
-                                  for basis, h in zip(self.normal_bases, held)))
+        return tuple(NormalGroup(basis, np.flatnonzero(h)) for basis, h in zip(self.normal_bases, held))
 
     def chart(self, anchor, delta, n, seed):
         per = max(1, n // len(self.frames))
@@ -476,24 +473,15 @@ class KinkedRegion(ClosedSet):
         P = np.where(self.contains_many(X, tol=0.0)[:, None], X, edges)
         return P, row_norms(X - P)
 
-    def normal_components(self, X):
-        X = self._check_members(X)
-        off_corner = row_norms(X) > MEMBERSHIP_TOL  # reflex corner: zero cone
-        on_neg = off_corner & (X[:, 0] < 0) & (np.abs(X[:, 1] + X[:, 0]) <= MEMBERSHIP_TOL)
-        on_pos = off_corner & (X[:, 0] > 0) & (np.abs(X[:, 1]) <= MEMBERSHIP_TOL)
-        return _cones(self.dim, *(
+    def _normal_groups(self, X):
+        # both edges hold the corner: each edge's normal is the limit along it
+        corner = row_norms(X) <= MEMBERSHIP_TOL
+        on_neg = corner | ((X[:, 0] < 0) & (np.abs(X[:, 1] + X[:, 0]) <= MEMBERSHIP_TOL))
+        on_pos = corner | ((X[:, 0] > 0) & (np.abs(X[:, 1]) <= MEMBERSHIP_TOL))
+        return tuple(
             NormalGroup(normal[None, :].copy(), np.flatnonzero(on_edge), one_sided=True)
             for normal, on_edge in ((self.EDGE_NEG_NORMAL, on_neg), (self.EDGE_POS_NORMAL, on_pos))
-        ))
-
-    def limiting_normals(self, x):
-        X = self._check_members(as_point(x, self.dim)[None])
-        if row_norms(X)[0] > MEMBERSHIP_TOL:
-            return self.normal_components(X)
-        # the corner: each edge's normal is the limit along that edge
-        corner = np.zeros(1, dtype=int)
-        edges = (self.EDGE_NEG_NORMAL, self.EDGE_POS_NORMAL)
-        return _cones(self.dim, *(NormalGroup(n[None, :].copy(), corner, one_sided=True) for n in edges))
+        )
 
     def chart(self, anchor, delta, n, seed):
         span = float(np.linalg.norm(anchor)) + delta

@@ -44,6 +44,7 @@ from projfeas.operators import (
 from projfeas.regularity import Region
 from projfeas.runner import random_subspace_pair
 from projfeas.sets import (
+    TIE_TOL,
     AffineSubspace,
     Ball,
     KinkedRegion,
@@ -150,6 +151,21 @@ def test_distance_many_matches_distance():
     assert all(same_bits(sol.project(x), sol.witness) for x in X[:20])
     for delta, n, seed in ((1.0, 64, 0), (0.25, 4096, 7), (1e-9, 8, 3)):
         assert same_bits(sol.sample_points(delta, n, seed), sol.witness[None, :])
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_projection_is_idempotent_and_measures_the_distance(name, data):
+    # on rows in [-4, 4], ties included, projecting again moved a coordinate
+    # by at most 3.6e-15; the tie rule lets the selected branch lie up to
+    # TIE_TOL * max(1, d) past the least distance d
+    s, ties = SETS[name]
+    X = np.vstack([data.draw(_rows(s.dim))] + ([ties] if ties else []))
+    P = s.project_many(X)
+    assert np.max(np.abs(s.project_many(P) - P)) <= 1e-14, X
+    D = s.distance_many(X)
+    assert np.all(np.abs(D - row_norms(X - P)) <= TIE_TOL * np.maximum(1.0, D)), X
 
 
 def _operators():

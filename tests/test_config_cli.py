@@ -41,6 +41,7 @@ DEGENERATE = (
     (LINE_B, "B: {variant: affine, offset: [0.0, 0.0], basis: [[0.0, 0.0]]}", "sets.B"),
     (LINE_B, "B: {variant: affine, offset: [0.0, 0.0], basis: [[1.0, 1.0], [2.0, 2.0]]}", "sets.B"),
     ("deltas: [1.0]", "deltas: [1.0e300]", "regularity.deltas"),
+    ("samples: 256", "samples: 1.0e300", "regularity.samples"),
 )
 
 
@@ -120,6 +121,7 @@ def test_out_of_range_budget_and_start():
          "A: {variant: union, frames: [{offset: [0.0, 0.0], basis: [[1.0, 0.0]], scale: 2.0}]}",
          "sets.A.frames[0].scale"),
         (region, "start: {center: [0.0, 0.0], radius: 1.0e300, count: 3}", "start.radius"),
+        (region, "start: {center: [0.0, 0.0], radius: 1.0, count: 1.0e300}", "start.count"),
         *DEGENERATE,
     ):
         text = MINIMAL.replace("start: {point: [1.0, 0.0]}", region)
@@ -348,6 +350,7 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         ("{point: [1.0, 0.0]}", "{point: [1.0, 0.0], count: 5}", "start.count"),
         ("name: two-lines", "name: two-lines\noutputs: {report: 5}", "outputs.report"),
         ("{point: [1.0, 0.0]}", "{center: [0.0, 0.0], radius: 1.0e300, count: 3}", "start.radius"),
+        ("{point: [1.0, 0.0]}", "{center: [0.0, 0.0], radius: 1.0, count: 1.0e300}", "start.count"),
         *DEGENERATE,
     ):
         cfg.write_text(MINIMAL.replace(old, new))
