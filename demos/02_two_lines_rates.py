@@ -35,7 +35,7 @@ for label, op, expected in (
           f"r^2 {fit.r_squared:.6f}")
     print(f"  first iterates: {[np.round(x, 4).tolist() for x in trace.iterates[:4]]}")
 
-print(f"\nfriedrichs cosine of the pair: {friedrichs_cosine(a.frame, b.frame):.12f}")
+print(f"\nfriedrichs cosine of the pair: {friedrichs_cosine(a, b):.12f}")
 
 trace = iterate(DouglasRachford(a, b), [1.0, 0.0], sol, max_iters=500, tol=1e-12)
 trace_to_csv(trace, "two_lines_dr.trace.csv")

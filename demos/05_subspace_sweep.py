@@ -35,4 +35,4 @@ a, b, x0 = random_subspace_pair(2025, (3, 3))
 sol = subspace_pair_solution(a, b, np.zeros(5))
 fit = fit_rate(iterate(DouglasRachford(a, b), x0, sol, max_iters=4000, tol=1e-11))
 print(f"\nsample pair: observed rate {fit.observed_rate:.6f} vs friedrichs cosine "
-      f"{friedrichs_cosine(a.frame, b.frame):.6f}")
+      f"{friedrichs_cosine(a, b):.6f}")

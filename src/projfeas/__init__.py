@@ -3,7 +3,7 @@ with numerically estimated regularity constants and rate certification."""
 
 from .config import ConfigError, ExperimentConfig, load_config, parse_config, serialize_config
 from .driver import IterationTrace, ProbeResult, RateFit, fit_rate, iterate, probe_fixed_points
-from .linalg import AffineFrame, orthonormalize
+from .linalg import orthonormalize
 from .operators import (
     AlternatingProjections,
     DouglasRachford,
@@ -36,7 +36,6 @@ from .solution import SolutionSet, point_set_solution, singleton_solution, subsp
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineFrame",
     "AffineSubspace",
     "AlternatingProjections",
     "Ball",

@@ -198,6 +198,8 @@ class _Section:
         for f in fields(self):
             ok, value = f.metadata["ok"], getattr(self, f.name)
             if ok is not None and value is not None and not ok(value):
+                if isinstance(value, int) and 2**53 < abs(value) < 2**1024:  # a float gave it: print one
+                    value = float(value)
                 raise ConfigError(f"{self.path}.{f.name}", f"must be {f.metadata['need']}, got {value}")
 
     def __eq__(self, other):

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (  # noqa: F401  complement_basis: perfbench/tracing.py counts calls through it
-    AffineFrame,
     as_point,
     as_points,
     complement_basis,
@@ -131,25 +130,44 @@ def _advance(op, X, sol, max_iters, tol, record=None):
 
 def iterate_many(op: FixedPointOperator, X0, sol: SolutionSet, max_iters=1000, tol=1e-12):
     """One ``IterationTrace`` per row of ``X0``, all cut out of the blocks
-    of one ``_advance`` over the rows."""
+    of one ``_advance`` over the rows.
+
+    Row ``i``'s ``used[i] + 1`` iterates and distances, and its ``used[i]``
+    steps, lie back to back in row order in one buffer each.  Each block is
+    dropped once it is scattered into them, so the recorded rows are held
+    once, not twice, and each trace is a view of the buffers."""
     _check_budget(max_iters, tol)
     blocks = []
 
     def record(n, xs, ds, steps):
         if steps is None:  # the starts: ds is a view of the distances _advance overwrites
-            ds, steps = ds.copy(), np.empty((0, xs.shape[1]))
+            ds = ds.copy()
         blocks.append((n, xs, ds, steps))
 
-    def cut(i, u):  # the running rows stay in order: row i is column count_nonzero(used[:i] >= n)
-        parts = [[a[: u + 1 - n, np.count_nonzero(used[:i] >= n)] for a in blk]
-                 for n, *blk in blocks if n <= u]
-        return [np.concatenate(p) for p in zip(*parts)]
-
     _, _, stops, used = _advance(op, as_points(X0, op.dim), sol, max_iters, tol, record)
-    rows = [cut(i, u) for i, u in enumerate(used.tolist())]
-    blocks.clear()  # the rows are copies: free the blocks before the distances
-    return [IterationTrace(X, op.a.distance_many(X), op.b.distance_many(X), D, steps, stop)
-            for (X, D, steps), stop in zip(rows, stops)]
+    total = used.size + int(used.sum())
+    first = np.cumsum(used + 1) - used - 1  # row i's first entry; its steps start at first[i] - i
+    X, D, S = np.empty((total, op.dim)), np.empty(total), np.empty(total - used.size)
+
+    def scatter(n, xs, ds, steps):
+        # the running rows stay in order: the block's columns are the rows with used >= n
+        rows, j = np.flatnonzero(used >= n), np.arange(xs.shape[0])[:, None]
+        keep, at = j <= used[rows] - n, first[rows] + n + j
+        X[at[keep]], D[at[keep]] = xs[keep], ds[keep]
+        if steps is not None:  # the step to a row's iterate t is its step t - 1
+            S[(at - rows - 1)[keep]] = steps[keep]
+
+    while blocks:
+        scatter(*blocks.pop())
+    A, B = np.empty(total), np.empty(total)
+    for i in range(0, total, BLOCK_ROWS):  # rows are independent: chunks bound the temporaries
+        chunk = X[i : i + BLOCK_ROWS]
+        A[i : i + BLOCK_ROWS], B[i : i + BLOCK_ROWS] = op.a.distance_many(chunk), op.b.distance_many(chunk)
+    traces = []
+    for i, (f, u, stop) in enumerate(zip(first.tolist(), used.tolist(), stops)):
+        row = slice(f, f + u + 1)
+        traces.append(IterationTrace(X[row], A[row], B[row], D[row], S[f - i : f - i + u], stop))
+    return traces
 
 
 def iterate(op: FixedPointOperator, x0, sol: SolutionSet, max_iters=1000, tol=1e-12):
@@ -212,7 +230,7 @@ class ProbeResult:
     fixed-point subspace (intersection plus the meet of the normal spaces)."""
 
     limits: list
-    fixed_point_frame: AffineFrame | None
+    fixed_point_frame: AffineSubspace | None
 
 
 def probe_fixed_points(op, region: Region, samples, seed, sol: SolutionSet,
@@ -227,9 +245,9 @@ def probe_fixed_points(op, region: Region, samples, seed, sol: SolutionSet,
     frame = None
     if isinstance(op, DouglasRachford):
         if isinstance(op.a, AffineSubspace) and isinstance(op.b, AffineSubspace):
-            meet = subspace_intersection(op.a.frame.basis, op.b.frame.basis)
+            meet = subspace_intersection(op.a.basis, op.b.basis)
             normal_meet = subspace_intersection(op.a.normal_basis, op.b.normal_basis)
-            frame = AffineFrame.from_span(
+            frame = AffineSubspace.from_span(
                 sol.witness, np.vstack([meet, normal_meet]) if meet.size + normal_meet.size else []
             )
     return ProbeResult(limits=limits, fixed_point_frame=frame)

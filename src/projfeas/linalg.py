@@ -1,15 +1,13 @@
-"""Dense vector primitives, orthonormalization and affine-subspace frames.
+"""Dense vector primitives, orthonormalization and subspace angles.
 
 Everything downstream (set geometry, operators, estimators) works with plain
 1-D numpy arrays as points.  Direction subspaces are stored as row-stacked
-orthonormal bases, so ``basis.shape == (dim_subspace, dim_ambient)`` and an
-empty basis has shape ``(0, dim_ambient)``.  A frame projects through one
-row kernel, ``AffineFrame.project_rows``; ``project`` is its batch of one.
+orthonormal bases, so ``basis.shape == (k, dim)`` and an empty basis has
+shape ``(0, dim)``.  An affine subspace built on such a basis, its
+validation and its projector live in one type, ``sets.AffineSubspace``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,82 +92,6 @@ def _is_orthonormal(V):
         return True
     gram = V @ V.T
     return bool(np.max(np.abs(gram - np.eye(V.shape[0]))) <= ORTHONORMALITY_TOL)
-
-
-@dataclass(frozen=True)
-class AffineFrame:
-    """An affine subspace ``offset + span(basis rows)``.
-
-    The basis rows are pairwise orthonormal; ``basis`` may have zero rows, in
-    which case the frame is the single point ``offset``.
-    """
-
-    offset: np.ndarray
-    basis: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-
-    def __post_init__(self):
-        offset = as_point(self.offset)
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.size == 0:
-            basis = np.zeros((0, offset.shape[0]))
-        if basis.ndim != 2 or basis.shape[1] != offset.shape[0]:
-            raise ValueError("basis rows must match the offset dimension")
-        if basis.shape[0] > basis.shape[1]:
-            raise ValueError("more basis vectors than ambient dimensions")
-        if not _is_orthonormal(basis):
-            raise ValueError("frame basis is not orthonormal; build via AffineFrame.from_span")
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "basis", basis)
-
-    @classmethod
-    def from_span(cls, offset, vectors):
-        """Frame through ``offset`` spanning the given (not necessarily
-        orthonormal, possibly dependent) direction vectors."""
-        offset = as_point(offset)
-        if len(vectors) == 0:
-            return cls(offset, np.zeros((0, offset.shape[0])))
-        return cls(offset, orthonormalize(vectors))
-
-    @classmethod
-    def single_point(cls, offset):
-        offset = as_point(offset)
-        return cls(offset, np.zeros((0, offset.shape[0])))
-
-    @property
-    def dim_ambient(self):
-        return self.offset.shape[0]
-
-    @property
-    def dim_subspace(self):
-        return self.basis.shape[0]
-
-    def project(self, x):
-        """Orthogonal projection of ``x`` onto the frame (unique)."""
-        return self.project_rows(as_point(x, self.dim_ambient)[None])[0]
-
-    def project_rows(self, X):
-        """Orthogonal projection of every row of an ``(m, dim)`` array;
-        unvalidated.
-
-        A stacked ``matmul`` makes one matrix-vector product per row, so a
-        row's result does not depend on the batch it is in (a product of
-        whole matrices would round differently).
-        """
-        if self.dim_subspace == 0:
-            return np.full(X.shape, self.offset)
-        R = (X - self.offset)[:, :, None]
-        return self.offset + np.matmul(self.basis.T, np.matmul(self.basis, R))[:, :, 0]
-
-    def contains(self, x, tol=1e-9):
-        return float(np.linalg.norm(x - self.project(x))) <= tol
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineFrame):
-            return NotImplemented
-        return np.array_equal(self.offset, other.offset) and np.array_equal(self.basis, other.basis)
-
-    def __hash__(self):
-        return hash((self.offset.tobytes(), self.basis.tobytes()))
 
 
 def complement_basis(basis, dim):

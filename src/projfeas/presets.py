@@ -22,7 +22,6 @@ from .config import (
     RegularitySpec,
     SolutionSpec,
 )
-from .linalg import AffineFrame
 from .sets import AffineSubspace, Ball, KinkedRegion, Sphere, UnionOfSubspaces
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
@@ -62,11 +61,7 @@ def circle_and_line():
 
 
 def _circle_line_solution():
-    pts = [
-        AffineFrame.single_point(np.array([HALF_SQRT2, HALF_SQRT2])),
-        AffineFrame.single_point(np.array([-HALF_SQRT2, HALF_SQRT2])),
-    ]
-    return UnionOfSubspaces(pts)
+    return UnionOfSubspaces(AffineSubspace([x, HALF_SQRT2]) for x in (HALF_SQRT2, -HALF_SQRT2))
 
 
 def _cfg(name, sets, algorithm, start, witness, budget, deltas, exact=None, seed=7, samples=4096):

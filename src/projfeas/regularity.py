@@ -341,7 +341,7 @@ def check_strong_regularity(a, b, point):
         raise ValueError("point is not in the intersection")
     if isinstance(a, AffineSubspace) and isinstance(b, AffineSubspace):
         # normal spaces meet trivially iff the direction spans fill the space
-        stacked = np.vstack([a.frame.basis, b.frame.basis])
+        stacked = np.vstack([a.basis, b.basis])
         rank = orthonormalize(stacked).shape[0] if stacked.size else 0
         return bool(rank == a.dim)
     # a zero cone has no components, and its opposition with any cone is 0
@@ -350,15 +350,15 @@ def check_strong_regularity(a, b, point):
     return bool(_opposition(na, nb) <= 1.0 - STRONG_REGULARITY_TOL)
 
 
-def friedrichs_cosine(frame_a, frame_b):
-    """Cosine of the Friedrichs angle: the angle between two subspaces modulo
-    their intersection.  Their principal cosines begin with ``dim(A n B)``
-    ones, one per shared direction; the next one is the cosine, and it is
-    zero when none follows."""
-    if frame_a.dim_ambient != frame_b.dim_ambient:
-        raise ValueError("frames have mixed ambient dimensions")
-    shared = subspace_intersection(frame_a.basis, frame_b.basis).shape[0]
-    cosines = principal_cosines(frame_a.basis, frame_b.basis)
+def friedrichs_cosine(a, b):
+    """Cosine of the Friedrichs angle: the angle between the direction spaces
+    of two affine subspaces modulo their intersection.  Their principal
+    cosines begin with ``dim(A n B)`` ones, one per shared direction; the
+    next one is the cosine, and it is zero when none follows."""
+    if a.dim != b.dim:
+        raise ValueError("subspaces have mixed ambient dimensions")
+    shared = subspace_intersection(a.basis, b.basis).shape[0]
+    cosines = principal_cosines(a.basis, b.basis)
     return float(cosines[shared]) if shared < cosines.size else 0.0
 
 

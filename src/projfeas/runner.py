@@ -250,7 +250,7 @@ def run_experiment(cfg, out_dir=None, samples=None, seed=None, max_iters=None, t
     if pair is not None:
         a, b = pair
         if isinstance(a, AffineSubspace) and isinstance(b, AffineSubspace):
-            art.friedrichs = friedrichs_cosine(a.frame, b.frame)
+            art.friedrichs = friedrichs_cosine(a, b)
         try:
             art.strongly_regular = check_strong_regularity(a, b, sol.witness)
         except ValueError:

@@ -213,22 +213,6 @@ def _in_ball(points, anchor, delta):
     return points[keep]
 
 
-def _affine_chart(frame, anchor, delta, n, seed):
-    p0 = frame.project(anchor)
-    k = frame.dim_subspace
-    pts = [p0[None, :]]
-    if k > 0:
-        ladder = dyadic_ladder(n) * delta
-        u = qmc_unit(n, k, seed)
-        coeff = _clip_small((2.0 * u - 1.0) * delta, ladder[-1])
-        pts.append(p0 + coeff @ frame.basis)
-        for r in ladder:
-            for i in range(k):
-                step = r * frame.basis[i]
-                pts.append(np.vstack([p0 + step, p0 - step]))
-    return _in_ball(np.vstack(pts), anchor, delta)
-
-
 def _boundary_chart(center, radius, anchor, delta, n, seed):
     center = np.asarray(center, dtype=float)
     d = center.shape[0]

@@ -15,6 +15,10 @@ writes ``project_many`` and ``distance_many`` itself, and its one candidate is
 that projection.  Each variant also owns its sampling ``chart``, the on-set
 points the estimators draw near an anchor.
 
+``AffineSubspace`` is the one affine type: it checks its orthonormal basis,
+projects, charts and writes itself, and a union's frames are
+``AffineSubspace`` members too.
+
 Each variant writes its normal-cone rule once, in ``_normal_groups``: the
 normals of every piece of the set (a frame, an edge, the whole set) that
 holds a point.  That is its limiting cone, and its proximal cone too, save
@@ -30,8 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import AffineFrame, as_point, as_points, complement_basis, row_norms
-from .sampling import _affine_chart, _boundary_chart, _in_ball, dyadic_ladder, qmc_unit
+from .linalg import _is_orthonormal, as_point, as_points, complement_basis, orthonormalize, row_norms
+from .sampling import _boundary_chart, _clip_small, _in_ball, dyadic_ladder, qmc_unit
 
 MEMBERSHIP_TOL = 1e-9   # iterates land on sets only up to floating error
 TIE_TOL = 1e-10         # branch distances within this slack count as tied
@@ -136,14 +140,6 @@ def _cones(dim, *groups):
     """``NormalComponents`` of the ``groups`` that hold a row and a nonzero
     component."""
     return NormalComponents(dim, tuple(g for g in groups if g.rows.size and g.basis.shape[-2]))
-
-
-def _frame_dict(frame):
-    """An affine frame's ``to_dict`` entries, as ``set_from_dict`` reads them."""
-    return {
-        "offset": [float(v) for v in frame.offset],
-        "basis": [[float(v) for v in row] for row in frame.basis],
-    }
 
 
 class ClosedSet:
@@ -275,28 +271,65 @@ class ClosedSet:
 
 
 class AffineSubspace(ClosedSet):
-    """Affine subspace given by an orthonormal frame."""
+    """The affine subspace ``offset + span(basis rows)``.
 
-    def __init__(self, frame: AffineFrame):
-        self.frame = frame
-        self.dim = frame.dim_ambient
-        self.normal_basis = complement_basis(frame.basis, self.dim)
+    The basis rows are pairwise orthonormal; with none, the subspace is the
+    single point ``offset``.
+    """
+
+    def __init__(self, offset, basis=()):
+        offset = as_point(offset)
+        basis = np.asarray(basis, dtype=float)
+        if basis.size == 0:
+            basis = np.zeros((0, offset.shape[0]))
+        if basis.ndim != 2 or basis.shape[1] != offset.shape[0]:
+            raise ValueError("basis rows must match the offset dimension")
+        if basis.shape[0] > basis.shape[1]:
+            raise ValueError("more basis vectors than ambient dimensions")
+        if not _is_orthonormal(basis):
+            raise ValueError("basis is not orthonormal; build via AffineSubspace.from_span")
+        self.offset, self.basis, self.dim = offset, basis, offset.shape[0]
+        self.normal_basis = complement_basis(basis, self.dim)
 
     @classmethod
     def from_span(cls, offset, vectors):
-        return cls(AffineFrame.from_span(offset, vectors))
+        """The subspace through ``offset`` spanning the given (not necessarily
+        orthonormal, possibly dependent) direction vectors."""
+        return cls(offset, orthonormalize(vectors))
+
+    @property
+    def dim_subspace(self):
+        return self.basis.shape[0]
 
     def distance_many(self, X):
         return row_norms(X - self.project_many(X))
 
     def project_many(self, X):
-        return self.frame.project_rows(X)
+        """A stacked ``matmul`` makes one matrix-vector product per row, so a
+        row's result does not depend on the batch it is in (a product of
+        whole matrices would round differently)."""
+        if self.dim_subspace == 0:
+            return np.full(X.shape, self.offset)
+        R = (X - self.offset)[:, :, None]
+        return self.offset + np.matmul(self.basis.T, np.matmul(self.basis, R))[:, :, 0]
 
     def _normal_groups(self, X):
         return (NormalGroup(self.normal_basis, np.arange(X.shape[0])),)
 
     def chart(self, anchor, delta, n, seed):
-        return _affine_chart(self.frame, anchor, delta, n, seed)
+        p0 = self.project_many(anchor[None])[0]
+        k = self.dim_subspace
+        pts = [p0[None, :]]
+        if k > 0:
+            ladder = dyadic_ladder(n) * delta
+            u = qmc_unit(n, k, seed)
+            coeff = _clip_small((2.0 * u - 1.0) * delta, ladder[-1])
+            pts.append(p0 + coeff @ self.basis)
+            for r in ladder:
+                for i in range(k):
+                    step = r * self.basis[i]
+                    pts.append(np.vstack([p0 + step, p0 - step]))
+        return _in_ball(np.vstack(pts), anchor, delta)
 
     def is_convex(self):
         return True
@@ -305,7 +338,11 @@ class AffineSubspace(ClosedSet):
         return True
 
     def to_dict(self):
-        return {"variant": "affine", **_frame_dict(self.frame)}
+        return {
+            "variant": "affine",
+            "offset": [float(v) for v in self.offset],
+            "basis": [[float(v) for v in row] for row in self.basis],
+        }
 
 
 class _Round(ClosedSet):
@@ -404,24 +441,20 @@ class UnionOfSubspaces(ClosedSet):
         frames = tuple(frames)
         if not frames:
             raise ValueError("union needs at least one frame")
-        dims = {f.dim_ambient for f in frames}
+        dims = {f.dim for f in frames}
         if len(dims) != 1:
             raise ValueError("frames have mixed ambient dimensions")
         self.frames = frames
         self.dim = dims.pop()
-        self.normal_bases = tuple(complement_basis(f.basis, self.dim) for f in frames)
 
     @classmethod
     def cross(cls, dim=2):
         """Union of the coordinate axes (the sparse-signal model set)."""
-        frames = [
-            AffineFrame(np.zeros(dim), np.eye(dim)[i : i + 1]) for i in range(dim)
-        ]
-        return cls(frames)
+        return cls(AffineSubspace(np.zeros(dim), np.eye(dim)[i : i + 1]) for i in range(dim))
 
     def _candidates(self, X):
         # each frame's projection, lowest index first
-        P = np.stack([f.project_rows(X) for f in self.frames])
+        P = np.stack([f.project_many(X) for f in self.frames])
         return P, row_norms(X - P)
 
     def _normal_groups(self, X):
@@ -429,18 +462,15 @@ class UnionOfSubspaces(ClosedSet):
         # is the limit of the proximal cones along the frame, while the
         # projector preimage of the crossing collapses to the point itself
         held = self._candidates(X)[1] <= MEMBERSHIP_TOL
-        return tuple(NormalGroup(basis, np.flatnonzero(h)) for basis, h in zip(self.normal_bases, held))
+        return tuple(NormalGroup(f.normal_basis, np.flatnonzero(h)) for f, h in zip(self.frames, held))
 
     def chart(self, anchor, delta, n, seed):
         per = max(1, n // len(self.frames))
-        parts = [
-            _affine_chart(f, anchor, delta, per, seed + 911 * i)
-            for i, f in enumerate(self.frames)
-        ]
-        return np.vstack(parts)
+        return np.vstack([f.chart(anchor, delta, per, seed + 911 * i) for i, f in enumerate(self.frames)])
 
     def to_dict(self):
-        return {"variant": "union", "frames": [_frame_dict(f) for f in self.frames]}
+        frames = [{k: v for k, v in f.to_dict().items() if k != "variant"} for f in self.frames]
+        return {"variant": "union", "frames": frames}
 
 
 class KinkedRegion(ClosedSet):
@@ -505,25 +535,21 @@ class KinkedRegion(ClosedSet):
         return {"variant": "kinked"}
 
 
-def _independent_frame(data):
-    """The frame ``data`` spans; unlike ``from_span``, no vector may be dependent."""
-    frame = AffineFrame.from_span(data["offset"], data["basis"])
-    if frame.dim_subspace < len(data["basis"]):
-        raise ValueError(f"{len(data['basis'])} basis vectors span only {frame.dim_subspace} dimensions")
-    return frame
-
-
 def set_from_dict(data):
-    """Inverse of ``ClosedSet.to_dict`` (used by the config layer)."""
+    """Inverse of ``ClosedSet.to_dict`` (used by the config layer).  Unlike
+    ``from_span``, an affine set's basis vectors may not be dependent."""
     variant = data.get("variant")
     if variant == "affine":
-        return AffineSubspace(_independent_frame(data))
+        s = AffineSubspace.from_span(data["offset"], data["basis"])
+        if s.dim_subspace < len(data["basis"]):
+            raise ValueError(f"{len(data['basis'])} basis vectors span only {s.dim_subspace} dimensions")
+        return s
     if variant == "ball":
         return Ball(data["center"], data["radius"])
     if variant == "sphere":
         return Sphere(data["center"], data["radius"])
     if variant == "union":
-        return UnionOfSubspaces([_independent_frame(f) for f in data["frames"]])
+        return UnionOfSubspaces([set_from_dict({**f, "variant": "affine"}) for f in data["frames"]])
     if variant == "kinked":
         return KinkedRegion()
     raise ValueError(f"unknown set variant {variant!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AffineFrame, as_point, subspace_intersection
+from .linalg import as_point, subspace_intersection
 from .sets import AffineSubspace, ClosedSet, UnionOfSubspaces
 
 
@@ -42,7 +42,7 @@ class SolutionSet:
         self.members = tuple(self.members)
         self.witness = as_point(self.witness)
         if self.exact is None:
-            self.exact = AffineSubspace(AffineFrame.single_point(self.witness))
+            self.exact = AffineSubspace(self.witness)
         for m in self.members + (self.exact,):
             if not m.contains(self.witness):
                 raise ValueError("witness is not in every member set and the exact form")
@@ -76,8 +76,7 @@ def singleton_solution(members, point):
 
 
 def point_set_solution(members, points, witness=None):
-    frames = [AffineFrame.single_point(p) for p in points]
-    exact = UnionOfSubspaces(frames)
+    exact = UnionOfSubspaces(AffineSubspace(p) for p in points)
     w = points[0] if witness is None else witness
     return SolutionSet(tuple(members), w, exact)
 
@@ -85,6 +84,5 @@ def point_set_solution(members, points, witness=None):
 def subspace_pair_solution(a: AffineSubspace, b: AffineSubspace, witness):
     """Exact solution set of two affine subspaces through a common witness."""
     witness = as_point(witness)
-    direction = subspace_intersection(a.frame.basis, b.frame.basis)
-    exact = AffineSubspace(AffineFrame(witness, direction))
+    exact = AffineSubspace(witness, subspace_intersection(a.basis, b.basis))
     return SolutionSet((a, b), witness, exact)

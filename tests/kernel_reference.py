@@ -88,7 +88,7 @@ def ref_frame(f, x):
 def ref_outcome(s, x):
     """The full ``ProjectionOutcome`` of one point."""
     if isinstance(s, AffineSubspace):
-        p = ref_frame(s.frame, x)
+        p = ref_frame(s, x)
         return ProjectionOutcome(p, (p,), 1, float(np.linalg.norm(x - p)))
     if isinstance(s, UnionOfSubspaces):
         cands = [(p, float(np.linalg.norm(x - p))) for p in (ref_frame(f, x) for f in s.frames)]

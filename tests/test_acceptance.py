@@ -94,7 +94,7 @@ def test_criterion_2_embedded_lines(lines3):
         tr = iterate(op, x0, sol, max_iters=300, tol=1e-11)
         rates.append(fit_rate(tr).observed_rate)
     strong = check_strong_regularity(a, b, [0.0, 0.0, 0.0])
-    cf = friedrichs_cosine(a.frame, b.frame)
+    cf = friedrichs_cosine(a, b)
     ok = (
         stuck.stop_reason == "stagnation"
         and abs(stuck.final_dist_to_s - 1.0) <= 1e-12
@@ -437,7 +437,7 @@ def test_criterion_9_budget_stop_judged_by_rate():
     trace = iterate(DouglasRachford(a, b), x0, sol, max_iters=5000, tol=1e-9)
     verdicts, details = subspace_iff_sweep(base_seed=base_seed)
     by_id = {v.claim_id: v for v in verdicts}
-    rate_error = abs(details[0]["observed_rate"] - friedrichs_cosine(a.frame, b.frame))
+    rate_error = abs(details[0]["observed_rate"] - friedrichs_cosine(a, b))
     ok = (
         trace.stop_reason == "max_iters"
         and details[0]["converged_linearly"]

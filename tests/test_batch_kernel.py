@@ -34,7 +34,7 @@ from projfeas.driver import (
     probe_fixed_points,
     trace_to_csv,
 )
-from projfeas.linalg import AffineFrame, row_norms
+from projfeas.linalg import row_norms
 from projfeas.operators import (
     AlternatingProjections,
     DouglasRachford,
@@ -76,7 +76,7 @@ def _random_affine(seed, dim, k):
 
 def _random_union(seed):
     rng = np.random.default_rng(seed)
-    frames = [AffineFrame.from_span(rng.normal(size=3), rng.normal(size=(k, 3))) for k in (1, 2, 0)]
+    frames = [AffineSubspace.from_span(rng.normal(size=3), rng.normal(size=(k, 3))) for k in (1, 2, 0)]
     return UnionOfSubspaces(frames)
 
 
@@ -290,11 +290,11 @@ def test_probe_matches_per_start_iterate(name):
     for x0, (limit, dist) in zip(starts, probe.limits):
         trace = iterate(op, x0, sol, **budget)
         assert same_bits(limit, trace.final) and same_bits(dist, trace.final_dist_to_s)
-    # one iterate_many over these starts and the preset's, with the budget
-    # and with one that cuts the longest runs short
-    starts = np.vstack([starts, cfg.start.points(cfg.regularity.seed)])
+    # one iterate_many over these starts, the preset's and 200 more, with
+    # the budget and with one that cuts the longest runs short
+    starts = np.vstack([starts, cfg.start.points(cfg.regularity.seed), region.sample(200, 12)])
     longest = max(len(t) - 1 for t in iterate_many(op, starts, sol, **budget))
-    kinds = set()
+    kinds, ended = set(), set()
     for max_iters in (budget["max_iters"], longest // 2):
         traces = iterate_many(op, starts, sol, max_iters, budget["tol"])
         spans = _blocks(op, starts, sol, max_iters, budget["tol"])
@@ -309,7 +309,8 @@ def test_probe_matches_per_start_iterate(name):
             kinds.add("no step" if used == 0 else trace.stop_reason)
             if any(first <= used < last for first, last in spans):
                 kinds.add("inside a block")
-    assert {"no step", "inside a block", "max_iters"} <= kinds
+            ended.add(next(k for k, (_, last) in enumerate(spans) if used <= last))  # its block
+    assert {"no step", "inside a block", "max_iters"} <= kinds and len(ended) >= 4
 
 
 def test_one_batch_mixes_every_stop_reason():
@@ -500,8 +501,8 @@ def test_row_overflowing_past_its_stop_stays_out_of_the_distances():
     # from 1.2 the norm is 1.2**(2**n): past DIVERGENCE_NORM on step 8 and
     # infinite from step 12, inside the block of steps 8..15 of a batch of
     # one.  The solution set's exact form rejects non-finite points
-    far = AffineSubspace(AffineFrame.single_point([0.0, 5.0]))
-    sol = SolutionSet((far,), [0.0, 5.0], _FiniteOnly(far.frame))
+    far = AffineSubspace([0.0, 5.0])
+    sol = SolutionSet((far,), [0.0, 5.0], _FiniteOnly(far.offset))
     op, x0 = _Squaring(), np.array([[1.2, 0.0]])
     finite = []
     with warnings.catch_warnings(record=True) as caught:

@@ -164,7 +164,7 @@ def test_subspace_dr_rate_bound_random_pairs():
         from projfeas.linalg import complement_basis, largest_principal_cosine
 
         c = largest_principal_cosine(
-            complement_basis(a.frame.basis, 5), complement_basis(b.frame.basis, 5)
+            complement_basis(a.basis, 5), complement_basis(b.basis, 5)
         )
         kappa = estimate_kappa(a, b, sol, 1.0, samples=1024, seed=seed)
         bound = math.sqrt(max(1 - (1 - c) / (kappa * 1.05) ** 2, 0.0)) + 0.02
@@ -178,7 +178,7 @@ def test_sweep_rates_equal_their_closed_forms():
     for idx in range(0, 20, 2):
         a, b, x0 = random_subspace_pair(2025 + idx, (3, 3))
         sol = subspace_pair_solution(a, b, np.zeros(5))
-        c_f = friedrichs_cosine(a.frame, b.frame)
+        c_f = friedrichs_cosine(a, b)
         for op, rate in ((DouglasRachford(a, b), c_f), (AlternatingProjections(a, b), c_f**2)):
             trace = iterate(op, x0, sol, max_iters=5000, tol=1e-9)
             assert trace.stop_reason == "tolerance", (idx, type(op).__name__)

@@ -50,7 +50,7 @@ def reference_components(s, x):
     """Proximal normal cone at ``x`` as (rays, subspaces), point by point."""
     dim = s.dim
     if isinstance(s, AffineSubspace):
-        comp = complement_basis(s.frame.basis, dim)
+        comp = complement_basis(s.basis, dim)
         return [], ([comp] if comp.shape[0] else [])
     if isinstance(s, Ball):
         r = float(np.linalg.norm(x - s.center))

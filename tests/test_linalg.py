@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from projfeas.linalg import (
-    AffineFrame,
     complement_basis,
     largest_principal_cosine,
     orthonormalize,
@@ -10,6 +9,7 @@ from projfeas.linalg import (
     row_norms,
     subspace_intersection,
 )
+from projfeas.sets import AffineSubspace
 
 
 def test_orthonormalize_collinear_and_empty():
@@ -62,11 +62,11 @@ def test_cauchy_schwarz_sampled():
 
 def _complement(frame):
     """The frame through the same offset spanning the orthogonal complement."""
-    return AffineFrame(frame.offset, complement_basis(frame.basis, frame.dim_ambient))
+    return AffineSubspace(frame.offset, complement_basis(frame.basis, frame.dim))
 
 
 def test_orthogonal_complement_axis():
-    frame = AffineFrame.from_span([2.0, 3.0], [[1.0, 0.0]])
+    frame = AffineSubspace.from_span([2.0, 3.0], [[1.0, 0.0]])
     comp = _complement(frame)
     np.testing.assert_array_equal(comp.offset, frame.offset)
     assert comp.dim_subspace == 1
@@ -74,14 +74,14 @@ def test_orthogonal_complement_axis():
 
 
 def test_orthogonal_complement_full_space_is_point():
-    frame = AffineFrame(np.zeros(3), np.eye(3))
+    frame = AffineSubspace(np.zeros(3), np.eye(3))
     comp = _complement(frame)
     assert comp.dim_subspace == 0
 
 
 def test_orthogonal_complement_orthogonality_check():
     v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-    frame = AffineFrame.from_span([0.0, 0.0, 0.0], [v])
+    frame = AffineSubspace.from_span([0.0, 0.0, 0.0], [v])
     comp = _complement(frame)
     assert comp.dim_subspace == 2
     for row in comp.basis:
@@ -93,7 +93,7 @@ def test_complement_involution_recovers_span():
     for _ in range(20):
         d = rng.integers(2, 6)
         k = rng.integers(0, d + 1)
-        frame = AffineFrame.from_span(rng.normal(size=d), rng.normal(size=(k, d)))
+        frame = AffineSubspace.from_span(rng.normal(size=d), rng.normal(size=(k, d)))
         back = _complement(_complement(frame))
         assert back.dim_subspace == frame.dim_subspace
         # same span: mutual projection residuals vanish
@@ -144,10 +144,10 @@ def test_principal_cosines_on_stacks_equal_each_pair():
 
 def test_affine_frame_invariants():
     with pytest.raises(ValueError):
-        AffineFrame(np.array([0.0, 0.0]), np.array([[1.0, 1.0]]))  # not unit
+        AffineSubspace(np.array([0.0, 0.0]), np.array([[1.0, 1.0]]))  # not unit
     with pytest.raises(ValueError):
-        AffineFrame(np.array([np.nan, 0.0]))
-    frame = AffineFrame.from_span([0.0, 0.0], [[1.0, 1.0]])
+        AffineSubspace(np.array([np.nan, 0.0]))
+    frame = AffineSubspace.from_span([0.0, 0.0], [[1.0, 1.0]])
     gram = frame.basis @ frame.basis.T
     np.testing.assert_allclose(gram, np.eye(1), atol=1e-12)
 

@@ -153,7 +153,7 @@ def test_kappa_below_closed_form_on_sweep_pairs():
             continue
         regular += 1
         sol = subspace_pair_solution(a, b, np.zeros(5))
-        cos_f = friedrichs_cosine(a.frame, b.frame)
+        cos_f = friedrichs_cosine(a, b)
         exact = 1.0 / math.sqrt((1.0 - cos_f) / 2.0)
         for n in (1024, 2048, 4096):
             kappa = estimate_kappa(a, b, sol, 1.0, samples=n, seed=2025 + idx)
@@ -196,7 +196,7 @@ def test_c_sampled_vs_exact_on_subspaces(lines2):
     a, b, _ = lines2
     exact = estimate_c(a, b, [0.0, 0.0], 1.0)
     # same geometry via sampled normals: use the cross containing both lines
-    cross = UnionOfSubspaces((a.frame, b.frame))
+    cross = UnionOfSubspaces((a, b))
     sampled = estimate_c(cross, b, [0.0, 0.0], 1.0, samples=512, seed=0)
     assert sampled <= 1.0 + 1e-12
     assert sampled >= exact - 1e-9  # the opposing-arm pair realizes it
@@ -228,20 +228,20 @@ def test_strong_regularity_requires_membership(lines2):
 
 def test_friedrichs_two_lines(lines2):
     a, b, _ = lines2
-    assert friedrichs_cosine(a.frame, b.frame) == pytest.approx(HALF_SQRT2, abs=1e-12)
+    assert friedrichs_cosine(a, b) == pytest.approx(HALF_SQRT2, abs=1e-12)
 
 
 def test_friedrichs_orthogonal_axes():
     x_axis = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
     y_axis = AffineSubspace.from_span([0.0, 0.0], [[0.0, 1.0]])
-    assert friedrichs_cosine(x_axis.frame, y_axis.frame) == 0.0
+    assert friedrichs_cosine(x_axis, y_axis) == 0.0
 
 
 def test_friedrichs_same_in_3d(lines2, lines3):
     a1, b1, _ = lines2
     a2, b2, _ = lines3
-    assert friedrichs_cosine(a2.frame, b2.frame) == pytest.approx(
-        friedrichs_cosine(a1.frame, b1.frame), abs=1e-12
+    assert friedrichs_cosine(a2, b2) == pytest.approx(
+        friedrichs_cosine(a1, b1), abs=1e-12
     )
 
 
@@ -250,7 +250,7 @@ def test_friedrichs_ignores_shared_directions():
     # off-axis directions
     a = AffineSubspace.from_span([0.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     b = AffineSubspace.from_span([0.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
-    assert friedrichs_cosine(a.frame, b.frame) == pytest.approx(HALF_SQRT2, abs=1e-12)
+    assert friedrichs_cosine(a, b) == pytest.approx(HALF_SQRT2, abs=1e-12)
 
 
 def test_friedrichs_complement_duality():
@@ -268,8 +268,8 @@ def test_friedrichs_complement_duality():
         cb = complement_basis(b, 5)
         fca = AffineSubspace.from_span(np.zeros(5), ca)
         fcb = AffineSubspace.from_span(np.zeros(5), cb)
-        assert friedrichs_cosine(fca.frame, fcb.frame) == pytest.approx(
-            friedrichs_cosine(fa.frame, fb.frame), abs=1e-10
+        assert friedrichs_cosine(fca, fcb) == pytest.approx(
+            friedrichs_cosine(fa, fb), abs=1e-10
         )
 
 
@@ -284,9 +284,9 @@ def test_friedrichs_matches_the_reduction_modulo_the_meet():
         common = rng.normal(size=(shared, 5))
         a = AffineSubspace.from_span(np.zeros(5), np.vstack([common, rng.normal(size=(ka, 5))]))
         b = AffineSubspace.from_span(np.zeros(5), np.vstack([common, rng.normal(size=(kb, 5))]))
-        assert subspace_intersection(a.frame.basis, b.frame.basis).shape[0] == shared
-        assert friedrichs_cosine(a.frame, b.frame) == pytest.approx(
-            ref_friedrichs_cosine(a.frame, b.frame), abs=1e-12
+        assert subspace_intersection(a.basis, b.basis).shape[0] == shared
+        assert friedrichs_cosine(a, b) == pytest.approx(
+            ref_friedrichs_cosine(a, b), abs=1e-12
         )
 
 
@@ -295,8 +295,8 @@ def test_friedrichs_nested_pair_is_zero():
     plane = AffineSubspace.from_span(np.zeros(3), [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     for direction in ([1.0, 2.0, 0.0], [0.3, -0.7, 0.0], [1.0, 0.0, 0.0]):
         line = AffineSubspace.from_span(np.zeros(3), [direction])
-        assert friedrichs_cosine(line.frame, plane.frame) == 0.0
-        assert friedrichs_cosine(plane.frame, line.frame) == 0.0
+        assert friedrichs_cosine(line, plane) == 0.0
+        assert friedrichs_cosine(plane, line) == 0.0
 
 
 def test_largest_cosine_of_one_pair_is_the_largest_principal_cosine():
