@@ -138,8 +138,8 @@ def test_convex_projectors_are_firmly_nonexpansive(name, data):
     X, Y = data.draw(_point_pairs(s.dim))
     PX, PY = s.project_many(X), s.project_many(Y)
     lhs = row_norms(PX - PY) ** 2 + row_norms((X - PX) - (Y - PY)) ** 2
-    scale = 1e-14 * np.maximum(1.0, np.maximum(row_norms(X), row_norms(Y)))
-    assert np.all(lhs <= row_norms(X - Y) ** 2 + scale * (row_norms(X - Y) + scale)), (X, Y)
+    a, d = 1e-14 * np.maximum(1.0, np.maximum(row_norms(X), row_norms(Y))), row_norms(X - Y)
+    assert np.all(lhs <= d**2 + a * (d + a)), (X, Y)  # the allowance a (d + a): rounding of P
 
 
 @pytest.mark.parametrize("name", sorted(DR_OPERATORS))
