@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
+from decimal import Decimal
 from functools import partial
 from operator import methodcaller
 
@@ -54,7 +55,8 @@ from .solution import SolutionSet
 # The largest delta and start radius.  The estimators and the iterates take
 # points within that distance of a point of the sets, so two of them differ by
 # at most twice it, and the squared norm of a difference, (2 * MAGNITUDE)**2,
-# must not exceed the largest double.
+# must not exceed the largest double.  It bounds every coordinate too; a basis
+# entry at dimension n, MAGNITUDE / sqrt(n), bounds a basis vector's norm.
 MAGNITUDE = math.sqrt(sys.float_info.max) / 2
 
 # The largest ``regularity.samples`` and ``start.count``: 256 times the
@@ -99,11 +101,28 @@ def _list(item, value, path, ctx):
 _str, _int, _float = partial(_typed, str), partial(_number, int), partial(_number, float)
 
 
+def _coordinates(values, path):
+    """``values``, or a ``ConfigError`` at the index of its first finite entry past ``MAGNITUDE``
+    (``MAGNITUDE / sqrt(n)`` in a basis of dimension ``n``); the readers name what does not convert."""
+    try:
+        V = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return values
+    n = max(V.shape[1], 1) if V.ndim == 2 else 1
+    far = np.argwhere(np.isfinite(V) & (np.abs(V) > MAGNITUDE / math.sqrt(n)))
+    if far.size:
+        bound = f"{MAGNITUDE:g}" + (f" / sqrt({n}) = {MAGNITUDE / math.sqrt(n):g}" if V.ndim == 2 else "")
+        where = "".join(f"[{i}]" for i in far[0])
+        raise ConfigError(path + where, f"must be at most {bound} in magnitude, got {V[tuple(far[0])]:g}")
+    return values
+
+
 def _point(value, path, ctx):
     try:
-        return as_point(value, next((s.dim for s in ctx["sets"].values()), None))
-    except (TypeError, ValueError) as exc:
+        p = as_point(value, next((s.dim for s in ctx["sets"].values()), None))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(path, str(exc)) from None
+    return _coordinates(p, path)
 
 
 def _set_name(value, path, ctx):
@@ -123,9 +142,14 @@ def _set(data, path, ctx=None):
     """The set ``data`` describes, with the keys its ``to_dict`` writes."""
     if not isinstance(data, dict):
         raise ConfigError(path, "expected a mapping")
+    frames = data["frames"] if isinstance(data.get("frames"), list) else []
+    for part, where in [(data, path)] + [(f, f"{path}.frames[{i}]") for i, f in enumerate(frames)]:
+        for key in ("offset", "center", "basis"):
+            if isinstance(part, dict) and key in part:
+                _coordinates(part[key], f"{where}.{key}")
     try:
         s = set_from_dict(data)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(path, str(exc)) from None
     written = s.to_dict()
     _unknown(data, written, path)
@@ -198,8 +222,8 @@ class _Section:
         for f in fields(self):
             ok, value = f.metadata["ok"], getattr(self, f.name)
             if ok is not None and value is not None and not ok(value):
-                if isinstance(value, int) and 2**53 < abs(value) < 2**1024:  # a float gave it: print one
-                    value = float(value)
+                if isinstance(value, int) and abs(value) > 2**53:  # a float gave it, or a long literal
+                    value = float(value) if abs(value) < 2**1024 else f"{Decimal(value):.6g}"
                 raise ConfigError(f"{self.path}.{f.name}", f"must be {f.metadata['need']}, got {value}")
 
     def __eq__(self, other):
@@ -324,7 +348,7 @@ def parse_config(text):
     field path on any problem."""
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer past Python's 4300 digits
         raise ConfigError("<root>", f"invalid YAML: {exc}") from None
     return config_from_dict(data)
 

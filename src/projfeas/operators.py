@@ -5,18 +5,17 @@ onto ``a``) and Douglas-Rachford (average of the composed reflectors with
 the identity).  Douglas-Rachford is evaluated through its projector
 form ``P_a(2z - x) - z + x`` with ``z = P_b(x)``, which needs two projector
 calls instead of two reflector calls and therefore keeps multi-valuedness
-localized; the averaged-reflector form is kept as an independent code path
-for the equivalence check.
+localized.
 
 Each operator writes its composition once, in ``_stages``, over the rows of
 an ``(m, dim)`` array and with the projection onto a set passed in.
 ``step_many`` passes the selecting projection, each set's ``project_many``,
 so iterations follow the one deterministic ``selected`` branch; ``step`` and
 ``apply`` (which also keeps the named intermediate points) evaluate it on a
-batch of one.  ``branch_apply`` passes ``branches_many``, which lists every
-branch on a new leading axis: the composition broadcasts over those axes,
-and the full branch set of the output, deduplicated and sorted, is capped at
-``BRANCH_CAP`` points for diagnostics.
+batch of one.  Passing ``_listed``, each set's ``branches_many``, lists every
+branch on a new leading axis, and the composition broadcasts over those
+axes.  The two Douglas-Rachford checks, ``dr_two_forms_agree`` and
+``check_step_energy_identity``, read ``_stages`` over point arrays too.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_point
+from .linalg import as_point, as_points, row_norms
 from .sets import ClosedSet
 
-BRANCH_CAP = 64  # branch_apply lists at most this many output branches
 FORMS_TOL = 1e-10  # the two Douglas-Rachford forms agree to this, relatively
 
 
@@ -81,22 +79,6 @@ class FixedPointOperator:
         path for iteration loops.  Unvalidated, like ``project_many``."""
         return self._stages(X)[1]
 
-    def branch_apply(self, x):
-        """All output branches (deduplicated, lexicographically sorted)."""
-        Y = self._stages(as_point(x, self.dim)[None], _listed)[1][..., 0, :]
-        # first projection's branches outermost, as nested loops list them:
-        # of two branches that sort as equal, the first listed is kept
-        Y = Y.transpose(tuple(range(Y.ndim - 2, -1, -1)) + (Y.ndim - 1,))
-        return _dedup_sorted(list(Y.reshape(-1, self.dim)))
-
-
-def _dedup_sorted(points):
-    out = []
-    for p in sorted(points, key=lambda q: tuple(q)):
-        if not any(np.linalg.norm(p - q) <= 1e-12 for q in out):
-            out.append(p)
-    return out[:BRANCH_CAP]
-
 
 class AlternatingProjections(FixedPointOperator):
     """x -> P_a(P_b(x)); one application is a full projection cycle."""
@@ -116,59 +98,32 @@ class DouglasRachford(FixedPointOperator):
         return {"project_b": Z, "reflect_b": R, "project_a_reflect_b": W}, W - Z + X
 
 
-def averaged_reflector_form(a, b, x):
-    """Douglas-Rachford branches via the averaged-reflector path
-    ``(R_a(R_b(x)) + x) / 2``; selected branch first, full set second."""
-    x = as_point(x, a.dim)
-    rb = b.reflect(x)
-    ra_sel = a.reflect(rb.selected)
-    selected = 0.5 * (ra_sel.selected + x)
-    branches = []
-    for r in rb.branches:
-        for q in a.reflect(r).branches:
-            branches.append(0.5 * (q + x))
-    return selected, _dedup_sorted(branches)
+def dr_two_forms_agree(a, b, X):
+    """For each row of an ``(m, dim)`` array, whether the projector form of a
+    Douglas-Rachford step (``_stages``) and its averaged reflectors
+    ``(R_a(R_b(x)) + x) / 2`` agree in every branch slot, slot 0 the selected
+    one, to ``FORMS_TOL`` relative to ``max(1, |x|)``."""
+    X = as_points(X, a.dim)
+    W = DouglasRachford(a, b)._stages(X, _listed)[1]
+    Rb = 2.0 * b.branches_many(X) - X
+    V = (2.0 * a.branches_many(Rb) - Rb + X) / 2.0
+    gap = row_norms(W - V).reshape(-1, X.shape[0]).max(axis=0)
+    return gap <= FORMS_TOL * np.maximum(1.0, row_norms(X))
 
 
-def dr_two_forms_agree(a, b, x):
-    """True iff the averaged-reflector and projector forms of one
-    Douglas-Rachford step produce the same selected point and branch set, to
-    ``FORMS_TOL`` relative to ``max(1, |x|)``."""
-    x = as_point(x, a.dim)
+def check_step_energy_identity(a, b, X, Y):
+    """Residuals of the Douglas-Rachford energy identity, one per row pair of
+    two ``(m, dim)`` arrays: with ``T`` the step and ``R = R_a R_b`` on the
+    selected branches, ``T = (R + I) / 2`` gives
+    ``|Tx - Ty|^2 + |(x - Tx) - (y - Ty)|^2 = (|x - y|^2 + |Rx - Ry|^2) / 2``.
+    ``R`` comes from the step's intermediate points: as ``2T - I`` the
+    identity would be the parallelogram law, which every map satisfies.  On a
+    correct step a residual is rounding noise, at most 1e-9 of the squared
+    scale."""
     op = DouglasRachford(a, b)
-    sel_proj = op.step(x)
-    branches_proj = op.branch_apply(x)
-    sel_refl, branches_refl = averaged_reflector_form(a, b, x)
-    scale = max(1.0, float(np.linalg.norm(x)))
-    if np.linalg.norm(sel_proj - sel_refl) > FORMS_TOL * scale:
-        return False
-    if len(branches_proj) != len(branches_refl):
-        return False
-    return all(
-        np.linalg.norm(p - q) <= FORMS_TOL * scale
-        for p, q in zip(branches_proj, branches_refl)
-    )
-
-
-def check_step_energy_identity(a, b, x, y):
-    """Residual of the energy identity satisfied by one Douglas-Rachford step.
-
-    With ``x+ = T(x)`` and the corresponding reflector point
-    ``x~ = 2 x+ - x`` (same for ``y``), the step satisfies
-
-        |x+ - y+|^2 + |(x - x+) - (y - y+)|^2
-            = 0.5 |x - y|^2 + 0.5 |x~ - y~|^2
-
-    exactly, for any branch selection.  Returns the absolute residual, which
-    is pure floating-point noise (<= 1e-9 times the squared scale).
-    """
-    op = DouglasRachford(a, b)
-    x = as_point(x, a.dim)
-    y = as_point(y, a.dim)
-    xp = op.step(x)
-    yp = op.step(y)
-    xt = 2.0 * xp - x
-    yt = 2.0 * yp - y
-    lhs = np.linalg.norm(xp - yp) ** 2 + np.linalg.norm((x - xp) - (y - yp)) ** 2
-    rhs = 0.5 * np.linalg.norm(x - y) ** 2 + 0.5 * np.linalg.norm(xt - yt) ** 2
-    return abs(float(lhs - rhs))
+    X, Y = as_points(X, a.dim), as_points(Y, a.dim)
+    (px, TX), (py, TY) = op._stages(X), op._stages(Y)
+    RX = 2.0 * px["project_a_reflect_b"] - px["reflect_b"]  # R_a(R_b(x))
+    RY = 2.0 * py["project_a_reflect_b"] - py["reflect_b"]
+    lhs = row_norms(TX - TY) ** 2 + row_norms((X - TX) - (Y - TY)) ** 2
+    return np.abs(lhs - (0.5 * row_norms(X - Y) ** 2 + 0.5 * row_norms(RX - RY) ** 2))

@@ -30,8 +30,8 @@ class SolutionSet:
     exact : ClosedSet, optional
         Closed form of the intersection itself (a zero-dimensional frame for
         a single point, a union of such frames for finitely many points, an
-        affine subspace, ...), which distances, projections and samples of
-        the solution set read.  Defaults to the single point ``witness``.
+        affine subspace, ...), which distances and samples of the solution
+        set read.  Defaults to the single point ``witness``.
     """
 
     members: tuple
@@ -57,9 +57,6 @@ class SolutionSet:
     def distance_many(self, X):
         """Distance of every row of an ``(m, dim)`` array; unvalidated."""
         return self.exact.distance_many(X)
-
-    def project(self, x):
-        return self.exact.project(x).selected
 
     def sample_points(self, delta, n, seed):
         """Solution-set points within ``delta`` of the witness."""

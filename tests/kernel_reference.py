@@ -4,7 +4,7 @@ The sets and operators write each formula once, over the rows of a point
 array.  These are the formulas they had before that, on 1-D arrays: plain
 matrix-vector products and ``np.linalg.norm`` of one point, the per-point
 tie rule ``select_ties`` (lexicographic for the kinked region, first frame
-for unions) and the nested loops of each operator's ``branch_apply``; and
+for unions) and nested loops over each operator's branch sets; and
 ``ref_sup_alignment``, the estimators' supremum of alignments over every
 sample x target pair, with no pair pruned; and ``ref_friedrichs_cosine``,
 the Friedrichs cosine reduced modulo the intersection.  The sampling
@@ -22,12 +22,7 @@ from scipy.special import ndtri
 from scipy.stats import norm, qmc
 
 from projfeas.linalg import largest_principal_cosine, orthonormalize, subspace_intersection
-from projfeas.operators import (
-    AlternatingProjections,
-    DouglasRachford,
-    FixedPointOperator,
-    _dedup_sorted,
-)
+from projfeas.operators import AlternatingProjections, DouglasRachford, FixedPointOperator
 from projfeas.regularity import COINCIDENT, _block_sup, _dot, _norm
 from projfeas.sets import (
     CENTER_TOL,
@@ -135,6 +130,16 @@ def ref_step(op, x):
         z = ref_project(op.b, x)[0]
         return ref_project(op.a, 2.0 * z - x)[0] - z + x
     raise TypeError(type(op))
+
+
+def _dedup_sorted(points):
+    """``points`` sorted lexicographically, each dropped that lies within
+    1e-12 of one kept before it."""
+    out = []
+    for p in sorted(points, key=lambda q: tuple(q)):
+        if not any(np.linalg.norm(p - q) <= 1e-12 for q in out):
+            out.append(p)
+    return out
 
 
 def ref_branch_apply(op, x):

@@ -18,6 +18,7 @@ import pytest
 from conftest import preset_pairs
 from kernel_reference import PointMap
 from projfeas.driver import fit_rate, iterate, probe_fixed_points
+from projfeas.linalg import row_norms
 from projfeas.operators import (
     AlternatingProjections,
     DouglasRachford,
@@ -277,12 +278,11 @@ def test_criterion_7_identity_suite():
     all_agree = True
     per_geometry = 1000 // len(pairs)
     for name, a, b, witness in pairs:
-        for _ in range(per_geometry):
-            x = witness + rng.normal(size=a.dim)
-            y = witness + rng.normal(size=a.dim)
-            scale = max(1.0, np.linalg.norm(x) ** 2, np.linalg.norm(y) ** 2)
-            worst_identity = max(worst_identity, check_step_energy_identity(a, b, x, y) / scale)
-            all_agree &= dr_two_forms_agree(a, b, x)
+        Z = witness + rng.normal(size=(per_geometry, 2, a.dim))  # rows x, y of each pair
+        X, Y = Z[:, 0], Z[:, 1]
+        scale = np.maximum(1.0, np.maximum(row_norms(X) ** 2, row_norms(Y) ** 2))
+        worst_identity = max(worst_identity, float(np.max(check_step_energy_identity(a, b, X, Y) / scale)))
+        all_agree &= bool(dr_two_forms_agree(a, b, X).all())
     worst_affine = 0.0
     affine_sets = [s for _, a, b, _ in pairs for s in (a, b) if isinstance(s, AffineSubspace)]
     for _ in range(1000):

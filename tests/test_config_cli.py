@@ -42,6 +42,19 @@ DEGENERATE = (
     (LINE_B, "B: {variant: affine, offset: [0.0, 0.0], basis: [[1.0, 1.0], [2.0, 2.0]]}", "sets.B"),
     ("deltas: [1.0]", "deltas: [1.0e300]", "regularity.deltas"),
     ("samples: 256", "samples: 1.0e300", "regularity.samples"),
+    # a coordinate of each kind at +-1e300, named down to its entry
+    (LINE_B, "B: {variant: affine, offset: [1.0e300, 0.0], basis: [[1.0, 1.0]]}", "sets.B.offset[0]"),
+    (LINE_B, "B: {variant: affine, offset: [0.0, 0.0], basis: [[1.0, -1.0e300]]}", "sets.B.basis[0][1]"),
+    (LINE_B, "B: {variant: ball, center: [0.0, -1.0e300], radius: 1.0}", "sets.B.center[1]"),
+    (LINE_B, "B: {variant: sphere, center: [1.0e300, 0.0], radius: 1.0}", "sets.B.center[0]"),
+    (LINE_B, "B: {variant: union, frames: [{offset: [0.0, 0.0], basis: [[1.0, 1.0]]}, "
+             "{offset: [0.0, 0.0], basis: [[1.0e300, 1.0]]}]}", "sets.B.frames[1].basis[0][0]"),
+    ("witness: [0.0, 0.0]", "witness: [0.0, 1.0e300]", "solution.witness[1]"),
+    ("exact: {variant: affine, offset: [0.0, 0.0]", "exact: {variant: affine, offset: [-1.0e300, 0.0]",
+     "solution.exact.offset[0]"),
+    # an integer literal past the largest double
+    (LINE_B, "B: {variant: ball, center: [0.0, 0.0], radius: 1" + "0" * 400 + "}", "sets.B"),
+    ("witness: [0.0, 0.0]", "witness: [0.0, 1" + "0" * 400 + "]", "solution.witness"),
 )
 
 
@@ -122,6 +135,9 @@ def test_out_of_range_budget_and_start():
          "sets.A.frames[0].scale"),
         (region, "start: {center: [0.0, 0.0], radius: 1.0e300, count: 3}", "start.radius"),
         (region, "start: {center: [0.0, 0.0], radius: 1.0, count: 1.0e300}", "start.count"),
+        (region, "start: {center: [0.0, 0.0], radius: 1.0, count: 1" + "0" * 400 + "}", "start.count"),
+        (region, "start: {center: [-1.0e300, 0.0], radius: 1.0, count: 3}", "start.center[0]"),
+        (region, "start: {point: [0.0, 1.0e300]}", "start.point[1]"),
         *DEGENERATE,
     ):
         text = MINIMAL.replace("start: {point: [1.0, 0.0]}", region)
@@ -130,6 +146,9 @@ def test_out_of_range_budget_and_start():
         assert path in str(err.value) and len(str(err.value)) < 120
         if path in ("start.count", "regularity.samples") and "1.0e300" in new:  # short, with its bound
             assert str(err.value) == f"{path}: must be in [1, {config.MAX_COUNT}], got 1e+300"
+    # past the 4300 digits Python converts, the YAML reader itself fails
+    with pytest.raises(ConfigError, match="^<root>: invalid YAML"):
+        parse_config(MINIMAL.replace("samples: 256", "samples: 1" + "0" * 5000))
     # overrides go through the same checks
     cfg = parse_config(MINIMAL)
     for override, path in (
@@ -353,6 +372,8 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         ("name: two-lines", "name: two-lines\noutputs: {report: 5}", "outputs.report"),
         ("{point: [1.0, 0.0]}", "{center: [0.0, 0.0], radius: 1.0e300, count: 3}", "start.radius"),
         ("{point: [1.0, 0.0]}", "{center: [0.0, 0.0], radius: 1.0, count: 1.0e300}", "start.count"),
+        ("{point: [1.0, 0.0]}", "{center: [-1.0e300, 0.0], radius: 1.0, count: 3}", "start.center[0]"),
+        ("{point: [1.0, 0.0]}", "{point: [0.0, 1.0e300]}", "start.point[1]"),
         *DEGENERATE,
     ):
         cfg.write_text(MINIMAL.replace(old, new))

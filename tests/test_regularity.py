@@ -435,7 +435,7 @@ def test_contraction_transfer_lemma(lines2):
     for _ in range(300):
         x = np.append(rng.uniform(-1, 1), 0.0)  # points of the first line
         xp = op.step(x)
-        xbar = sol.project(x)
+        xbar = sol.exact.project(x).selected
         d = sol.distance(x)
         firm = (
             np.linalg.norm(xp - xbar) ** 2 + np.linalg.norm(x - xp) ** 2
