@@ -1,5 +1,11 @@
 """Built-in experiment presets: the five model geometries plus the kinked
-region, each with its witness point and a recommended delta sweep.
+region, one ``PRESETS`` entry each.
+
+An entry gives its preset's sets, in ``a, b`` order, its algorithm (``map`` or
+``dr``), start, witness, budget, delta sweep and, where it has one, its exact
+solution set.  It holds the geometry helpers below rather than sets, so
+importing builds no geometry and ``preset`` builds fresh sets and arrays on
+every call.
 
 The pairs are oriented so that the set reflected first (``b``) is affine
 whenever one of the two is, which is the orientation the rate guarantees for
@@ -9,6 +15,7 @@ the reflection algorithm need.
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,135 +71,42 @@ def _circle_line_solution():
     return UnionOfSubspaces(AffineSubspace([x, HALF_SQRT2]) for x in (HALF_SQRT2, -HALF_SQRT2))
 
 
-def _cfg(name, sets, algorithm, start, witness, budget, deltas, exact=None, seed=7, samples=4096):
-    return ExperimentConfig(
-        name=name,
-        sets=sets,
-        solution=SolutionSpec(
-            np.asarray(witness, dtype=float),
-            tuple(sets.keys())[:2] if algorithm is None else (algorithm.a, algorithm.b),
-            exact,
-        ),
-        algorithm=algorithm,
-        start=start,
-        budget=budget,
-        regularity=RegularitySpec(tuple(deltas), samples, seed),
-        outputs=OutputSpec(f"{name}.trace.csv", f"{name}.report.txt"),
-    )
+class _Preset(NamedTuple):
+    sets: Callable  # () -> the sets, in a, b order
+    algorithm: str | None  # map, dr, or None: the estimators alone
+    start: tuple | None  # (PointStart, point) or (BallStart, center, radius, count)
+    witness: tuple
+    max_iters: int
+    tol: float
+    deltas: tuple
+    exact: Callable | None = None  # () -> the exact solution set
 
 
-def example_i(algorithm="dr"):
-    a, b = two_lines_2d()
-    name = "example-i" if algorithm == "dr" else "example-i-map"
-    return _cfg(
-        name,
-        {"A": a, "B": b},
-        AlgorithmSpec(algorithm, "A", "B"),
-        PointStart(np.array([1.0, 0.0])),
-        [0.0, 0.0],
-        BudgetSpec(max_iters=500, tol=1e-10),
-        deltas=(1.0, 0.5, 0.25, 0.125),
-    )
-
-
-def example_ii(inplane=False):
-    a, b = two_lines_3d()
-    if inplane:
-        start = PointStart(np.array([1.0, 0.5, 0.0]))
-        name = "example-ii-inplane"
-    else:
-        start = PointStart(np.array([0.0, 0.0, 1.0]))
-        name = "example-ii"
-    return _cfg(
-        name,
-        {"A": a, "B": b},
-        AlgorithmSpec("dr", "A", "B"),
-        start,
-        [0.0, 0.0, 0.0],
-        BudgetSpec(max_iters=500, tol=1e-10),
-        deltas=(1.0, 0.5, 0.25, 0.125),
-    )
-
-
-def example_iii(algorithm="map"):
-    line, ball = line_and_ball()
-    if algorithm == "map":
-        # project onto the ball, then back onto the line
-        return _cfg(
-            "example-iii",
-            {"A": line, "B": ball},
-            AlgorithmSpec("map", "A", "B"),
-            PointStart(np.array([1.0, 0.0])),
-            [0.0, 0.0],
-            BudgetSpec(max_iters=1_000_000, tol=1e-6),
-            deltas=(1.0, 0.5, 0.25, 0.125),
-        )
-    # reflect across the line first, then across the ball
-    return _cfg(
-        "example-iii-dr",
-        {"A": ball, "B": line},
-        AlgorithmSpec("dr", "A", "B"),
-        BallStart(np.array([0.0, 1.0]), radius=1.5, count=24),
-        [0.0, 0.0],
-        BudgetSpec(max_iters=3000, tol=1e-9),
-        deltas=(1.0, 0.5, 0.25, 0.125),
-    )
-
-
-def example_iv(algorithm="dr"):
-    cross, diag = cross_and_diagonal()
-    name = "example-iv" if algorithm == "dr" else "example-iv-map"
-    return _cfg(
-        name,
-        {"A": cross, "B": diag},
-        AlgorithmSpec(algorithm, "A", "B"),
-        BallStart(np.zeros(2), radius=1.0, count=100),
-        [0.0, 0.0],
-        BudgetSpec(max_iters=400, tol=1e-8),
-        deltas=(1.0, 0.5, 0.25, 0.125),
-    )
-
-
-def example_v(algorithm="dr"):
-    circle, line = circle_and_line()
-    name = "example-v" if algorithm == "dr" else "example-v-map"
-    witness = np.array([HALF_SQRT2, HALF_SQRT2])
-    return _cfg(
-        name,
-        {"A": circle, "B": line},
-        AlgorithmSpec(algorithm, "A", "B"),
-        PointStart(witness + np.array([0.05, 0.05])),
-        witness,
-        BudgetSpec(max_iters=400, tol=1e-13),
-        deltas=(0.1, 0.05, 0.025),
-        exact=_circle_line_solution(),
-    )
-
-
-def kinked_regularity():
-    return _cfg(
-        "kinked-regularity",
-        {"K": KinkedRegion()},
-        None,
-        None,
-        [0.0, 0.0],
-        BudgetSpec(),
-        deltas=(1.0,),
-    )
-
+DELTAS = (1.0, 0.5, 0.25, 0.125)
+ORIGIN = (0.0, 0.0)
+ORIGIN3 = (0.0, 0.0, 0.0)
+CIRCLE_LINE_WITNESS = (HALF_SQRT2, HALF_SQRT2)
+CIRCLE_LINE_START = (PointStart, (HALF_SQRT2 + 0.05, HALF_SQRT2 + 0.05))
 
 PRESETS = {
-    "example-i": lambda: example_i("dr"),
-    "example-i-map": lambda: example_i("map"),
-    "example-ii": lambda: example_ii(False),
-    "example-ii-inplane": lambda: example_ii(True),
-    "example-iii": lambda: example_iii("map"),
-    "example-iii-dr": lambda: example_iii("dr"),
-    "example-iv": lambda: example_iv("dr"),
-    "example-iv-map": lambda: example_iv("map"),
-    "example-v": lambda: example_v("dr"),
-    "example-v-map": lambda: example_v("map"),
-    "kinked-regularity": kinked_regularity,
+    "example-i": _Preset(two_lines_2d, "dr", (PointStart, (1.0, 0.0)), ORIGIN, 500, 1e-10, DELTAS),
+    "example-i-map": _Preset(two_lines_2d, "map", (PointStart, (1.0, 0.0)), ORIGIN, 500, 1e-10, DELTAS),
+    "example-ii": _Preset(two_lines_3d, "dr", (PointStart, (0.0, 0.0, 1.0)), ORIGIN3, 500, 1e-10, DELTAS),
+    "example-ii-inplane": _Preset(two_lines_3d, "dr", (PointStart, (1.0, 0.5, 0.0)), ORIGIN3, 500, 1e-10,
+                                  DELTAS),
+    # project onto the ball, then back onto the line
+    "example-iii": _Preset(line_and_ball, "map", (PointStart, (1.0, 0.0)), ORIGIN, 1_000_000, 1e-6, DELTAS),
+    # reflect across the line first, then across the ball
+    "example-iii-dr": _Preset(lambda: line_and_ball()[::-1], "dr", (BallStart, (0.0, 1.0), 1.5, 24), ORIGIN,
+                              3000, 1e-9, DELTAS),
+    "example-iv": _Preset(cross_and_diagonal, "dr", (BallStart, ORIGIN, 1.0, 100), ORIGIN, 400, 1e-8, DELTAS),
+    "example-iv-map": _Preset(cross_and_diagonal, "map", (BallStart, ORIGIN, 1.0, 100), ORIGIN, 400, 1e-8,
+                              DELTAS),
+    "example-v": _Preset(circle_and_line, "dr", CIRCLE_LINE_START, CIRCLE_LINE_WITNESS, 400, 1e-13,
+                         (0.1, 0.05, 0.025), _circle_line_solution),
+    "example-v-map": _Preset(circle_and_line, "map", CIRCLE_LINE_START, CIRCLE_LINE_WITNESS, 400, 1e-13,
+                             (0.1, 0.05, 0.025), _circle_line_solution),
+    "kinked-regularity": _Preset(lambda: (KinkedRegion(),), None, None, ORIGIN, 1000, 1e-10, (1.0,)),
 }
 
 # runs handled by the suite runner rather than a single config
@@ -200,6 +114,19 @@ SWEEPS = ("subspace-iff",)
 
 
 def preset(name):
+    """A fresh config of the preset ``name``: its sets and arrays are its own."""
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    return PRESETS[name]()
+    p = PRESETS[name]
+    sets = dict(zip("AB" if p.algorithm else "K", p.sets()))
+    start = p.start and p.start[0](np.array(p.start[1], dtype=float), *p.start[2:])
+    return ExperimentConfig(
+        name=name,
+        sets=sets,
+        solution=SolutionSpec(np.array(p.witness, dtype=float), tuple(sets), p.exact and p.exact()),
+        algorithm=p.algorithm and AlgorithmSpec(p.algorithm, "A", "B"),
+        start=start,
+        budget=BudgetSpec(p.max_iters, p.tol),
+        regularity=RegularitySpec(p.deltas, 4096, 7),
+        outputs=OutputSpec(f"{name}.trace.csv", f"{name}.report.txt"),
+    )

@@ -516,7 +516,9 @@ def subspace_iff_sweep(base_seed=2025):
         if fitted and rank_regular:
             c_exact = largest_principal_cosine(a.normal_basis, b.normal_basis)
             kappa = estimate_kappa(a, b, sol, 1.0, samples=SWEEP_SAMPLES, seed=base_seed + idx)
-            predicted = math.sqrt(max(1.0 - (1.0 - c_exact) / (kappa * SAFETY_INFLATION) ** 2, 0.0))
+            # eps = 0 on subspaces; the exact c stays uninflated, the sampled kappa does not
+            predicted = predicted_rates(0.0, 0.0, kappa * SAFETY_INFLATION, c_exact, a_convex=True,
+                                        b_convex=True, b_affine=True, delta=1.0).predicted_rate_dr
             ok = fit.observed_rate <= predicted + SWEEP_RATE_SLACK
             bound_ok.append(ok)
             detail.update(

@@ -494,11 +494,13 @@ class KinkedRegion(ClosedSet):
     def _candidates(self, X):
         # the nearest points on the two boundary rays, slanted edge first: its
         # [t, -t] has t <= 0 <= max(x0, 0), so it is also lexicographically
-        # the smaller.  A point of the region is its own nearest point on both
-        t = np.minimum((X[:, 0] - X[:, 1]) / 2.0, 0.0)
+        # the smaller.  A point of the region is its own nearest point on both.
+        # ``where`` keeps a zero's sign as min and max do: np.minimum(-0.0, 0.0) is 0.0
+        d = (X[:, 0] - X[:, 1]) / 2.0
+        t = np.where(0.0 < d, 0.0, d)
         edges = np.stack([
             np.stack([t, -t], axis=1),
-            np.stack([np.maximum(X[:, 0], 0.0), np.zeros(X.shape[0])], axis=1),
+            np.stack([np.where(X[:, 0] < 0.0, 0.0, X[:, 0]), np.zeros(X.shape[0])], axis=1),
         ])
         P = np.where(self.contains_many(X, tol=0.0)[:, None], X, edges)
         return P, row_norms(X - P)

@@ -1,71 +1,51 @@
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from projfeas.presets import (
-    circle_and_line,
-    cross_and_diagonal,
-    line_and_ball,
-    two_lines_2d,
-    two_lines_3d,
-)
-from projfeas.solution import point_set_solution, singleton_solution
+from projfeas.presets import preset
 
-HALF_SQRT2 = np.sqrt(2.0) / 2.0
+
+def model(name):
+    """The preset's two sets, in ``a, b`` order, and its solution set."""
+    cfg = preset(name)
+    return (*cfg.pair(), cfg.solution_set())
 
 
 @pytest.fixture
 def lines2():
-    a, b = two_lines_2d()
-    return a, b, singleton_solution((a, b), [0.0, 0.0])
+    return model("example-i")
 
 
 @pytest.fixture
 def lines3():
-    a, b = two_lines_3d()
-    return a, b, singleton_solution((a, b), [0.0, 0.0, 0.0])
+    return model("example-ii")
 
 
 @pytest.fixture
 def line_ball():
-    line, ball = line_and_ball()
-    return line, ball, singleton_solution((line, ball), [0.0, 0.0])
+    return model("example-iii")
 
 
 @pytest.fixture
 def cross_diag():
-    cross, diag = cross_and_diagonal()
-    return cross, diag, singleton_solution((cross, diag), [0.0, 0.0])
+    return model("example-iv")
 
 
 @pytest.fixture
 def circle_line():
-    circle, line = circle_and_line()
-    witness = np.array([HALF_SQRT2, HALF_SQRT2])
-    sol = point_set_solution(
-        (circle, line),
-        [witness, np.array([-HALF_SQRT2, HALF_SQRT2])],
-        witness=witness,
-    )
-    return circle, line, sol
+    return model("example-v")
 
 
 def preset_pairs():
-    """The five model feasibility pairs with the affine set second."""
-    a1, b1 = two_lines_2d()
-    a2, b2 = two_lines_3d()
-    line3, ball3 = line_and_ball()
-    cross4, diag4 = cross_and_diagonal()
-    circle5, line5 = circle_and_line()
-    return [
-        ("two-lines-2d", a1, b1, np.zeros(2)),
-        ("two-lines-3d", a2, b2, np.zeros(3)),
-        ("ball-line", ball3, line3, np.zeros(2)),
-        ("cross-diagonal", cross4, diag4, np.zeros(2)),
-        ("circle-line", circle5, line5, np.array([HALF_SQRT2, HALF_SQRT2])),
-    ]
+    """The five model feasibility pairs with the affine set second, each with its solution set."""
+    return [(name, *model(p)) for name, p in (
+        ("two-lines-2d", "example-i"),
+        ("two-lines-3d", "example-ii"),
+        ("ball-line", "example-iii-dr"),
+        ("cross-diagonal", "example-iv"),
+        ("circle-line", "example-v"),
+    )]
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from projfeas.operators import (
     check_step_energy_identity,
     dr_two_forms_agree,
 )
-from projfeas.presets import line_and_ball
+from projfeas.presets import preset
 from projfeas.regularity import (
     SAFETY_INFLATION,
     Region,
@@ -43,7 +43,7 @@ from projfeas.regularity import (
 from projfeas.runner import random_subspace_pair, subspace_iff_sweep
 from projfeas.sampling import ball_points
 from projfeas.sets import AffineSubspace, KinkedRegion
-from projfeas.solution import point_set_solution, singleton_solution, subspace_pair_solution
+from projfeas.solution import subspace_pair_solution
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 
@@ -118,12 +118,10 @@ def test_criterion_2_embedded_lines(lines3):
 
 @pytest.fixture(scope="module")
 def tangency_long_run():
-    line, ball = line_and_ball()
-    sol = singleton_solution((line, ball), [0.0, 0.0])
-    trace = iterate(
-        AlternatingProjections(line, ball), [1.0, 0.0], sol, max_iters=1_000_000, tol=1e-6
-    )
-    return line, ball, sol, trace
+    cfg = preset("example-iii")
+    sol = cfg.solution_set()
+    trace = iterate(cfg.operator(), cfg.start.point, sol, max_iters=cfg.budget.max_iters, tol=cfg.budget.tol)
+    return (*cfg.pair(), sol, trace)
 
 
 def test_criterion_3_map_tolerance_within_budget(tangency_long_run):
@@ -277,8 +275,8 @@ def test_criterion_7_identity_suite():
     worst_identity = 0.0
     all_agree = True
     per_geometry = 1000 // len(pairs)
-    for name, a, b, witness in pairs:
-        Z = witness + rng.normal(size=(per_geometry, 2, a.dim))  # rows x, y of each pair
+    for name, a, b, sol in pairs:
+        Z = sol.witness + rng.normal(size=(per_geometry, 2, a.dim))  # rows x, y of each pair
         X, Y = Z[:, 0], Z[:, 1]
         scale = np.maximum(1.0, np.maximum(row_norms(X) ** 2, row_norms(Y) ** 2))
         worst_identity = max(worst_identity, float(np.max(check_step_energy_identity(a, b, X, Y) / scale)))
@@ -308,14 +306,6 @@ def test_criterion_7_identity_suite():
 # ---------------------------------------------------------------------------
 
 
-def _solution_for(name, a, b, witness):
-    if name == "circle-line":
-        return point_set_solution(
-            (a, b), [witness, np.array([-HALF_SQRT2, HALF_SQRT2])], witness=witness
-        )
-    return singleton_solution((a, b), witness)
-
-
 def test_criterion_8_inequality_suite():
     rng = np.random.default_rng(88)
     deltas = {
@@ -326,9 +316,9 @@ def test_criterion_8_inequality_suite():
         "circle-line": 0.05,
     }
     worst = {"projector": -np.inf, "reflector": -np.inf, "dr": -np.inf, "transfer": -np.inf}
-    for name, a, b, witness in preset_pairs():
+    for name, a, b, sol in preset_pairs():
         delta = deltas[name]
-        sol = _solution_for(name, a, b, witness)
+        witness = sol.witness
         eps_a = SAFETY_INFLATION * estimate_subregularity(a, sol, delta, samples=1024, seed=1)
         eps_b = SAFETY_INFLATION * estimate_subregularity(b, sol, delta, samples=1024, seed=2)
         kappa = estimate_kappa(a, b, sol, delta, samples=1024, seed=3)

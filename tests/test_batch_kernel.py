@@ -96,7 +96,9 @@ SETS = {
     "sphere": (Sphere([0.5, -1.0], 1.5), [[0.5, -1.0], [0.5 + 1e-14, -1.0], [2.0, -1.0]]),
     "cross": (UnionOfSubspaces.cross(2), [[0.0, 0.0], [0.7, 0.7], [-0.7, 0.7], [0.7, -0.7]]),
     "union-3d": (_random_union(5), []),
-    "kinked": (KinkedRegion(), [2.0 * BISECTOR, 0.5 * BISECTOR, [0.0, 0.0], [1.0, 0.0], [-1.0, 1.0]]),
+    # the last three: a zero edge point whose sign np.minimum and np.maximum would flip
+    "kinked": (KinkedRegion(), [2.0 * BISECTOR, 0.5 * BISECTOR, [0.0, 0.0], [1.0, 0.0], [-1.0, 1.0],
+                                [0.0, 5e-324], [-0.0, 5e-324], [5e-324, 1e-323]]),
 }
 
 

@@ -4,6 +4,7 @@ import textwrap
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from projfeas import config
 from projfeas.cli import main
-from projfeas.config import ConfigError, config_from_dict, parse_config, serialize_config
+from projfeas.config import ConfigError, PointStart, config_from_dict, parse_config, serialize_config
 from projfeas.presets import PRESETS, SWEEPS, preset
 from projfeas.runner import run_experiment
 from projfeas.sets import Ball
@@ -74,6 +75,29 @@ def test_round_trip_all_presets():
         assert again == cfg, name
         # and a second round trip is byte-identical
         assert serialize_config(again) == serialize_config(cfg)
+
+
+def _owned(cfg):
+    """A config's sets and exact solution set, and its witness and start point or ball center."""
+    geometry = [s for s in (*cfg.sets.values(), cfg.solution.exact) if s is not None]
+    arrays = [cfg.solution.witness]
+    if cfg.start is not None:
+        arrays.append(cfg.start.point if isinstance(cfg.start, PointStart) else cfg.start.center)
+    return geometry, arrays
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_shares_nothing_between_calls(name):
+    first, second = preset(name), preset(name)
+    expected = serialize_config(second)
+    (geometry, arrays), (other_geometry, other_arrays) = _owned(first), _owned(second)
+    for s, t in zip(geometry, other_geometry, strict=True):
+        assert s is not t
+    for mine, theirs in zip(arrays, other_arrays, strict=True):
+        assert not np.shares_memory(mine, theirs)
+        mine += 1.0  # a caller writing into its own config
+    assert serialize_config(second) == expected
+    assert serialize_config(preset(name)) == expected
 
 
 def test_unknown_set_variant():

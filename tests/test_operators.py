@@ -41,7 +41,8 @@ def test_map_step_two_lines_by_hand():
 
 
 def test_intersection_points_are_fixed():
-    for name, a, b, witness in preset_pairs():
+    for name, a, b, sol in preset_pairs():
+        witness = sol.witness
         for op in (AlternatingProjections(a, b), DouglasRachford(a, b)):
             np.testing.assert_allclose(op.step(witness), witness, atol=1e-12, err_msg=name)
 
@@ -66,7 +67,8 @@ def test_dr_two_forms_agree_random_convex_3d():
 
 def test_dr_two_forms_agree_across_presets():
     rng = np.random.default_rng(18)
-    for name, a, b, witness in preset_pairs():
+    for name, a, b, sol in preset_pairs():
+        witness = sol.witness
         assert dr_two_forms_agree(a, b, witness[None]).all(), name  # both yield the point itself
         assert dr_two_forms_agree(a, b, witness + rng.normal(size=(50, a.dim))).all(), name
 
@@ -191,7 +193,8 @@ def test_projector_firm_inequality_subregular_sets():
     # circle, whose constant on a delta-ball is delta/2
     rng = np.random.default_rng(26)
     cases = []
-    for name, a, b, witness in preset_pairs():
+    for name, a, b, sol in preset_pairs():
+        witness = sol.witness
         eps = 0.0
         for s in (a, b):
             if type(s).__name__ == "Sphere":
@@ -214,7 +217,8 @@ def test_projector_firm_inequality_subregular_sets():
 
 def test_reflector_inequality_subregular_sets():
     rng = np.random.default_rng(27)
-    for name, a, b, witness in preset_pairs():
+    for name, a, b, sol in preset_pairs():
+        witness = sol.witness
         for s in (a, b):
             eps = 0.25 if type(s).__name__ == "Sphere" else 0.0
             lim = 1.0 + eps_tilde_reflector(eps)
