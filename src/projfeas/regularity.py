@@ -11,7 +11,7 @@ certify observed rates against them inflate the estimates by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -419,8 +419,7 @@ class RegularityReport:
     strongly_regular: bool | None = None
 
     def to_dict(self):
-        return {k: v if isinstance(v, (bool, str)) or v is None else float(v)
-                for k, v in vars(self).items()}
+        return asdict(self)
 
 
 def predicted_rates(

@@ -12,17 +12,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .driver import RateFit, fit_rate, iterate, iterate_many, trace_to_csv
-from .linalg import (  # noqa: F401  complement_basis: perfbench/tracing.py counts calls through it
-    complement_basis,
-    largest_principal_cosine,
-)
+from .linalg import complement_basis  # noqa: F401  perfbench/tracing.py counts calls through it
 from .operators import DouglasRachford
 from .presets import PRESETS, SWEEPS, preset
 from .regularity import (
@@ -49,23 +46,11 @@ class Verdict:
     bound: str
     detail: str = ""
 
-    def to_dict(self):
-        measured = self.measured
-        if isinstance(measured, (np.floating, float)):
-            measured = float(measured)
-        return {
-            "claim_id": self.claim_id,
-            "passed": bool(self.passed),
-            "measured": measured,
-            "bound": self.bound,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class Missing:
     """An input the run did not produce, and why.  Each of its fields is
-    missing for the same reason, so ``art.fit.observed_rate`` reads alike
+    missing for the same reason, so ``doc.fit.observed_rate`` reads alike
     whether or not the rate fit exists."""
 
     reason: str
@@ -79,22 +64,6 @@ class Missing:
 NO_TRACE = Missing("no trace: the config has no start")
 
 
-@dataclass
-class RunArtifacts:
-    cfg: object
-    solution: object
-    traces: list = field(default_factory=list)
-    fit: object = NO_TRACE  # a RateFit, or a Missing one: no trace, or one too short
-    sweep: list = field(default_factory=list)
-    friedrichs: float | None = None
-    strongly_regular: bool | None = None
-
-    @property
-    def trace(self):
-        """The first trace, or ``NO_TRACE`` when nothing was iterated."""
-        return self.traces[0] if self.traces else NO_TRACE
-
-
 def _exit_status(verdicts):
     """0 when every verdict passes (or there are none), else 1."""
     return 0 if all(v.passed for v in verdicts) else 1
@@ -102,53 +71,59 @@ def _exit_status(verdicts):
 
 @dataclass
 class ReportDocument:
-    name: str
-    generated: str
-    artifacts: RunArtifacts
-    verdicts: list
+    """One run: what ``run_experiment`` computed, the verdicts read from
+    it, and when it was generated.  Its name is ``cfg.name``."""
+
+    cfg: object
+    solution: object
+    traces: list = field(default_factory=list)
+    fit: object = NO_TRACE  # a RateFit, or a Missing one: no trace, or one too short
+    sweep: list = field(default_factory=list)
+    friedrichs: float | None = None
+    strongly_regular: bool | None = None
+    verdicts: list = field(default_factory=list)
+    generated: str = ""
+
+    @property
+    def trace(self):
+        """The first trace, or ``NO_TRACE`` when nothing was iterated."""
+        return self.traces[0] if self.traces else NO_TRACE
 
     @property
     def exit_status(self):
         return _exit_status(self.verdicts)
 
     def to_machine_dict(self):
-        art = self.artifacts
         out = {
-            "name": self.name,
-            "sweep": art.sweep,
-            "friedrichs_cos": art.friedrichs,
-            "strongly_regular": art.strongly_regular,
-            "verdicts": [v.to_dict() for v in self.verdicts],
+            "name": self.cfg.name,
+            "sweep": self.sweep,
+            "friedrichs_cos": self.friedrichs,
+            "strongly_regular": self.strongly_regular,
+            "verdicts": [asdict(v) for v in self.verdicts],
         }
-        if isinstance(art.fit, RateFit):
-            out["fit"] = {
-                "observed_rate": art.fit.observed_rate,
-                "r_squared": art.fit.r_squared,
-                "tail_start": art.fit.tail_start,
-                "linear": art.fit.linear,
-            }
-        if art.traces:
+        if isinstance(self.fit, RateFit):
+            out["fit"] = asdict(self.fit)
+        if self.traces:
             out["traces"] = [
                 {
                     "stop_reason": t.stop_reason,
                     "iterations": len(t) - 1,
                     "final_dist_to_s": t.final_dist_to_s,
                 }
-                for t in art.traces
+                for t in self.traces
             ]
         return out
 
     def to_text(self):
-        art = self.artifacts
-        lines = [f"# generated: {self.generated}", f"experiment: {self.name}"]
-        alg = art.cfg.algorithm
+        lines = [f"# generated: {self.generated}", f"experiment: {self.cfg.name}"]
+        alg = self.cfg.algorithm
         if alg is not None:
             lines.append(f"algorithm: {alg.kind} (a={alg.a}, b={alg.b})")
-        if art.strongly_regular is not None:
-            lines.append(f"strongly regular at witness: {art.strongly_regular}")
-        if art.friedrichs is not None:
-            lines.append(f"friedrichs cosine: {art.friedrichs:.12f}")
-        for entry in art.sweep:
+        if self.strongly_regular is not None:
+            lines.append(f"strongly regular at witness: {self.strongly_regular}")
+        if self.friedrichs is not None:
+            lines.append(f"friedrichs cosine: {self.friedrichs:.12f}")
+        for entry in self.sweep:
             if "report" in entry:
                 rep = entry["report"]
                 lines.append(
@@ -170,20 +145,20 @@ class ReportDocument:
                 lines.append(
                     "delta {delta:g}: eps_sub={eps_sub:.6f} eps_pair={eps_pair:.6f}".format(**entry)
                 )
-        if isinstance(art.fit, RateFit):
+        if isinstance(self.fit, RateFit):
             lines.append(
-                f"rate fit: observed={art.fit.observed_rate:.6f} "
-                f"r2={art.fit.r_squared:.4f} linear={art.fit.linear}"
+                f"rate fit: observed={self.fit.observed_rate:.6f} "
+                f"r2={self.fit.r_squared:.4f} linear={self.fit.linear}"
             )
-        for t in art.traces[:1]:
+        for t in self.traces[:1]:
             lines.append(
                 f"trace: {len(t) - 1} iterations, stop={t.stop_reason}, "
                 f"final dist to solution={t.final_dist_to_s:.3e}"
             )
-        if art.traces and len(art.traces) > 1:
-            finals = [t.final_dist_to_s for t in art.traces]
+        if self.traces and len(self.traces) > 1:
+            finals = [t.final_dist_to_s for t in self.traces]
             lines.append(
-                f"starts: {len(art.traces)}, max final dist={max(finals):.3e}, "
+                f"starts: {len(self.traces)}, max final dist={max(finals):.3e}, "
                 f"min final dist={min(finals):.3e}"
             )
         if self.verdicts:
@@ -244,36 +219,31 @@ def run_experiment(cfg, out_dir=None, samples=None, seed=None, max_iters=None, t
     """Execute one experiment end to end and return its ``ReportDocument``."""
     cfg = cfg.with_overrides(samples=samples, seed=seed, max_iters=max_iters, tol=tol)
     sol = cfg.solution_set()
-    art = RunArtifacts(cfg=cfg, solution=sol)
-    art.sweep = _estimator_sweep(cfg, sol)
+    doc = ReportDocument(cfg=cfg, solution=sol, sweep=_estimator_sweep(cfg, sol))
     pair = cfg.pair()
     if pair is not None:
         a, b = pair
         if isinstance(a, AffineSubspace) and isinstance(b, AffineSubspace):
-            art.friedrichs = friedrichs_cosine(a, b)
+            doc.friedrichs = friedrichs_cosine(a, b)
         try:
-            art.strongly_regular = check_strong_regularity(a, b, sol.witness)
+            doc.strongly_regular = check_strong_regularity(a, b, sol.witness)
         except ValueError:
-            art.strongly_regular = None
+            doc.strongly_regular = None
         if cfg.start is not None:
-            art.traces = iterate_many(cfg.operator(), cfg.start.points(cfg.regularity.seed), sol,
+            doc.traces = iterate_many(cfg.operator(), cfg.start.points(cfg.regularity.seed), sol,
                                       max_iters=cfg.budget.max_iters, tol=cfg.budget.tol)
             try:
-                art.fit = fit_rate(art.trace)
+                doc.fit = fit_rate(doc.trace)
             except ValueError as exc:
-                art.fit = Missing(f"no rate fit: {exc}")
-    verdicts = _preset_claims(art) if with_claims else []
-    doc = ReportDocument(
-        name=cfg.name,
-        generated=datetime.now(timezone.utc).isoformat(),
-        artifacts=art,
-        verdicts=verdicts,
-    )
+                doc.fit = Missing(f"no rate fit: {exc}")
+    if with_claims:
+        doc.verdicts = _preset_claims(doc)
+    doc.generated = datetime.now(timezone.utc).isoformat()
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if art.traces and cfg.outputs.trace_csv:
-            trace_to_csv(art.trace, out / cfg.outputs.trace_csv)
+        if doc.traces and cfg.outputs.trace_csv:
+            trace_to_csv(doc.trace, out / cfg.outputs.trace_csv)
         if cfg.outputs.report:
             (out / cfg.outputs.report).write_text(doc.to_text())
     return doc
@@ -284,17 +254,17 @@ def run_experiment(cfg, out_dir=None, samples=None, seed=None, max_iters=None, t
 # --------------------------------------------------------------------------
 
 
-def _preset_claims(art):
-    """The verdicts of the preset ``art.cfg`` is named after, from ``CLAIMS``
+def _preset_claims(doc):
+    """The verdicts of the preset ``doc.cfg`` is named after, from ``CLAIMS``
     at call time, if it keeps the preset's sets, algorithm and solution: the
     claims are statements about that geometry.  Its start, budget,
     regularity and outputs may differ."""
-    cfg = art.cfg
+    cfg = doc.cfg
     if cfg.name not in CLAIMS:
         return []
     mine, theirs = cfg.to_dict(), preset(cfg.name).to_dict()
     same = all(mine.get(key) == theirs.get(key) for key in ("sets", "algorithm", "solution"))
-    return CLAIMS[cfg.name](art) if same else []
+    return CLAIMS[cfg.name](doc) if same else []
 
 
 # Each claim kind builds its check and its bound text from the same numbers.
@@ -332,10 +302,10 @@ def _is(claim_id, value, want, name=None):
     return _claim(claim_id, value, lambda v: v is want, f"{name} == {want}" if name else str(want))
 
 
-def _all_converge(claim_id, art, tol):
+def _all_converge(claim_id, doc, tol):
     """Every trace ends within ``tol`` of the solution set; no trace reads FAIL."""
-    finals = [t.final_dist_to_s for t in art.traces] or art.trace
-    bound = f"all {len(art.traces)} starts < {_num(tol)}"
+    finals = [t.final_dist_to_s for t in doc.traces] or doc.trace
+    bound = f"all {len(doc.traces)} starts < {_num(tol)}"
     return _claim(claim_id, finals, lambda f: all(d < tol for d in f), bound, max)
 
 
@@ -351,42 +321,42 @@ def _linear_fit(claim_id, fit, r2=0.98, rate=0.99):
                   lambda f: (round(f.observed_rate, 6), round(f.r_squared, 6)))
 
 
-def _claims_example_i(art):
+def _claims_example_i(doc):
     return [
-        _below("i-dr-tolerance", art.trace.final_dist_to_s, 1e-10),
-        _near("i-dr-step-rate", art.fit.observed_rate, HALF_SQRT2, 0.01, "sqrt(2)/2"),
-        _is("i-strongly-regular", art.strongly_regular, True),
-        _near("i-c-exact", art.sweep[0]["c"], HALF_SQRT2, 1e-10, "sqrt(2)/2"),
+        _below("i-dr-tolerance", doc.trace.final_dist_to_s, 1e-10),
+        _near("i-dr-step-rate", doc.fit.observed_rate, HALF_SQRT2, 0.01, "sqrt(2)/2"),
+        _is("i-strongly-regular", doc.strongly_regular, True),
+        _near("i-c-exact", doc.sweep[0]["c"], HALF_SQRT2, 1e-10, "sqrt(2)/2"),
     ]
 
 
-def _claims_example_i_map(art):
+def _claims_example_i_map(doc):
     return [
-        _below("i-map-tolerance", art.trace.final_dist_to_s, 1e-10),
-        _near("i-map-cycle-rate", art.fit.observed_rate, 0.5, 0.01),
+        _below("i-map-tolerance", doc.trace.final_dist_to_s, 1e-10),
+        _near("i-map-cycle-rate", doc.fit.observed_rate, 0.5, 0.01),
     ]
 
 
-def _claims_example_ii(art):
+def _claims_example_ii(doc):
     dist = 1.0
     return [
-        _claim("ii-dr-fixed-off-intersection", art.trace,
+        _claim("ii-dr-fixed-off-intersection", doc.trace,
                lambda t: t.stop_reason == "stagnation" and abs(t.final_dist_to_s - dist) <= 1e-12,
                f"stagnation at distance {_num(dist)}", lambda t: (t.stop_reason, t.final_dist_to_s)),
-        _is("ii-not-strongly-regular", art.strongly_regular, False),
-        _near("ii-friedrichs", art.friedrichs, HALF_SQRT2, 1e-10, "sqrt(2)/2"),
+        _is("ii-not-strongly-regular", doc.strongly_regular, False),
+        _near("ii-friedrichs", doc.friedrichs, HALF_SQRT2, 1e-10, "sqrt(2)/2"),
     ]
 
 
-def _claims_example_ii_inplane(art):
-    return [_near("ii-dr-inplane-rate", art.fit.observed_rate, HALF_SQRT2, 0.01, "sqrt(2)/2")]
+def _claims_example_ii_inplane(doc):
+    return [_near("ii-dr-inplane-rate", doc.fit.observed_rate, HALF_SQRT2, 0.01, "sqrt(2)/2")]
 
 
-def _claims_example_iii(art):
-    cfg = art.cfg
+def _claims_example_iii(doc):
+    cfg = doc.cfg
     a, b = cfg.pair()
     kappas = [
-        estimate_kappa(a, b, art.solution, 1.0, samples=n, seed=cfg.regularity.seed + 2)
+        estimate_kappa(a, b, doc.solution, 1.0, samples=n, seed=cfg.regularity.seed + 2)
         for n in (512, 1024, 2048)
     ]
     ratios = [kappas[i + 1] / kappas[i] for i in range(len(kappas) - 1)]
@@ -394,49 +364,49 @@ def _claims_example_iii(art):
     return [
         # the iterates decay like 1/sqrt(n), so this target cannot be met
         # within the budget; kept as an honest record of the gap
-        _below("iii-map-tolerance-within-budget", art.trace.final_dist_to_s, 1e-6, n,
+        _below("iii-map-tolerance-within-budget", doc.trace.final_dist_to_s, 1e-6, n,
                detail=f"sublinear decay ~ n**-0.5 makes this unreachable in {_num(n)} iterations"),
-        _is("iii-map-sublinear", art.fit.linear, False, "linear"),
+        _is("iii-map-sublinear", doc.fit.linear, False, "linear"),
         _claim("iii-kappa-refinement-diverges", ratios, lambda rs: all(r >= least for r in rs),
                f"each refinement ratio >= {_num(least)}", lambda rs: [round(r, 3) for r in rs]),
     ]
 
 
-def _claims_example_iii_dr(art):
-    worst, floor = max((t.final_dist_to_s for t in art.traces), default=art.trace), 0.01
+def _claims_example_iii_dr(doc):
+    worst, floor = max((t.final_dist_to_s for t in doc.traces), default=doc.trace), 0.01
     bound = f"> {_num(floor)} for at least one limit"
     return [_claim("iii-dr-fixed-point-off-intersection", worst, lambda w: w > floor, bound)]
 
 
-def _claims_example_iv(art):
+def _claims_example_iv(doc):
     return [
-        _near("iv-subregularity-zero", art.sweep[0]["eps_a"], 0.0, 1e-9),
-        _is("iv-strongly-regular", art.strongly_regular, True),
-        _all_converge("iv-dr-all-starts-converge", art, 1e-8),
+        _near("iv-subregularity-zero", doc.sweep[0]["eps_a"], 0.0, 1e-9),
+        _is("iv-strongly-regular", doc.strongly_regular, True),
+        _all_converge("iv-dr-all-starts-converge", doc, 1e-8),
     ]
 
 
-def _claims_example_iv_map(art):
-    return [_all_converge("iv-map-all-starts-converge", art, 1e-8)]
+def _claims_example_iv_map(doc):
+    return [_all_converge("iv-map-all-starts-converge", doc, 1e-8)]
 
 
-def _claims_example_v(art):
-    rep = art.sweep[-1]["report"]  # smallest delta of the sweep
+def _claims_example_v(doc):
+    rep = doc.sweep[-1]["report"]  # smallest delta of the sweep
     predicted = rep["predicted_rate_dr"]
     return [
-        _linear_fit("v-dr-linear-fit", art.fit),
-        _claim("v-dr-bound-dominates", art.fit.observed_rate, lambda x: x <= predicted,
+        _linear_fit("v-dr-linear-fit", doc.fit),
+        _claim("v-dr-bound-dominates", doc.fit.observed_rate, lambda x: x <= predicted,
                "observed <= predicted (inflated constants)", lambda x: (round(x, 6), round(predicted, 6)),
-               detail=f"delta={art.sweep[-1]['delta']}, certified={rep['dr_certified']}"),
+               detail=f"delta={doc.sweep[-1]['delta']}, certified={rep['dr_certified']}"),
     ]
 
 
-def _claims_example_v_map(art):
-    return [_linear_fit("v-map-linear-fit", art.fit)]
+def _claims_example_v_map(doc):
+    return [_linear_fit("v-map-linear-fit", doc.fit)]
 
 
-def _claims_kinked(art):
-    eps_pair, lo, hi = art.sweep[0]["eps_pair"], 0.70, 0.7072
+def _claims_kinked(doc):
+    eps_pair, lo, hi = doc.sweep[0]["eps_pair"], 0.70, 0.7072
     normals = KinkedRegion().proximal_normals(np.zeros(2))
     return [
         _claim("kink-pair-regularity-interval", eps_pair, lambda e: lo <= e <= hi, f"[{lo:.2f}, {_num(hi)}]"),
@@ -514,7 +484,7 @@ def subspace_iff_sweep(base_seed=2025):
             "final_dist": trace.final_dist_to_s,
         }
         if fitted and rank_regular:
-            c_exact = largest_principal_cosine(a.normal_basis, b.normal_basis)
+            c_exact = estimate_c(a, b, np.zeros(5), 1.0)
             kappa = estimate_kappa(a, b, sol, 1.0, samples=SWEEP_SAMPLES, seed=base_seed + idx)
             # eps = 0 on subspaces; the exact c stays uninflated, the sampled kappa does not
             predicted = predicted_rates(0.0, 0.0, kappa * SAFETY_INFLATION, c_exact, a_convex=True,

@@ -25,7 +25,7 @@ from projfeas.operators import (
     check_step_energy_identity,
     dr_two_forms_agree,
 )
-from projfeas.presets import preset
+from projfeas.presets import PRESETS, preset
 from projfeas.regularity import (
     SAFETY_INFLATION,
     Region,
@@ -40,7 +40,7 @@ from projfeas.regularity import (
     friedrichs_cosine,
     predicted_rates,
 )
-from projfeas.runner import random_subspace_pair, subspace_iff_sweep
+from projfeas.runner import random_subspace_pair, run_experiment, subspace_iff_sweep
 from projfeas.sampling import ball_points
 from projfeas.sets import AffineSubspace, KinkedRegion
 from projfeas.solution import subspace_pair_solution
@@ -118,10 +118,9 @@ def test_criterion_2_embedded_lines(lines3):
 
 @pytest.fixture(scope="module")
 def tangency_long_run():
-    cfg = preset("example-iii")
-    sol = cfg.solution_set()
-    trace = iterate(cfg.operator(), cfg.start.point, sol, max_iters=cfg.budget.max_iters, tol=cfg.budget.tol)
-    return (*cfg.pair(), sol, trace)
+    """The example-iii preset at its defaults: 1e6 MAP steps from ``[1, 0]``,
+    run once for criterion 3 and for the preset's verdicts."""
+    return run_experiment(preset("example-iii"))
 
 
 def test_criterion_3_map_tolerance_within_budget(tangency_long_run):
@@ -130,7 +129,7 @@ def test_criterion_3_map_tolerance_within_budget(tangency_long_run):
     # come within 1e-6 of the intersection in 1e6 steps (that needs ~1e12).
     # What the budget does reach is a feasibility gap below 1e-6: the iterates
     # stay on the line, at distance sqrt(1 + 1/(n+1)) - 1 from the ball.
-    _, _, _, trace = tangency_long_run
+    trace = tangency_long_run.trace
     max_iters, tol = 1_000_000, 1e-6  # the fixture's budget and tolerance
     n = np.arange(len(trace), dtype=float)
     rel_err = float(np.max(np.abs(trace.dist_to_s * np.sqrt(n + 1.0) - 1.0)))
@@ -158,7 +157,7 @@ def test_criterion_3_map_tolerance_within_budget(tangency_long_run):
 
 
 def test_criterion_3_map_sublinear(tangency_long_run):
-    _, _, _, trace = tangency_long_run
+    trace = tangency_long_run.trace
     fit = fit_rate(trace)
     _report(
         "criterion 3 (sublinearity)",
@@ -465,3 +464,36 @@ def test_criterion_10_convex_combination(cross_diag):
             lhs = np.linalg.norm(xp) ** 2 + np.linalg.norm(x - xp) ** 2
             worst = max(worst, (lhs - (1 + eps) * np.linalg.norm(x) ** 2) / scale)
     _report("criterion 10", worst <= 1e-9, f"worst margin {worst:.2e} at eps {eps:.2e}")
+
+
+# ---------------------------------------------------------------------------
+# every preset's verdicts at its default settings
+# ---------------------------------------------------------------------------
+
+# each preset's claims, in order, and whether each passes; the one FAIL is
+# criterion 3's unreachable tolerance target
+PRESET_VERDICTS = {
+    "example-i": {"i-dr-tolerance": True, "i-dr-step-rate": True, "i-strongly-regular": True,
+                  "i-c-exact": True},
+    "example-i-map": {"i-map-tolerance": True, "i-map-cycle-rate": True},
+    "example-ii": {"ii-dr-fixed-off-intersection": True, "ii-not-strongly-regular": True,
+                   "ii-friedrichs": True},
+    "example-ii-inplane": {"ii-dr-inplane-rate": True},
+    "example-iii": {"iii-map-tolerance-within-budget": False, "iii-map-sublinear": True,
+                    "iii-kappa-refinement-diverges": True},
+    "example-iii-dr": {"iii-dr-fixed-point-off-intersection": True},
+    "example-iv": {"iv-subregularity-zero": True, "iv-strongly-regular": True,
+                   "iv-dr-all-starts-converge": True},
+    "example-iv-map": {"iv-map-all-starts-converge": True},
+    "example-v": {"v-dr-linear-fit": True, "v-dr-bound-dominates": True},
+    "example-v-map": {"v-map-linear-fit": True},
+    "kinked-regularity": {"kink-pair-regularity-interval": True, "kink-zero-proximal-cone": True},
+}
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_preset_verdicts_at_defaults(name, request):
+    # example-iii's verdicts read the 1e6-step run that criterion 3 checks
+    doc = request.getfixturevalue("tangency_long_run") if name == "example-iii" else run_experiment(preset(name))
+    got = [(v.claim_id, v.passed) for v in doc.verdicts]
+    assert got == list(PRESET_VERDICTS[name].items()), [(v.claim_id, v.measured, v.bound) for v in doc.verdicts]

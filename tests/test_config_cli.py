@@ -1,7 +1,8 @@
+import json
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from projfeas import config
 from projfeas.cli import main
 from projfeas.config import ConfigError, PointStart, config_from_dict, parse_config, serialize_config
+from projfeas.driver import RateFit, fit_rate, iterate
 from projfeas.presets import PRESETS, SWEEPS, preset
 from projfeas.runner import run_experiment
 from projfeas.sets import Ball
@@ -226,6 +228,31 @@ def test_run_experiment_writes_outputs(tmp_path):
     assert "--- machine ---" in text
 
 
+def _machine(report):
+    """The parsed JSON line under a report's ``--- machine ---`` marker."""
+    return json.loads(report.read_text().split("--- machine ---\n", 1)[1])
+
+
+@pytest.mark.parametrize("name, max_iters", [("example-i", None), ("example-iii", 2000)])
+def test_machine_records_verdicts_and_fit(tmp_path, name, max_iters):
+    cfg = preset(name)
+    doc = run_experiment(cfg, out_dir=tmp_path, samples=256, max_iters=max_iters)
+    machine = _machine(tmp_path / cfg.outputs.report)
+    assert machine["name"] == name
+    # json writes a tuple as a list: compare measured values as json reads them back
+    assert machine["verdicts"] == [
+        {"claim_id": v.claim_id, "passed": v.passed, "measured": json.loads(json.dumps(v.measured)),
+         "bound": v.bound, "detail": v.detail}
+        for v in doc.verdicts
+    ]
+    # the fit of the run's one trace, recomputed from the same start and budget
+    budget = cfg.with_overrides(max_iters=max_iters).budget
+    trace = iterate(cfg.operator(), cfg.start.point, cfg.solution_set(),
+                    max_iters=budget.max_iters, tol=budget.tol)
+    fit = fit_rate(trace)
+    assert machine["fit"] == {f.name: getattr(fit, f.name) for f in fields(RateFit)}
+
+
 def test_reports_deterministic_modulo_timestamp(tmp_path):
     cfg = preset("example-i")
     doc1 = run_experiment(cfg, out_dir=tmp_path / "a", samples=256)
@@ -244,7 +271,7 @@ def test_claim_bounds_follow_the_run():
     cfg = preset("example-iv")
     doc = run_experiment(replace(cfg, start=replace(cfg.start, count=5)), samples=256)
     (converge,) = [v for v in doc.verdicts if v.claim_id == "iv-dr-all-starts-converge"]
-    assert len(doc.artifacts.traces) == 5
+    assert len(doc.traces) == 5
     assert converge.bound == "all 5 starts < 1e-8"
 
 
@@ -257,13 +284,13 @@ def test_claim_bounds_follow_the_run():
 ])
 def test_rate_claim_without_a_fit_fails(tmp_path, name, claim_id):
     # five steps leave too few entries to fit a rate: the claim reads FAIL
-    # with the reason, and the report is still written
+    # with the reason, and the report is still written, with no fit entry
     doc = run_experiment(preset(name), out_dir=tmp_path, samples=64, max_iters=5)
     (rate,) = [v for v in doc.verdicts if v.claim_id == claim_id]
     assert doc.exit_status == 1
     assert not rate.passed and rate.measured is None
     assert "need at least 10" in rate.detail
-    assert (tmp_path / f"{name}.report.txt").exists()
+    assert "fit" not in _machine(tmp_path / f"{name}.report.txt")
 
 
 # the claims of each iterating preset that read its first trace, every trace or the rate fit
