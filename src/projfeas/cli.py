@@ -76,18 +76,12 @@ def main(argv=None):
             return 0
 
         if args.verb in ("run", "rates"):
-            cfg = _resolve_config(args.config)
+            cfg = _resolve_config(args.config).with_overrides(
+                samples=args.samples, seed=args.seed, max_iters=args.max_iters, tol=args.tol
+            )
             if args.verb == "rates":
                 cfg = replace(cfg, start=None)
-            doc = run_experiment(
-                cfg,
-                out_dir=args.out_dir,
-                samples=args.samples,
-                seed=args.seed,
-                max_iters=args.max_iters,
-                tol=args.tol,
-                with_claims=args.verb == "run",
-            )
+            doc = run_experiment(cfg, out_dir=args.out_dir, with_claims=args.verb == "run")
             sys.stdout.write(doc.to_text())
             return doc.exit_status
 

@@ -25,7 +25,9 @@ range-checked like a YAML value.
 Set variants: ``affine`` (offset + independent spanning vectors), ``ball`` /
 ``sphere`` (center + finite radius > 0), ``union`` (affine frames) and
 ``kinked``; any other or degenerate one is a ``ConfigError`` at its
-``sets.<key>`` or ``solution.exact`` path.  So is a section that is not a
+``sets.<key>`` or ``solution.exact`` path.  A set the estimators sample (the
+algorithm's pair, or the first set) that lies farther from the witness than
+the least delta is one at ``regularity.deltas``.  So is a section that is not a
 mapping, a value that does not convert (integer fields take whole numbers
 only) or lies out of range, and a key the schema does not name, at
 ``<path>.<key>``: a set descriptor takes the keys its variant writes, and a
@@ -340,6 +342,13 @@ def config_from_dict(data):
         cfg.solution_set()
     except ValueError as exc:
         raise ConfigError("solution", str(exc)) from None
+    # the estimators sample the pair, or the first set, within each delta of the witness
+    delta = min(cfg.regularity.deltas)
+    for name in (cfg.algorithm.a, cfg.algorithm.b) if cfg.algorithm else list(cfg.sets)[:1]:
+        far = cfg.sets[name].distance(cfg.solution.witness)
+        if far > delta:
+            raise ConfigError("regularity.deltas",
+                              f"set {name!r} lies {far:g} from the witness, past delta {delta:g}")
     return cfg
 
 

@@ -55,10 +55,10 @@ def eps_tilde_douglas_rachford(eps_a, eps_b):
     return 2.0 * qa + 2.0 * qb + 8.0 * qa * qb
 
 
-def _sup_alignment(X, comps, targets):
+def _sup_alignment(X, cone, targets):
     """``max(0, sup <v, (t - x) / |t - x|>)`` over rows ``x`` of ``X``, unit
-    normals ``v`` of the cone ``comps`` gives ``x`` and targets ``t`` apart
-    from ``x``.
+    normals ``v`` of the cone ``cone`` (a tuple of normal groups) gives ``x``
+    and targets ``t`` apart from ``x``.
 
     A pair is coincident, and skipped, when ``|t - x|`` is at most
     ``COINCIDENT`` times the largest coordinate magnitude of ``X`` and
@@ -69,7 +69,7 @@ def _sup_alignment(X, comps, targets):
     """
     scale = max(float(np.max(np.abs(X), initial=0.0)), float(np.max(np.abs(targets), initial=0.0)))
     best = 0.0
-    for g in comps.groups:
+    for g in cone:
         best = _group_sup(X[g.rows], g, targets, scale, best)
     return best
 
@@ -117,28 +117,14 @@ def _group_sup(rows, g, targets, scale, best):
     power-of-two scaling of the points prunes the same pairs.
     """
     coincident = COINCIDENT * scale
-    if g.per_row:
-        B = g.basis.transpose(1, 2, 0)[:, :, :, None]  # (k, dim, rows, 1)
+    # a per-row basis as (k, dim, rows, 1), each basis vector indexed by the block
+    W = g.basis.transpose(1, 2, 0)[:, :, :, None] if g.per_row else g.basis
 
-        def align(U, block):
-            planes = [_dot(U, b[:, block]) for b in B]
-            if g.one_sided or len(planes) == 1:  # a ray's <v, u>, a line's |<v, u>|
-                return planes[0] if g.one_sided else np.abs(planes[0])
-            return _norm(planes)
+    def align(U, block):
+        planes = [_dot(U, b[:, block] if g.per_row else b) for b in W]
+        return planes[0] if g.one_sided else _norm(planes)  # a ray's <v, u>, a span's |W u|
 
-        return max(best, _block_sup(rows, targets, align, coincident))
-    if g.one_sided:
-        w = g.basis[0]
-
-        def align(U, _):
-            return _dot(U, w)
-    else:
-        W = g.basis
-
-        def align(U, _):
-            return _norm([_dot(U, b) for b in W])
-
-    if rows.shape[0] == 0 or targets.shape[0] <= 2 * PRUNE_ROWS:
+    if g.per_row or rows.shape[0] == 0 or targets.shape[0] <= 2 * PRUNE_ROWS:
         return max(best, _block_sup(rows, targets, align, coincident))
     slack = 8 * (rows.shape[1] + 2) ** 2 * 2.0**-53
     pad = slack * scale
@@ -279,26 +265,27 @@ def estimate_kappa(a, b, sol: SolutionSet, delta, samples=DEFAULT_SAMPLES, seed=
     return float(np.max(d_s[mask] / gap[mask]))
 
 
-def _opposition(parts_a, parts_b):
+def _opposition(cone_a, cone_b):
     """Worst opposition ``sup -<u, v>`` over unit normals ``u``, ``v`` taken
-    from one component of each cone, floored at zero.  Each cone is given as
-    ``cone_parts()``: an ``(m, dim)`` array of rays and a list of ``(m, k,
-    dim)`` stacks of orthonormal subspace bases."""
-    rays_a, subs_a = parts_a
-    rays_b, subs_b = parts_b
+    from one component of each cone (a tuple of normal groups), floored at
+    zero.  The groups meet pair by pair: two rays by ``-<u, v>``, a ray and a
+    span by the norm of the ray's coordinates in it, two spans by their
+    largest principal cosine.  ``Sa`` and ``Sb`` stack a group's bases as
+    ``(m, k, dim)``, and a ray group's rays are ``S[:, 0]``."""
     best = 0.0
-    if rays_a.shape[0] and rays_b.shape[0]:
-        best = max(best, float(np.max(-(rays_a @ rays_b.T))))
-    for rays, subs in ((rays_a, subs_b), (rays_b, subs_a)):
-        if rays.shape[0]:
-            step = max(1, BLOCK_PAIRS // rays.shape[0])
-            for S in subs:
+    for ga in cone_a:
+        for gb in cone_b:
+            Sa, Sb = (g.basis if g.per_row else g.basis[None] for g in (ga, gb))
+            if ga.one_sided and gb.one_sided:
+                best = max(best, float(np.max(-(Sa[:, 0] @ Sb[:, 0].T))))
+            elif ga.one_sided or gb.one_sided:
+                rays, S = (Sa[:, 0], Sb) if ga.one_sided else (Sb[:, 0], Sa)
+                step = max(1, BLOCK_PAIRS // rays.shape[0])
                 for i in range(0, S.shape[0], step):
                     coords = rays @ S[i : i + step].swapaxes(-1, -2)
                     best = max(best, float(np.max(np.linalg.norm(coords, axis=-1))))
-    for Sa in subs_a:
-        for Sb in subs_b:
-            best = max(best, _largest_cosine(Sa, Sb))
+            else:
+                best = max(best, _largest_cosine(Sa, Sb))
     return best
 
 
@@ -323,7 +310,7 @@ def estimate_c(a, b, anchor, delta, samples=DEFAULT_SAMPLES, seed=0):
         return largest_principal_cosine(a.normal_basis, b.normal_basis)
     Xa = on_set_points(a, anchor, delta, samples, seed)
     Xb = on_set_points(b, anchor, delta, samples, seed + 1)
-    best = _opposition(a.normal_components(Xa).cone_parts(), b.normal_components(Xb).cone_parts())
+    best = _opposition(a.normal_components(Xa), b.normal_components(Xb))
     return float(np.clip(best, 0.0, 1.0))
 
 
@@ -344,10 +331,8 @@ def check_strong_regularity(a, b, point):
         stacked = np.vstack([a.basis, b.basis])
         rank = orthonormalize(stacked).shape[0] if stacked.size else 0
         return bool(rank == a.dim)
-    # a zero cone has no components, and its opposition with any cone is 0
-    na = a.limiting_normals(point).cone_parts()
-    nb = b.limiting_normals(point).cone_parts()
-    return bool(_opposition(na, nb) <= 1.0 - STRONG_REGULARITY_TOL)
+    # a zero cone has no groups, and its opposition with any cone is 0
+    return bool(_opposition(a.limiting_normals(point), b.limiting_normals(point)) <= 1.0 - STRONG_REGULARITY_TOL)
 
 
 def friedrichs_cosine(a, b):

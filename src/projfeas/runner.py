@@ -214,10 +214,8 @@ def _estimator_sweep(cfg, sol):
     return sweep
 
 
-def run_experiment(cfg, out_dir=None, samples=None, seed=None, max_iters=None, tol=None,
-                   with_claims=True):
+def run_experiment(cfg, out_dir=None, with_claims=True):
     """Execute one experiment end to end and return its ``ReportDocument``."""
-    cfg = cfg.with_overrides(samples=samples, seed=seed, max_iters=max_iters, tol=tol)
     sol = cfg.solution_set()
     doc = ReportDocument(cfg=cfg, solution=sol, sweep=_estimator_sweep(cfg, sol))
     pair = cfg.pair()
@@ -512,8 +510,9 @@ def subspace_iff_sweep(base_seed=2025):
 def run_suite(names=None, out_dir=None, samples=None, seed=None,
               max_iters=None, tol=None, echo=print):
     """Run the named presets (default: all of them plus the subspace sweep)
-    one after another and aggregate verdicts; returns process exit status
-    (0 pass, 1 failure).
+    one after another, each with the values given here in place of its own
+    (``ExperimentConfig.with_overrides``), and aggregate verdicts; returns
+    process exit status (0 pass, 1 failure).
     """
     if not names:
         names = list(PRESETS) + list(SWEEPS)
@@ -522,10 +521,8 @@ def run_suite(names=None, out_dir=None, samples=None, seed=None,
         if name in SWEEPS:
             verdicts, _ = subspace_iff_sweep()
         else:
-            verdicts = run_experiment(
-                preset(name), out_dir=out_dir, samples=samples, seed=seed,
-                max_iters=max_iters, tol=tol,
-            ).verdicts
+            cfg = preset(name).with_overrides(samples=samples, seed=seed, max_iters=max_iters, tol=tol)
+            verdicts = run_experiment(cfg, out_dir=out_dir).verdicts
         for v in verdicts:
             mark = "pass" if v.passed else "FAIL"
             echo(f"[{mark}] {name} :: {v.claim_id} (measured={v.measured}, bound={v.bound})")

@@ -12,8 +12,8 @@ are reproducible.  ``project_many`` gathers the selected branch of every row,
 ``project`` and ``distance`` evaluate them on a batch of one, so a row's
 result does not depend on the batch it is in.  A single-valued variant
 writes ``project_many`` and ``distance_many`` itself, and its one candidate is
-that projection.  Each variant also owns its sampling ``chart``, the on-set
-points the estimators draw near an anchor.
+that projection.  Each variant also owns its sampling ``chart``: the on-set
+points the estimators draw near an anchor, the anchor's nearest one among them.
 
 ``AffineSubspace`` is the one affine type: it checks its orthonormal basis,
 projects, charts and writes itself, and a union's frames are
@@ -23,8 +23,9 @@ Each variant writes its normal-cone rule once, in ``_normal_groups``: the
 normals of every piece of the set (a frame, an edge, the whole set) that
 holds a point.  That is its limiting cone, and its proximal cone too, save
 at a point more than one piece holds (a union's frame crossing, the kinked
-corner), where the proximal cone is the zero cone.  The reflector is written
-once, as ``2p - x`` over the branches ``project`` gives.
+corner), where the proximal cone is the zero cone.  A normal cone of a
+point array is the tuple of its nonempty ``NormalGroup``s (``_cones``).  The
+reflector is written once, as ``2p - x`` over the branches ``project`` gives.
 """
 
 from __future__ import annotations
@@ -104,42 +105,11 @@ class NormalGroup:
         return NormalGroup(self.basis[keep] if self.per_row else self.basis, self.rows[keep], self.one_sided)
 
 
-@dataclass(frozen=True)
-class NormalComponents:
-    """Proximal normal cones at every row of an on-set sample array of
-    dimension ``dim``.
-
-    Row ``i``'s cone is the union of the components of the groups whose
-    ``rows`` hold ``i``; a row no group holds has the zero cone.  Groups list
-    only rows they hold, and none is empty.
-    """
-
-    dim: int
-    groups: tuple = ()
-
-    def generators(self, i):
-        """Unit generators of row ``i``'s cone, as ``proximal_normals`` lists
-        them: a span contributes its basis and its negation."""
-        out = []
-        for g in self.groups:
-            for j in np.flatnonzero(g.rows == i):
-                b = g.basis[j] if g.per_row else g.basis
-                out.extend(b if g.one_sided else np.vstack([b, -b]))
-        return out
-
-    def cone_parts(self):
-        """(rays, subspace stacks) over all rows, for opposition checks: a
-        ``(m, dim)`` array of rays and a list of ``(m, k, dim)`` stacks of
-        orthonormal subspace bases."""
-        rays = [g.basis.reshape(-1, self.dim) for g in self.groups if g.one_sided]
-        subs = [g.basis if g.per_row else g.basis[None] for g in self.groups if not g.one_sided]
-        return (np.vstack(rays) if rays else np.zeros((0, self.dim))), subs
-
-
-def _cones(dim, *groups):
-    """``NormalComponents`` of the ``groups`` that hold a row and a nonzero
-    component."""
-    return NormalComponents(dim, tuple(g for g in groups if g.rows.size and g.basis.shape[-2]))
+def _cones(*groups):
+    """The cone of the ``groups`` that hold a row and a nonzero component:
+    row ``i``'s cone is the union of the components of the groups whose
+    ``rows`` hold ``i``, and the zero cone if none does."""
+    return tuple(g for g in groups if g.rows.size and g.basis.shape[-2])
 
 
 class ClosedSet:
@@ -215,30 +185,35 @@ class ClosedSet:
         array ``X`` that the piece holds: the limiting normal cones."""
         raise NotImplementedError
 
-    def normal_components(self, X) -> NormalComponents:
-        """Proximal normal cones at every row of ``X`` as normal groups: the
-        limiting cones, save that a row more than one piece holds has the
-        zero cone.  Raises if a row is not in the set to ``MEMBERSHIP_TOL``.
+    def normal_components(self, X):
+        """Proximal normal cones at every row of ``X``: the limiting cones,
+        save that a row more than one piece holds has the zero cone.  Raises
+        if a row is not in the set to ``MEMBERSHIP_TOL``.
         """
         X = self._check_members(X)
         groups = self._normal_groups(X)
         pieces = np.bincount(np.concatenate([g.rows for g in groups]), minlength=X.shape[0])
-        return _cones(self.dim, *(g.restricted(pieces[g.rows] == 1) for g in groups))
+        return _cones(*(g.restricted(pieces[g.rows] == 1) for g in groups))
 
     def proximal_normals(self, x):
-        """Unit generators of the proximal normal cone at ``x`` (in the set).
+        """Unit generators of the proximal normal cone at ``x`` (in the set):
+        a ray's basis row, and a span's basis rows and their negations.
 
         An empty list means the zero cone.  Raises if ``x`` is not in the set
         to ``MEMBERSHIP_TOL``.
         """
-        return self.normal_components(as_point(x, self.dim)[None]).generators(0)
+        out = []
+        for g in self.normal_components(as_point(x, self.dim)[None]):
+            b = g.basis[0] if g.per_row else g.basis
+            out.extend(b if g.one_sided else np.vstack([b, -b]))
+        return out
 
-    def limiting_normals(self, x) -> NormalComponents:
+    def limiting_normals(self, x):
         """Limiting normal cone at ``x``, as ``normal_components`` of one row:
         the normals of every piece that holds ``x``.  Raises if ``x`` is not in
         the set to ``MEMBERSHIP_TOL``.
         """
-        return _cones(self.dim, *self._normal_groups(self._check_members(as_point(x, self.dim)[None])))
+        return _cones(*self._normal_groups(self._check_members(as_point(x, self.dim)[None])))
 
     def chart(self, anchor, delta, n, seed):
         """Deterministic points of the set within ``delta`` of ``anchor``,
@@ -531,7 +506,7 @@ class KinkedRegion(ClosedSet):
         drops = delta * np.array([0.25, 0.5])
         interior = np.vstack([boundary - np.array([0.0, h]) for h in drops])
         interior = interior[self.contains_many(interior, tol=0.0)]
-        return _in_ball(np.vstack([boundary, interior]), anchor, delta)
+        return _in_ball(np.vstack([self.project_many(anchor[None]), boundary, interior]), anchor, delta)
 
     def to_dict(self):
         return {"variant": "kinked"}

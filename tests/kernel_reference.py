@@ -222,7 +222,7 @@ def ref_ndtri(y):
     return ndtri(y, order="C")
 
 
-def ref_sup_alignment(X, comps, targets):
+def ref_sup_alignment(X, cone, targets):
     """``regularity._sup_alignment`` before it bounded blocks of rows: each
     group's rows against every target through ``_block_sup``.  No pair is
     pruned, and the targets below every row of a ray group, which that
@@ -230,7 +230,7 @@ def ref_sup_alignment(X, comps, targets):
     scale = max(float(np.max(np.abs(X), initial=0.0)), float(np.max(np.abs(targets), initial=0.0)))
     coincident = COINCIDENT * scale
     best = 0.0
-    for g in comps.groups:
+    for g in cone:
         rows = X[g.rows]
         if g.per_row:
             def align(U, block, g=g):

@@ -34,7 +34,18 @@ budget: {max_iters: 200, tol: 1.0e-10}
 regularity: {deltas: [1.0], samples: 256, seed: 3}
 """
 REGULARITY = "regularity: {deltas: [1.0], samples: 256, seed: 3}"
+# an interior witness of the kinked region, 7 from its boundary
+KINKED_INTERIOR = """
+name: kinked-interior
+sets:
+  K: {variant: kinked}
+solution: {witness: [-5.0, -5.0], members: [K]}
+regularity: {deltas: [1.0], samples: 256, seed: 3}
+"""
 LINE_B = "B: {variant: affine, offset: [0.0, 0.0], basis: [[1.0, 1.0]]}"
+# the line y = 5, 5 from the witness: no sample of it lies within delta
+FAR_LINE = MINIMAL.replace(LINE_B, "B: {variant: affine, offset: [0.0, 5.0], basis: [[1.0, 0.0]]}").replace(
+    "members: [A, B]", "members: [A]")
 # inputs that are out of range however they reach the schema: (old, new, path)
 DEGENERATE = (
     ("members: [A, B]", "members: []", "solution.members"),
@@ -236,7 +247,7 @@ def _machine(report):
 @pytest.mark.parametrize("name, max_iters", [("example-i", None), ("example-iii", 2000)])
 def test_machine_records_verdicts_and_fit(tmp_path, name, max_iters):
     cfg = preset(name)
-    doc = run_experiment(cfg, out_dir=tmp_path, samples=256, max_iters=max_iters)
+    doc = run_experiment(cfg.with_overrides(samples=256, max_iters=max_iters), out_dir=tmp_path)
     machine = _machine(tmp_path / cfg.outputs.report)
     assert machine["name"] == name
     # json writes a tuple as a list: compare measured values as json reads them back
@@ -255,8 +266,8 @@ def test_machine_records_verdicts_and_fit(tmp_path, name, max_iters):
 
 def test_reports_deterministic_modulo_timestamp(tmp_path):
     cfg = preset("example-i")
-    doc1 = run_experiment(cfg, out_dir=tmp_path / "a", samples=256)
-    doc2 = run_experiment(cfg, out_dir=tmp_path / "b", samples=256)
+    doc1 = run_experiment(cfg.with_overrides(samples=256), out_dir=tmp_path / "a")
+    doc2 = run_experiment(cfg.with_overrides(samples=256), out_dir=tmp_path / "b")
     t1 = (tmp_path / "a" / cfg.outputs.report).read_text().split("\n", 1)[1]
     t2 = (tmp_path / "b" / cfg.outputs.report).read_text().split("\n", 1)[1]
     assert t1 == t2
@@ -264,12 +275,12 @@ def test_reports_deterministic_modulo_timestamp(tmp_path):
 
 def test_claim_bounds_follow_the_run():
     # a bound prints the budget and the start count the run had
-    doc = run_experiment(preset("example-iii"), samples=256, max_iters=2000)
+    doc = run_experiment(preset("example-iii").with_overrides(samples=256, max_iters=2000))
     (tolerance,) = [v for v in doc.verdicts if v.claim_id == "iii-map-tolerance-within-budget"]
     assert tolerance.bound == "< 1e-6 within 2000 iterations"
     assert tolerance.detail.endswith("unreachable in 2000 iterations")
     cfg = preset("example-iv")
-    doc = run_experiment(replace(cfg, start=replace(cfg.start, count=5)), samples=256)
+    doc = run_experiment(replace(cfg, start=replace(cfg.start, count=5)).with_overrides(samples=256))
     (converge,) = [v for v in doc.verdicts if v.claim_id == "iv-dr-all-starts-converge"]
     assert len(doc.traces) == 5
     assert converge.bound == "all 5 starts < 1e-8"
@@ -285,7 +296,7 @@ def test_claim_bounds_follow_the_run():
 def test_rate_claim_without_a_fit_fails(tmp_path, name, claim_id):
     # five steps leave too few entries to fit a rate: the claim reads FAIL
     # with the reason, and the report is still written, with no fit entry
-    doc = run_experiment(preset(name), out_dir=tmp_path, samples=64, max_iters=5)
+    doc = run_experiment(preset(name).with_overrides(samples=64, max_iters=5), out_dir=tmp_path)
     (rate,) = [v for v in doc.verdicts if v.claim_id == claim_id]
     assert doc.exit_status == 1
     assert not rate.passed and rate.measured is None
@@ -312,7 +323,7 @@ TRACE_CLAIMS = {
 def test_trace_claims_without_a_start_fail(name):
     # nothing is iterated, so every claim on a trace or its fit reads FAIL
     # with the reason; zero starts never pass
-    doc = run_experiment(replace(preset(name), start=None), samples=64)
+    doc = run_experiment(replace(preset(name), start=None).with_overrides(samples=64))
     assert doc.exit_status == 1
     read = [v for v in doc.verdicts if v.claim_id in TRACE_CLAIMS[name]]
     assert len(read) == len(TRACE_CLAIMS[name])
@@ -325,10 +336,10 @@ def test_trace_claims_without_a_start_fail(name):
 def test_preset_claims_need_the_preset_geometry(name):
     # a preset's claims are statements about its sets, algorithm and
     # solution: a config that changes one of them is report-only
-    doc = run_experiment(replace(preset(name), algorithm=None), samples=64)
+    doc = run_experiment(replace(preset(name), algorithm=None).with_overrides(samples=64))
     assert doc.verdicts == [] and doc.exit_status == 0
     cfg = preset(name)
-    mine, read_back = ([v.claim_id for v in run_experiment(c, samples=64, max_iters=50).verdicts]
+    mine, read_back = ([v.claim_id for v in run_experiment(c.with_overrides(samples=64, max_iters=50)).verdicts]
                        for c in (cfg, parse_config(serialize_config(cfg))))
     assert mine == read_back and set(TRACE_CLAIMS[name]) <= set(mine)
 
@@ -336,7 +347,7 @@ def test_preset_claims_need_the_preset_geometry(name):
 def test_preset_with_another_set_is_report_only():
     cfg = preset("example-ii")
     cfg = replace(cfg, sets={**cfg.sets, "B": Ball([0.0, 0.0, 0.0], 1.0)})
-    doc = run_experiment(cfg, samples=64)
+    doc = run_experiment(cfg.with_overrides(samples=64))
     assert doc.verdicts == [] and doc.exit_status == 0
 
 
@@ -360,7 +371,7 @@ def test_preset_without_a_section_ends_in_a_config_error_or_verdicts(name, drop,
     except ConfigError as err:
         assert err.path
         return
-    doc = run_experiment(cfg, samples=samples, max_iters=max_iters)
+    doc = run_experiment(cfg.with_overrides(samples=samples, max_iters=max_iters))
     assert doc.exit_status in (0, 1)
 
 
@@ -383,10 +394,13 @@ def test_cli_run_preset(tmp_path, capsys):
 
 def test_cli_run_config_file(tmp_path, capsys):
     path = tmp_path / "cfg.yaml"
-    path.write_text(MINIMAL)
-    code = main(["run", str(path), "--out-dir", str(tmp_path), "--samples", "256"])
-    assert code == 0
-    capsys.readouterr()
+    for text in (MINIMAL, KINKED_INTERIOR):
+        path.write_text(text)
+        code = main(["run", str(path), "--out-dir", str(tmp_path), "--samples", "256"])
+        assert code == 0
+    # the kinked chart holds the interior witness itself, whose cone is zero
+    machine = json.loads(capsys.readouterr().out.rsplit("--- machine ---\n", 1)[1])
+    assert machine["sweep"] == [{"delta": 1.0, "eps_sub": 0.0, "eps_pair": 0.0}]
 
 
 def test_cli_rates_only(tmp_path, capsys):
@@ -425,6 +439,7 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         ("{point: [1.0, 0.0]}", "{center: [0.0, 0.0], radius: 1.0, count: 1.0e300}", "start.count"),
         ("{point: [1.0, 0.0]}", "{center: [-1.0e300, 0.0], radius: 1.0, count: 3}", "start.center[0]"),
         ("{point: [1.0, 0.0]}", "{point: [0.0, 1.0e300]}", "start.point[1]"),
+        (MINIMAL, FAR_LINE, "regularity.deltas: set 'B' lies 5 from the witness, past delta 1"),
         *DEGENERATE,
     ):
         cfg.write_text(MINIMAL.replace(old, new))

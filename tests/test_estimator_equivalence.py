@@ -30,7 +30,6 @@ from projfeas.sets import (
     AffineSubspace,
     Ball,
     KinkedRegion,
-    NormalComponents,
     NormalGroup,
     Sphere,
     UnionOfSubspaces,
@@ -78,6 +77,17 @@ def reference_components(s, x):
 def reference_generators(s, x):
     rays, subs = reference_components(s, x)
     return list(rays) + [g for W in subs for g in np.vstack([W, -W])]
+
+
+def batched_generators(cone, i):
+    """Row ``i``'s generators from a cone of rows, as ``proximal_normals``
+    lists them: a span contributes its basis and its negation."""
+    out = []
+    for g in cone:
+        for j in np.flatnonzero(g.rows == i):
+            b = g.basis[j] if g.per_row else g.basis
+            out.extend(b if g.one_sided else np.vstack([b, -b]))
+    return out
 
 
 def reference_sup_alignment(x, targets, rays, subspaces):
@@ -230,6 +240,9 @@ def _c_cases():
         ("Sphere-Union", Sphere([1.0, 1.0], math.sqrt(2.0)), cross, np.zeros(2), 0.5),
         ("Kinked-Affine", KinkedRegion(), through_origin, np.zeros(2), 1.0),
         ("Kinked-Ball", KinkedRegion(), Ball([0.0, -1.0], 1.0), np.zeros(2), 1.0),
+        # the kinked region's two ray groups as the second cone too
+        ("Affine-Kinked", through_origin, KinkedRegion(), np.zeros(2), 1.0),
+        ("Ball-Kinked", Ball([0.0, -1.0], 1.0), KinkedRegion(), np.zeros(2), 1.0),
     ]
 
 
@@ -287,10 +300,10 @@ def sets_and_samples(draw):
 @given(sets_and_samples())
 def test_normal_components_match_per_point_normals(case):
     s, X = case
-    comps = s.normal_components(X)
-    assert all(0 <= g.rows.min() and g.rows.max() < X.shape[0] for g in comps.groups)
+    cone = s.normal_components(X)
+    assert all(0 <= g.rows.min() and g.rows.max() < X.shape[0] for g in cone)
     for i, x in enumerate(X):
-        batched = comps.generators(i)
+        batched = batched_generators(cone, i)
         for per_point in (reference_generators(s, x), s.proximal_normals(x)):
             assert len(batched) == len(per_point)
             for g, h in zip(batched, per_point):
@@ -336,17 +349,17 @@ def alignment_cases(draw):
     else:  # one ray, or one line, per row
         own, rows = _unit_rows(rng, n, dim), np.flatnonzero(rng.random(n) < 0.8)
         group = NormalGroup(own[rows][:, None], rows, one_sided=kind == "own-rays")
-    comps = NormalComponents(dim, (group,) if group.rows.size else ())
-    return X, comps, T
+    cone = (group,) if group.rows.size else ()
+    return X, cone, T
 
 
 @settings(max_examples=300, deadline=None)
 @given(alignment_cases(), st.sampled_from([1, 3, 64]))
 def test_pruned_sup_alignment_equals_every_pair(case, block_rows):
-    X, comps, T = case
+    X, cone, T = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regularity, "PRUNE_ROWS", block_rows)
-        assert regularity._sup_alignment(X, comps, T) == ref_sup_alignment(X, comps, T)
+        assert regularity._sup_alignment(X, cone, T) == ref_sup_alignment(X, cone, T)
 
 
 @pytest.mark.parametrize("kind", ["one-sided", "span"])
@@ -370,8 +383,8 @@ def test_pruned_sup_alignment_keeps_ties_on_the_bound(monkeypatch, kind):
         v = -v if v @ group.basis[0] < 0 else v
         T = x + rng.uniform(0.5, 1.0, size=(64, 1)) * 2.0**-20 * v
         X = x[None, :]
-        comps = NormalComponents(dim, (group,))
-        if regularity._sup_alignment(X, comps, T) != ref_sup_alignment(X, comps, T):
+        cone = (group,)
+        if regularity._sup_alignment(X, cone, T) != ref_sup_alignment(X, cone, T):
             bad.append(case)
     assert bad == []
 
@@ -379,9 +392,9 @@ def test_pruned_sup_alignment_keeps_ties_on_the_bound(monkeypatch, kind):
 @pytest.mark.parametrize("variant, s, sol, delta", VARIANT_CASES, ids=IDS)
 def test_pruned_sup_alignment_equals_every_pair_on_estimator_samples(variant, s, sol, delta):
     X = on_set_points(s, sol.witness, delta, 256, 5)
-    comps = s.normal_components(X)
+    cone = s.normal_components(X)
     for T in (X, sol.sample_points(delta, 64, 4)):
-        assert regularity._sup_alignment(X, comps, T) == ref_sup_alignment(X, comps, T), variant
+        assert regularity._sup_alignment(X, cone, T) == ref_sup_alignment(X, cone, T), variant
 
 
 def _scaling_cases():
@@ -403,11 +416,11 @@ def test_sup_alignment_is_invariant_under_power_of_two_scaling(kind, s, anchor, 
     # scaling by 2**k is exact, so every pair value, the coincidence test and
     # the pruning bound scale with the points and the supremum moves no bit
     X = on_set_points(s, anchor, delta, 128, 5)
-    comps = s.normal_components(X)
+    cone = s.normal_components(X)
     T = np.vstack([X, X[::7] + 1e-3])
-    want = regularity._sup_alignment(X, comps, T)
+    want = regularity._sup_alignment(X, cone, T)
     assert want > 0.0, kind
-    bad = [k for k in range(-60, 61) if regularity._sup_alignment(2.0**k * X, comps, 2.0**k * T) != want]
+    bad = [k for k in range(-60, 61) if regularity._sup_alignment(2.0**k * X, cone, 2.0**k * T) != want]
     assert bad == [], kind
 
 
@@ -418,10 +431,10 @@ def test_kinked_pair_estimate_evaluates_few_pairs(monkeypatch):
     # row of its edge along the edge's normal: only those can align above 0
     kink = KinkedRegion()
     X = on_set_points(kink, np.zeros(2), 1.0, 4096, 7)
-    comps = kink.normal_components(X)
-    assert not any(g.per_row for g in comps.groups)
+    cone = kink.normal_components(X)
+    assert not any(g.per_row for g in cone)
     candidates = 0
-    for g in comps.groups:
+    for g in cone:
         height = X[g.rows] @ g.basis[0]
         candidates += g.rows.shape[0] * int(np.sum(X @ g.basis[0] >= height.min()))
     evaluated = []

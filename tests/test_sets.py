@@ -280,15 +280,17 @@ def test_ball_interior_zero_cone():
 
 def test_kink_limiting_cone_at_corner_has_both_edge_normals():
     cone = KinkedRegion().limiting_normals([0.0, 0.0])
-    assert cone.cone_parts()[0].shape[0] == 2
+    assert all(g.one_sided for g in cone)
+    np.testing.assert_allclose(np.vstack([g.basis for g in cone]),
+                               [KinkedRegion.EDGE_NEG_NORMAL, KinkedRegion.EDGE_POS_NORMAL])
 
 
 def test_cross_limiting_cone_at_crossing_has_both_normal_spaces():
     cross = UnionOfSubspaces.cross(2)
     assert cross.proximal_normals([0.0, 0.0]) == []
-    rays, subs = cross.limiting_normals([0.0, 0.0]).cone_parts()
-    assert rays.shape[0] == 0
+    cone = cross.limiting_normals([0.0, 0.0])
+    assert not any(g.one_sided for g in cone)
     # the x-axis frame's normal space is the y-axis, and the other way round
-    projectors = [S[0].T @ S[0] for S in subs]
+    projectors = [g.basis.T @ g.basis for g in cone]
     np.testing.assert_allclose(projectors, [np.diag([0.0, 1.0]), np.diag([1.0, 0.0])], atol=1e-12)
 
