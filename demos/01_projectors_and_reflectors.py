@@ -18,10 +18,21 @@ def show(label, outcome):
           f"distance {outcome.distance:.6f}  branches [{branches}] ({outcome.branch_count})")
 
 
+def show_reflect(label, s, x):
+    # one slot per candidate, slot 0 the selected branch, as branches_many lists them
+    print(f"  {label}: slots {np.round(s.reflect(np.array([x]))[:, 0], 6).tolist()}")
+
+
+def show_cone(label, cone):
+    # a cone of rows is a tuple of normal groups: a ray, or the span of its basis rows
+    parts = [f"{'ray' if g.one_sided else 'span'} {np.round(g.basis.reshape(-1, 2), 6).tolist()}" for g in cone]
+    print(f"  {label}: {', '.join(parts) or 'zero cone'}")
+
+
 print("== affine subspace: the diagonal of the plane ==")
 diag = AffineSubspace.from_span([0.0, 0.0], [[1.0, 1.0]])
 show("project (1, 0)", diag.project([1.0, 0.0]))
-show("reflect (1, 0)", diag.reflect([1.0, 0.0]))  # swaps the coordinates
+show_reflect("reflect (1, 0)", diag, [1.0, 0.0])  # swaps the coordinates
 
 print("\n== ball tangent to the x-axis ==")
 ball = Ball([0.0, 1.0], 1.0)
@@ -37,15 +48,16 @@ print("\n== cross (both axes): ties produce two branches ==")
 cross = UnionOfSubspaces.cross(2)
 show("project (2, 1)", cross.project([2.0, 1.0]))
 show("project (1, 1)", cross.project([1.0, 1.0]))
-show("reflect (1, 1)", cross.reflect([1.0, 1.0]))
+show_reflect("reflect (1, 1)", cross, [1.0, 1.0])
 
 print("\n== kinked region: a reflex corner at the origin ==")
 kink = KinkedRegion()
 show("project (1, 2)", kink.project([1.0, 2.0]))
 show("project (-1, 3)", kink.project([-1.0, 3.0]))
 
-print("\nproximal normal generators:")
-print("  cross at (1, 0):", [g.tolist() for g in cross.proximal_normals([1.0, 0.0])])
-print("  cross at the origin (zero cone):", cross.proximal_normals([0.0, 0.0]))
-print("  kink on the slanted edge:", [np.round(g, 6).tolist() for g in kink.proximal_normals([-1.0, 1.0])])
-print("  kink at the corner (zero cone):", kink.proximal_normals([0.0, 0.0]))
+print("\nproximal normal cones, each of one row:")
+show_cone("cross at (1, 0)", cross.normal_components(np.array([[1.0, 0.0]])))
+show_cone("cross at the origin", cross.normal_components(np.zeros((1, 2))))
+show_cone("kink on the slanted edge", kink.normal_components(np.array([[-1.0, 1.0]])))
+show_cone("kink at the corner", kink.normal_components(np.zeros((1, 2))))
+show_cone("kink at the corner, its limiting cone", kink.limiting_normals(np.zeros((1, 2))))

@@ -345,7 +345,7 @@ def config_from_dict(data):
     # the estimators sample the pair, or the first set, within each delta of the witness
     delta = min(cfg.regularity.deltas)
     for name in (cfg.algorithm.a, cfg.algorithm.b) if cfg.algorithm else list(cfg.sets)[:1]:
-        far = cfg.sets[name].distance(cfg.solution.witness)
+        far = cfg.sets[name].distance_many(cfg.solution.witness[None])[0]
         if far > delta:
             raise ConfigError("regularity.deltas",
                               f"set {name!r} lies {far:g} from the witness, past delta {delta:g}")

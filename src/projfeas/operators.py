@@ -14,8 +14,10 @@ so iterations follow the one deterministic ``selected`` branch; ``step`` and
 ``apply`` (which also keeps the named intermediate points) evaluate it on a
 batch of one.  Passing ``_listed``, each set's ``branches_many``, lists every
 branch on a new leading axis, and the composition broadcasts over those
-axes.  The two Douglas-Rachford checks, ``dr_two_forms_agree`` and
-``check_step_energy_identity``, read ``_stages`` over point arrays too.
+axes.  The two Douglas-Rachford checks read point arrays too:
+``dr_two_forms_agree`` holds ``_stages`` to the averaged reflectors that each
+set's ``reflect`` gives on every branch, and ``check_step_energy_identity``
+reads the reflectors from the step's intermediate points.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ def dr_two_forms_agree(a, b, X):
     one, to ``FORMS_TOL`` relative to ``max(1, |x|)``."""
     X = as_points(X, a.dim)
     W = DouglasRachford(a, b)._stages(X, _listed)[1]
-    Rb = 2.0 * b.branches_many(X) - X
-    V = (2.0 * a.branches_many(Rb) - Rb + X) / 2.0
+    Rb = b.reflect(X)
+    V = (a.reflect(Rb) + X) / 2.0
     gap = row_norms(W - V).reshape(-1, X.shape[0]).max(axis=0)
     return gap <= FORMS_TOL * np.maximum(1.0, row_norms(X))
 

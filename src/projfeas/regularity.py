@@ -332,7 +332,8 @@ def check_strong_regularity(a, b, point):
         rank = orthonormalize(stacked).shape[0] if stacked.size else 0
         return bool(rank == a.dim)
     # a zero cone has no groups, and its opposition with any cone is 0
-    return bool(_opposition(a.limiting_normals(point), b.limiting_normals(point)) <= 1.0 - STRONG_REGULARITY_TOL)
+    opposition = _opposition(a.limiting_normals(point[None]), b.limiting_normals(point[None]))
+    return bool(opposition <= 1.0 - STRONG_REGULARITY_TOL)
 
 
 def friedrichs_cosine(a, b):

@@ -10,7 +10,6 @@ subspace sweep) and aggregates their verdicts into an exit status.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -21,7 +20,7 @@ import numpy as np
 from .driver import RateFit, fit_rate, iterate, iterate_many, trace_to_csv
 from .linalg import complement_basis  # noqa: F401  perfbench/tracing.py counts calls through it
 from .operators import DouglasRachford
-from .presets import PRESETS, SWEEPS, preset
+from .presets import HALF_SQRT2, PRESETS, SWEEPS, preset
 from .regularity import (
     SAFETY_INFLATION,
     check_strong_regularity,
@@ -32,10 +31,8 @@ from .regularity import (
     friedrichs_cosine,
     predicted_rates,
 )
-from .sets import AffineSubspace, KinkedRegion
+from .sets import AffineSubspace
 from .solution import subspace_pair_solution
-
-HALF_SQRT2 = math.sqrt(2.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -405,7 +402,7 @@ def _claims_example_v_map(doc):
 
 def _claims_kinked(doc):
     eps_pair, lo, hi = doc.sweep[0]["eps_pair"], 0.70, 0.7072
-    normals = KinkedRegion().proximal_normals(np.zeros(2))
+    normals = list(doc.cfg.sets["K"].normal_components(np.zeros((1, 2))))
     return [
         _claim("kink-pair-regularity-interval", eps_pair, lambda e: lo <= e <= hi, f"[{lo:.2f}, {_num(hi)}]"),
         _claim("kink-zero-proximal-cone", normals, lambda n: n == [], "zero cone at the corner"),

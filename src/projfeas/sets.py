@@ -8,11 +8,12 @@ slanted edge before its flat one), and one tie rule reads every such list:
 the candidates within ``TIE_TOL`` of the least distance are the branches, and
 the first of them in the listed order is the ``selected`` one, so iterations
 are reproducible.  ``project_many`` gathers the selected branch of every row,
-``distance_many`` the least distance and ``branches_many`` every branch;
-``project`` and ``distance`` evaluate them on a batch of one, so a row's
-result does not depend on the batch it is in.  A single-valued variant
-writes ``project_many`` and ``distance_many`` itself, and its one candidate is
-that projection.  Each variant also owns its sampling ``chart``: the on-set
+``distance_many`` the least distance and ``branches_many`` every branch, and a
+row's result does not depend on the batch it is in.  Every query takes rows;
+``project`` and ``contains`` also take a single point, as a batch of one, only
+because ``perfbench/`` reads them by name.  A single-valued variant writes
+``project_many`` and ``distance_many`` itself, and its one candidate is that
+projection.  Each variant also owns its sampling ``chart``: the on-set
 points the estimators draw near an anchor, the anchor's nearest one among them.
 
 ``AffineSubspace`` is the one affine type: it checks its orthonormal basis,
@@ -25,13 +26,13 @@ holds a point.  That is its limiting cone, and its proximal cone too, save
 at a point more than one piece holds (a union's frame crossing, the kinked
 corner), where the proximal cone is the zero cone.  A normal cone of a
 point array is the tuple of its nonempty ``NormalGroup``s (``_cones``).  The
-reflector is written once, as ``2p - x`` over the branches ``project`` gives.
+reflector ``reflect`` is ``2p - x`` over the slots of ``branches_many``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,12 +130,8 @@ class ClosedSet:
         one canonical representative."""
         return np.zeros(X.shape[0], dtype=bool)
 
-    def distance(self, x):
-        return float(self.distance_many(as_point(x, self.dim)[None])[0])
-
     def distance_many(self, X):
-        """Distance of every row of an ``(m, dim)`` array; unvalidated.
-        ``distance`` is its batch of one."""
+        """Distance of every row of an ``(m, dim)`` array; unvalidated."""
         return self._candidates(X)[1].min(axis=0)
 
     def project(self, x) -> ProjectionOutcome:
@@ -165,13 +162,10 @@ class ClosedSet:
         selected = P[first, np.arange(flat.shape[0])]
         return np.where(kept[..., None], P, selected).reshape(P.shape[:1] + X.shape)
 
-    def reflect(self, x) -> ProjectionOutcome:
-        """All branches of ``2 P(x) - x``; keeps the projection's branch
-        count and distance."""
-        x = as_point(x, self.dim)
-        out = self.project(x)
-        branches = tuple(2.0 * p - x for p in out.branches)
-        return replace(out, selected=branches[0], branches=branches)
+    def reflect(self, X):
+        """Every branch of ``2 P(x) - x`` for every row of a ``(..., dim)``
+        array, in the slots of ``branches_many``.  Unvalidated."""
+        return 2.0 * self.branches_many(X) - X
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
         return bool(self.contains_many(as_point(x, self.dim)[None], tol)[0])
@@ -195,25 +189,12 @@ class ClosedSet:
         pieces = np.bincount(np.concatenate([g.rows for g in groups]), minlength=X.shape[0])
         return _cones(*(g.restricted(pieces[g.rows] == 1) for g in groups))
 
-    def proximal_normals(self, x):
-        """Unit generators of the proximal normal cone at ``x`` (in the set):
-        a ray's basis row, and a span's basis rows and their negations.
-
-        An empty list means the zero cone.  Raises if ``x`` is not in the set
-        to ``MEMBERSHIP_TOL``.
+    def limiting_normals(self, X):
+        """Limiting normal cones at every row of ``X``, as ``normal_components``
+        gives the proximal ones: the normals of every piece that holds a row.
+        Raises if a row is not in the set to ``MEMBERSHIP_TOL``.
         """
-        out = []
-        for g in self.normal_components(as_point(x, self.dim)[None]):
-            b = g.basis[0] if g.per_row else g.basis
-            out.extend(b if g.one_sided else np.vstack([b, -b]))
-        return out
-
-    def limiting_normals(self, x):
-        """Limiting normal cone at ``x``, as ``normal_components`` of one row:
-        the normals of every piece that holds ``x``.  Raises if ``x`` is not in
-        the set to ``MEMBERSHIP_TOL``.
-        """
-        return _cones(*self._normal_groups(self._check_members(as_point(x, self.dim)[None])))
+        return _cones(*self._normal_groups(self._check_members(X)))
 
     def chart(self, anchor, delta, n, seed):
         """Deterministic points of the set within ``delta`` of ``anchor``,
@@ -348,16 +329,12 @@ class Ball(_Round):
     def distance_many(self, X):
         return np.maximum(row_norms(X - self.center) - self.radius, 0.0)
 
-    def _nearest(self, X):
-        """Projections of the rows of ``X`` and their distances from the center."""
+    def project_many(self, X):
         D = X - self.center
         r = row_norms(D)
         inside = r <= self.radius
         scale = self.radius / np.where(inside, 1.0, r)
-        return np.where(inside[:, None], X, self.center + scale[:, None] * D), r
-
-    def project_many(self, X):
-        return self._nearest(X)[0]
+        return np.where(inside[:, None], X, self.center + scale[:, None] * D)
 
     def _normal_groups(self, X):
         D = X - self.center
@@ -384,22 +361,22 @@ class Sphere(_Round):
         return np.abs(row_norms(X - self.center) - self.radius)
 
     def _nearest(self, X):
-        """Selected projections of the rows of ``X``, their distances from
-        the center and which of them sit at it."""
+        """Selected projections of the rows of ``X`` and which of them sit
+        at the center."""
         D = X - self.center
         r = row_norms(D)
         at_center = r <= CENTER_TOL * max(1.0, self.radius)
         scale = self.radius / np.where(at_center, 1.0, r)
         canonical = self.center.copy()
         canonical[0] += self.radius
-        return np.where(at_center[:, None], canonical, self.center + scale[:, None] * D), r, at_center
+        return np.where(at_center[:, None], canonical, self.center + scale[:, None] * D), at_center
 
     def project_many(self, X):
         return self._nearest(X)[0]
 
     def _continuum(self, X):
         # at the center the full sphere is nearest
-        return self._nearest(X)[2]
+        return self._nearest(X)[1]
 
     def _normal_groups(self, X):
         D = X - self.center

@@ -7,7 +7,9 @@ tie rule ``select_ties`` (lexicographic for the kinked region, first frame
 for unions) and nested loops over each operator's branch sets; and
 ``ref_sup_alignment``, the estimators' supremum of alignments over every
 sample x target pair, with no pair pruned; and ``ref_friedrichs_cosine``,
-the Friedrichs cosine reduced modulo the intersection.  The sampling
+the Friedrichs cosine reduced modulo the intersection; and
+``batched_generators``, one row's unit generators of a normal cone, the
+list the cones were read as point by point.  The sampling
 references are the scipy forms that ``qmc_unit``, ``ball_points`` and
 ``_ndtri`` used before the package computed the scrambled Halton sequence
 and the inverse normal CDF itself; only the tests import scipy.  Tests
@@ -246,6 +248,17 @@ def ref_sup_alignment(X, cone, targets):
                 return _norm([_dot(U, b) for b in W])
         best = max(best, _block_sup(rows, targets, align, coincident))
     return best
+
+
+def batched_generators(cone, i):
+    """Row ``i``'s unit generators from a cone of rows: a ray's basis row, and
+    a span's basis rows and their negations.  An empty list is the zero cone."""
+    out = []
+    for g in cone:
+        for j in np.flatnonzero(g.rows == i):
+            b = g.basis[j] if g.per_row else g.basis
+            out.extend(b if g.one_sided else np.vstack([b, -b]))
+    return out
 
 
 def ref_friedrichs_cosine(frame_a, frame_b):

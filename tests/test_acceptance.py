@@ -258,7 +258,7 @@ def test_criterion_5_circle_line(circle_line):
 def test_criterion_6_kinked_region():
     k = KinkedRegion()
     eps_pair = estimate_pair_regularity(k, [0.0, 0.0], 1.0, samples=4096, seed=0)
-    normals = k.proximal_normals([0.0, 0.0])
+    normals = list(k.normal_components(np.zeros((1, 2))))
     ok = 0.70 <= eps_pair <= 0.7072 and normals == []
     _report("criterion 6", ok, f"pair constant {eps_pair:.6f}, corner cone {normals}")
 

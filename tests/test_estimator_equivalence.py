@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_reference import ref_sup_alignment
+from kernel_reference import batched_generators, ref_sup_alignment
 from projfeas.linalg import complement_basis, largest_principal_cosine
 from projfeas import regularity
 from projfeas.presets import circle_and_line, cross_and_diagonal, line_and_ball
@@ -77,17 +77,6 @@ def reference_components(s, x):
 def reference_generators(s, x):
     rays, subs = reference_components(s, x)
     return list(rays) + [g for W in subs for g in np.vstack([W, -W])]
-
-
-def batched_generators(cone, i):
-    """Row ``i``'s generators from a cone of rows, as ``proximal_normals``
-    lists them: a span contributes its basis and its negation."""
-    out = []
-    for g in cone:
-        for j in np.flatnonzero(g.rows == i):
-            b = g.basis[j] if g.per_row else g.basis
-            out.extend(b if g.one_sided else np.vstack([b, -b]))
-    return out
 
 
 def reference_sup_alignment(x, targets, rays, subspaces):
@@ -304,7 +293,7 @@ def test_normal_components_match_per_point_normals(case):
     assert all(0 <= g.rows.min() and g.rows.max() < X.shape[0] for g in cone)
     for i, x in enumerate(X):
         batched = batched_generators(cone, i)
-        for per_point in (reference_generators(s, x), s.proximal_normals(x)):
+        for per_point in (reference_generators(s, x), batched_generators(s.normal_components(x[None]), 0)):
             assert len(batched) == len(per_point)
             for g, h in zip(batched, per_point):
                 assert np.allclose(g, h, rtol=0.0, atol=ULP_BOUND)

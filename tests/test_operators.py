@@ -50,10 +50,11 @@ def test_intersection_points_are_fixed():
 def test_dr_two_forms_agree_hand_case():
     a, b = two_lines_2d()
     assert dr_two_forms_agree(a, b, [[1.0, 0.0]]).all()
-    rb = b.reflect([1.0, 0.0])
-    ra = a.reflect(rb.selected)
-    assert rb.branch_count == ra.branch_count == 1
-    np.testing.assert_allclose(0.5 * (ra.selected + [1.0, 0.0]), [0.5, -0.5], atol=1e-15)
+    x = np.array([[1.0, 0.0]])
+    rb = b.reflect(x)
+    ra = a.reflect(rb)
+    assert rb.shape == (1, 1, 2) and ra.shape == (1, 1, 1, 2)  # one branch each
+    np.testing.assert_allclose(0.5 * (ra[0, 0] + x), [[0.5, -0.5]], atol=1e-15)
 
 
 def test_dr_two_forms_agree_random_convex_3d():
@@ -225,8 +226,7 @@ def test_reflector_inequality_subregular_sets():
             for _ in range(100):
                 step = rng.normal(size=s.dim)
                 x = witness + step / max(np.linalg.norm(step), 1.0) * 0.25
-                out = s.reflect(x)
-                for r in out.branches:
+                for r in s.reflect(x[None])[:, 0]:
                     lhs = np.linalg.norm(r - witness) ** 2
                     rhs = lim * np.linalg.norm(x - witness) ** 2
                     assert lhs <= rhs + 1e-9, name

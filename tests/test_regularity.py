@@ -112,7 +112,7 @@ def oracle_kappa_grid(a, b, sol, delta, n=201):
             x = np.array([px, py])
             if np.linalg.norm(x - sol.witness) > delta:
                 continue
-            gap = max(a.distance(x), b.distance(x))
+            gap = max(a.distance_many(x[None])[0], b.distance_many(x[None])[0])
             if gap <= 1e-12:
                 continue
             best = max(best, sol.distance(x) / gap)
