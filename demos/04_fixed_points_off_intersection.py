@@ -25,6 +25,7 @@ from projfeas import (
     singleton_solution,
 )
 from projfeas.presets import line_and_ball, two_lines_3d
+from projfeas.solution import dr_fixed_point_frame
 
 print("== two lines embedded in three dimensions ==")
 a, b = two_lines_3d()
@@ -38,7 +39,8 @@ res = probe_fixed_points(DouglasRachford(a, b), Region(np.zeros(3), 2.0), 24, 11
                          max_iters=500, tol=1e-10)
 off = [(p, d) for p, d in res.limits if d > 1e-6]
 print(f"  probe: {len(off)}/{len(res.limits)} starts end away from the intersection")
-print(f"  exact fixed-point subspace direction: {np.round(res.fixed_point_frame.basis, 6)}")
+frame = dr_fixed_point_frame(a, b, sol.witness)
+print(f"  exact fixed-point subspace direction: {np.round(frame.basis, 6)}")
 
 print("\n== ball tangent to a line ==")
 line, ball = line_and_ball()

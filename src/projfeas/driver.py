@@ -12,11 +12,9 @@ from .linalg import (  # noqa: F401  complement_basis: perfbench/tracing.py coun
     as_points,
     complement_basis,
     row_norms,
-    subspace_intersection,
 )
-from .operators import DouglasRachford, FixedPointOperator
+from .operators import FixedPointOperator
 from .regularity import Region
-from .sets import AffineSubspace
 from .solution import SolutionSet
 
 STAGNATION_STEP = 1e-15  # below this, the iterate is a numerical fixed point
@@ -225,12 +223,10 @@ def fit_rate(trace: IterationTrace):
 
 @dataclass
 class ProbeResult:
-    """Limit points of sampled starts, classified by distance to the
-    solution set; for an affine Douglas-Rachford pair also the exact
-    fixed-point subspace (intersection plus the meet of the normal spaces)."""
+    """Limit points of sampled starts, each with its distance to the
+    solution set."""
 
     limits: list
-    fixed_point_frame: AffineSubspace | None
 
 
 def probe_fixed_points(op, region: Region, samples, seed, sol: SolutionSet,
@@ -241,16 +237,7 @@ def probe_fixed_points(op, region: Region, samples, seed, sol: SolutionSet,
     _check_budget(max_iters, tol)
     starts = as_points(region.sample(samples, seed), op.dim)
     finals, dists, _, _ = _advance(op, starts, sol, max_iters, tol)
-    limits = list(zip(finals, dists.tolist()))
-    frame = None
-    if isinstance(op, DouglasRachford):
-        if isinstance(op.a, AffineSubspace) and isinstance(op.b, AffineSubspace):
-            meet = subspace_intersection(op.a.basis, op.b.basis)
-            normal_meet = subspace_intersection(op.a.normal_basis, op.b.normal_basis)
-            frame = AffineSubspace.from_span(
-                sol.witness, np.vstack([meet, normal_meet]) if meet.size + normal_meet.size else []
-            )
-    return ProbeResult(limits=limits, fixed_point_frame=frame)
+    return ProbeResult(limits=list(zip(finals, dists.tolist())))
 
 
 def trace_to_csv(trace: IterationTrace, path):

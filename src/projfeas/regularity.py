@@ -249,7 +249,8 @@ def estimate_kappa(a, b, sol: SolutionSet, delta, samples=DEFAULT_SAMPLES, seed=
     Supremum of ``dist(x, S) / max(dist(x, a), dist(x, b))`` over ambient
     ball samples plus on-set samples of both sets (whose dyadic ladders drive
     the supremum when it is infinite, as at a tangency: refining the budget
-    then roughly doubles the estimate per doubling).
+    then roughly doubles the estimate per doubling).  It is 0 when every
+    sample lies in both sets, as in a pair whose intersection has interior.
     """
     anchor = sol.witness
     X = np.vstack([
@@ -260,9 +261,7 @@ def estimate_kappa(a, b, sol: SolutionSet, delta, samples=DEFAULT_SAMPLES, seed=
     d_s = sol.distance_many(X)
     gap = np.maximum(a.distance_many(X), b.distance_many(X))
     mask = gap > 1e-12
-    if not mask.any():
-        raise ValueError("all samples lie in both sets; nothing to estimate")
-    return float(np.max(d_s[mask] / gap[mask]))
+    return float(np.max(d_s[mask] / gap[mask], initial=0.0))
 
 
 def _opposition(cone_a, cone_b):
@@ -322,18 +321,17 @@ def check_strong_regularity(a, b, point):
     Exact for affine pairs via the rank of the stacked direction bases; for
     the other variants the analytic limiting cones are compared component by
     component with alignment threshold ``1 - STRONG_REGULARITY_TOL``.
+    Raises, as ``limiting_normals`` does, if ``point`` is off either set.
     """
-    point = np.asarray(point, dtype=float)
-    if not (a.contains(point) and b.contains(point)):
-        raise ValueError("point is not in the intersection")
+    point = np.asarray(point, dtype=float)[None]
+    cone_a, cone_b = a.limiting_normals(point), b.limiting_normals(point)
     if isinstance(a, AffineSubspace) and isinstance(b, AffineSubspace):
         # normal spaces meet trivially iff the direction spans fill the space
         stacked = np.vstack([a.basis, b.basis])
         rank = orthonormalize(stacked).shape[0] if stacked.size else 0
         return bool(rank == a.dim)
     # a zero cone has no groups, and its opposition with any cone is 0
-    opposition = _opposition(a.limiting_normals(point[None]), b.limiting_normals(point[None]))
-    return bool(opposition <= 1.0 - STRONG_REGULARITY_TOL)
+    return bool(_opposition(cone_a, cone_b) <= 1.0 - STRONG_REGULARITY_TOL)
 
 
 def friedrichs_cosine(a, b):

@@ -509,7 +509,8 @@ def run_suite(names=None, out_dir=None, samples=None, seed=None,
     """Run the named presets (default: all of them plus the subspace sweep)
     one after another, each with the values given here in place of its own
     (``ExperimentConfig.with_overrides``), and aggregate verdicts; returns
-    process exit status (0 pass, 1 failure).
+    process exit status (0 pass, 1 failure).  The subspace sweep takes none
+    of ``samples``, ``seed``, ``max_iters`` or ``tol``: it runs its own.
     """
     if not names:
         names = list(PRESETS) + list(SWEEPS)

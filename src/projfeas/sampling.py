@@ -12,11 +12,12 @@ approximation of the inverse normal CDF, written in numpy in the same form
 and order of operations as the C ``ndtri`` that ``scipy.special`` ships; its
 logarithms go through ``math.log``, which is the C library's ``log`` that
 the C code calls, because numpy's vectorised ``np.log`` can differ from it
-in the last bit.  Every chart additionally mixes
-in a dyadic radius ladder ``delta * 2**-j`` whose depth grows with
-``log2(n)``, so suprema attained in shrinking-ratio limits (points sliding
-into a corner or a tangency) are approached at a fixed rate per doubling of
-the sample budget, and doubling the budget never decreases an estimate.
+in the last bit.  Every chart maps the coordinates of ``chart_coords``,
+quasirandom rows followed by a dyadic radius ladder ``delta * 2**-j`` whose
+depth grows with ``log2(n)``, so suprema attained in shrinking-ratio limits
+(points sliding into a corner or a tangency) are approached at a fixed rate
+per doubling of the sample budget, and doubling the budget never decreases
+an estimate.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from .linalg import complement_basis
+from .linalg import complement_basis, row_norms
 
 
 def _first_primes(k):
@@ -201,10 +202,15 @@ def ball_points(center, radius, n, seed):
     return np.vstack([center[None, :], pts])
 
 
-def _clip_small(values, floor):
-    """Clamp magnitudes below ``floor`` up to it, keeping signs."""
-    signs = np.where(values >= 0, 1.0, -1.0)
-    return signs * np.maximum(np.abs(values), floor)
+def chart_coords(n, k, seed, reach, rungs):
+    """Chart coordinates in ``k`` dimensions: the ``n`` scrambled-Halton rows
+    of ``[-reach, reach]**k``, each coordinate clamped up to ``rungs[-1]`` in
+    magnitude with its sign kept, then ``+rung`` and ``-rung`` along each
+    axis, rung by rung."""
+    t = (2.0 * qmc_unit(n, k, seed) - 1.0) * reach
+    t = np.where(t >= 0, 1.0, -1.0) * np.maximum(np.abs(t), rungs[-1])
+    ladder = rungs[:, None, None, None] * np.eye(k)[:, None] * np.array([[1.0], [-1.0]])
+    return np.vstack([t, ladder.reshape(-1, k)])
 
 
 def _in_ball(points, anchor, delta):
@@ -224,19 +230,13 @@ def _boundary_chart(center, radius, anchor, delta, n, seed):
     phi_cap = min(phi_max, 1.45)
     s_max = math.tan(phi_cap) if phi_max < math.pi / 2 else 50.0
     pts = [(center + radius * n0)[None, :]]
-    if d > 1 and W.shape[0]:
-        ladder = dyadic_ladder(n)
-        u = qmc_unit(n, d - 1, seed)
-        t = _clip_small((2.0 * u - 1.0) * s_max, math.tan(phi_cap * ladder[-1]))
-        dirs = n0 + t @ W
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        pts.append(center + radius * dirs)
-        for r in ladder:
-            ang = phi_cap * r
-            for i in range(W.shape[0]):
-                for sign in (1.0, -1.0):
-                    v = n0 + sign * math.tan(ang) * W[i]
-                    pts.append((center + radius * v / np.linalg.norm(v))[None, :])
+    if d > 1:
+        rungs = np.fromiter(map(math.tan, (phi_cap * dyadic_ladder(n)).tolist()), float)
+        V = n0 + chart_coords(n, d - 1, seed, s_max, rungs) @ W
+        # quasirandom rows are normalized, then scaled; ladder rows scaled, then
+        # divided by their norms: the two round apart, and estimates read both
+        pts.append(center + radius * (V[:n] / np.linalg.norm(V[:n], axis=1)[:, None]))
+        pts.append(center + radius * V[n:] / row_norms(V[n:])[:, None])
     if delta >= 2.0 * radius - 1e-12:
         pts.append((center - radius * n0)[None, :])
     return _in_ball(np.vstack(pts), anchor, delta)

@@ -11,10 +11,11 @@ are reproducible.  ``project_many`` gathers the selected branch of every row,
 ``distance_many`` the least distance and ``branches_many`` every branch, and a
 row's result does not depend on the batch it is in.  Every query takes rows;
 ``project`` and ``contains`` also take a single point, as a batch of one, only
-because ``perfbench/`` reads them by name.  A single-valued variant writes
-``project_many`` and ``distance_many`` itself, and its one candidate is that
-projection.  Each variant also owns its sampling ``chart``: the on-set
-points the estimators draw near an anchor, the anchor's nearest one among them.
+because ``perfbench/`` reads them by name: nothing in the package calls
+either on a single point.  A single-valued variant writes ``project_many``
+and ``distance_many`` itself, and its one candidate is that projection.
+Each variant also owns its sampling ``chart``: the on-set points the
+estimators draw near an anchor, the anchor's nearest one among them.
 
 ``AffineSubspace`` is the one affine type: it checks its orthonormal basis,
 projects, charts and writes itself, and a union's frames are
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _is_orthonormal, as_point, as_points, complement_basis, orthonormalize, row_norms
-from .sampling import _boundary_chart, _clip_small, _in_ball, dyadic_ladder, qmc_unit
+from .sampling import _boundary_chart, _in_ball, chart_coords, dyadic_ladder, qmc_unit
 
 MEMBERSHIP_TOL = 1e-9   # iterates land on sets only up to floating error
 TIE_TOL = 1e-10         # branch distances within this slack count as tied
@@ -273,19 +274,11 @@ class AffineSubspace(ClosedSet):
         return (NormalGroup(self.normal_basis, np.arange(X.shape[0])),)
 
     def chart(self, anchor, delta, n, seed):
-        p0 = self.project_many(anchor[None])[0]
-        k = self.dim_subspace
-        pts = [p0[None, :]]
-        if k > 0:
-            ladder = dyadic_ladder(n) * delta
-            u = qmc_unit(n, k, seed)
-            coeff = _clip_small((2.0 * u - 1.0) * delta, ladder[-1])
-            pts.append(p0 + coeff @ self.basis)
-            for r in ladder:
-                for i in range(k):
-                    step = r * self.basis[i]
-                    pts.append(np.vstack([p0 + step, p0 - step]))
-        return _in_ball(np.vstack(pts), anchor, delta)
+        pts = self.project_many(anchor[None])
+        if self.dim_subspace:
+            T = chart_coords(n, self.dim_subspace, seed, delta, dyadic_ladder(n) * delta)
+            pts = np.vstack([pts, pts + T @ self.basis])
+        return _in_ball(pts, anchor, delta)
 
     def is_convex(self):
         return True
@@ -344,7 +337,7 @@ class Ball(_Round):
 
     def chart(self, anchor, delta, n, seed):
         pts = _boundary_chart(self.center, self.radius, anchor, delta, n, seed)
-        if self.contains(anchor):
+        if self.contains_many(anchor[None])[0]:
             pts = np.vstack([anchor[None, :], pts])
         return pts
 
@@ -470,9 +463,9 @@ class KinkedRegion(ClosedSet):
     def chart(self, anchor, delta, n, seed):
         span = float(np.linalg.norm(anchor)) + delta
         ladder = dyadic_ladder(n)
-        u = qmc_unit(n, 2, seed)
+        u = qmc_unit(n, 1, seed)[:, 0]
         radii = np.concatenate([
-            np.maximum(span * u[:, 0], span * ladder[-1]),
+            np.maximum(span * u, span * ladder[-1]),
             span * ladder,
         ])
         neg = np.column_stack([-radii, radii]) / math.sqrt(2.0)

@@ -44,7 +44,7 @@ class SolutionSet:
         if self.exact is None:
             self.exact = AffineSubspace(self.witness)
         for m in self.members + (self.exact,):
-            if not m.contains(self.witness):
+            if not m.contains_many(self.witness[None])[0]:
                 raise ValueError("witness is not in every member set and the exact form")
 
     @property
@@ -83,3 +83,12 @@ def subspace_pair_solution(a: AffineSubspace, b: AffineSubspace, witness):
     witness = as_point(witness)
     exact = AffineSubspace(witness, subspace_intersection(a.basis, b.basis))
     return SolutionSet((a, b), witness, exact)
+
+
+def dr_fixed_point_frame(a: AffineSubspace, b: AffineSubspace, witness):
+    """Exact fixed points of Douglas-Rachford on two affine subspaces through
+    a common witness: the witness plus the meet of the direction spaces and
+    the meet of the normal spaces."""
+    meet = subspace_intersection(a.basis, b.basis)
+    normal_meet = subspace_intersection(a.normal_basis, b.normal_basis)
+    return AffineSubspace.from_span(witness, np.vstack([meet, normal_meet]))

@@ -9,7 +9,10 @@ for unions) and nested loops over each operator's branch sets; and
 sample x target pair, with no pair pruned; and ``ref_friedrichs_cosine``,
 the Friedrichs cosine reduced modulo the intersection; and
 ``batched_generators``, one row's unit generators of a normal cone, the
-list the cones were read as point by point.  The sampling
+list the cones were read as point by point.  ``ref_affine_chart``,
+``ref_boundary_chart`` and ``ref_kinked_chart`` are the sampling charts as
+they were before ``chart_coords``: the dyadic ladder one point at a time, and
+the kinked region's radii read from a two-column Halton draw.  The sampling
 references are the scipy forms that ``qmc_unit``, ``ball_points`` and
 ``_ndtri`` used before the package computed the scrambled Halton sequence
 and the inverse normal CDF itself; only the tests import scipy.  Tests
@@ -18,14 +21,16 @@ a test operator from one formula and checks it through ``ref_step``.
 """
 
 import csv
+import math
 
 import numpy as np
 from scipy.special import ndtri
 from scipy.stats import norm, qmc
 
-from projfeas.linalg import largest_principal_cosine, orthonormalize, subspace_intersection
+from projfeas.linalg import complement_basis, largest_principal_cosine, orthonormalize, subspace_intersection
 from projfeas.operators import AlternatingProjections, DouglasRachford, FixedPointOperator
 from projfeas.regularity import COINCIDENT, _block_sup, _dot, _norm
+from projfeas.sampling import _in_ball, dyadic_ladder, qmc_unit
 from projfeas.sets import (
     CENTER_TOL,
     INFINITE,
@@ -276,3 +281,79 @@ def ref_friedrichs_cosine(frame_a, frame_b):
         return orthonormalize(basis - (basis @ meet.T) @ meet)
 
     return largest_principal_cosine(mod_meet(frame_a.basis), mod_meet(frame_b.basis))
+
+
+def _clip_small(values, floor):
+    """Clamp magnitudes below ``floor`` up to it, keeping signs."""
+    signs = np.where(values >= 0, 1.0, -1.0)
+    return signs * np.maximum(np.abs(values), floor)
+
+
+def ref_affine_chart(frame, anchor, delta, n, seed):
+    """``AffineSubspace.chart`` with its ladder stepped one point at a time."""
+    p0 = frame.project_many(anchor[None])[0]
+    k = frame.dim_subspace
+    pts = [p0[None, :]]
+    if k > 0:
+        ladder = dyadic_ladder(n) * delta
+        u = qmc_unit(n, k, seed)
+        coeff = _clip_small((2.0 * u - 1.0) * delta, ladder[-1])
+        pts.append(p0 + coeff @ frame.basis)
+        for r in ladder:
+            for i in range(k):
+                step = r * frame.basis[i]
+                pts.append(np.vstack([p0 + step, p0 - step]))
+    return _in_ball(np.vstack(pts), anchor, delta)
+
+
+def ref_boundary_chart(center, radius, anchor, delta, n, seed):
+    """``sampling._boundary_chart`` with its ladder normalized one point at
+    a time."""
+    center = np.asarray(center, dtype=float)
+    d = center.shape[0]
+    n0 = anchor - center
+    nn = np.linalg.norm(n0)
+    n0 = n0 / nn if nn > 1e-12 else np.eye(d)[0]
+    W = complement_basis(n0[None, :], d)
+    phi_max = 2.0 * math.asin(min(delta / (2.0 * radius), 1.0))
+    phi_cap = min(phi_max, 1.45)
+    s_max = math.tan(phi_cap) if phi_max < math.pi / 2 else 50.0
+    pts = [(center + radius * n0)[None, :]]
+    if d > 1 and W.shape[0]:
+        ladder = dyadic_ladder(n)
+        u = qmc_unit(n, d - 1, seed)
+        t = _clip_small((2.0 * u - 1.0) * s_max, math.tan(phi_cap * ladder[-1]))
+        dirs = n0 + t @ W
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        pts.append(center + radius * dirs)
+        for r in ladder:
+            ang = phi_cap * r
+            for i in range(W.shape[0]):
+                for sign in (1.0, -1.0):
+                    v = n0 + sign * math.tan(ang) * W[i]
+                    pts.append((center + radius * v / np.linalg.norm(v))[None, :])
+    if delta >= 2.0 * radius - 1e-12:
+        pts.append((center - radius * n0)[None, :])
+    return _in_ball(np.vstack(pts), anchor, delta)
+
+
+def ref_ball_chart(ball, anchor, delta, n, seed):
+    """``Ball.chart``: the boundary chart, and the anchor itself if the ball
+    holds it."""
+    pts = ref_boundary_chart(ball.center, ball.radius, anchor, delta, n, seed)
+    return np.vstack([anchor[None, :], pts]) if ball.contains(anchor) else pts
+
+
+def ref_kinked_chart(k, anchor, delta, n, seed):
+    """``KinkedRegion.chart`` reading its radii from column 0 of a
+    two-column Halton draw."""
+    span = float(np.linalg.norm(anchor)) + delta
+    ladder = dyadic_ladder(n)
+    u = qmc_unit(n, 2, seed)
+    radii = np.concatenate([np.maximum(span * u[:, 0], span * ladder[-1]), span * ladder])
+    neg = np.column_stack([-radii, radii]) / math.sqrt(2.0)
+    pos = np.column_stack([radii, np.zeros_like(radii)])
+    boundary = np.vstack([neg, pos, np.zeros((1, 2))])
+    interior = np.vstack([boundary - np.array([0.0, h]) for h in delta * np.array([0.25, 0.5])])
+    interior = interior[k.contains_many(interior, tol=0.0)]
+    return _in_ball(np.vstack([k.project_many(anchor[None]), boundary, interior]), anchor, delta)

@@ -42,6 +42,20 @@ sets:
 solution: {witness: [-5.0, -5.0], members: [K]}
 regularity: {deltas: [1.0], samples: 256, seed: 3}
 """
+# a ball inside another, about their common centre: every sample lies in both
+NESTED_BALLS = """
+name: nested-balls
+sets:
+  A: {variant: ball, center: [0.0, 0.0], radius: 2.0}
+  B: {variant: ball, center: [0.0, 0.0], radius: 3.0}
+algorithm: {kind: map, a: A, b: B}
+start: {center: [0.0, 0.0], radius: 1.0, count: 3}
+solution:
+  witness: [0.0, 0.0]
+  members: [A, B]
+  exact: {variant: ball, center: [0.0, 0.0], radius: 2.0}
+regularity: {deltas: [0.5]}
+"""
 LINE_B = "B: {variant: affine, offset: [0.0, 0.0], basis: [[1.0, 1.0]]}"
 # the line y = 5, 5 from the witness: no sample of it lies within delta
 FAR_LINE = MINIMAL.replace(LINE_B, "B: {variant: affine, offset: [0.0, 5.0], basis: [[1.0, 0.0]]}").replace(
@@ -401,6 +415,21 @@ def test_cli_run_config_file(tmp_path, capsys):
     # the kinked chart holds the interior witness itself, whose cone is zero
     machine = json.loads(capsys.readouterr().out.rsplit("--- machine ---\n", 1)[1])
     assert machine["sweep"] == [{"delta": 1.0, "eps_sub": 0.0, "eps_pair": 0.0}]
+
+
+@pytest.mark.parametrize("verb", ["run", "rates"])
+def test_cli_nested_balls_read_kappa_zero(tmp_path, verb, subprocess_env):
+    # no sample has a distance to either set, so kappa takes its supremum over
+    # no ratio: 0, not a traceback
+    path = tmp_path / "nested.yaml"
+    path.write_text(NESTED_BALLS)
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "projfeas", verb, str(path), "--out-dir", str(tmp_path)],
+        env=subprocess_env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+    machine = json.loads(out.stdout.rsplit("--- machine ---\n", 1)[1])
+    assert [row["kappa"] for row in machine["sweep"]] == [0.0]
 
 
 def test_cli_rates_only(tmp_path, capsys):

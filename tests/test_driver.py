@@ -8,7 +8,7 @@ from projfeas.operators import AlternatingProjections, DouglasRachford
 from projfeas.regularity import Region, estimate_kappa, estimate_subregularity, friedrichs_cosine
 from projfeas.runner import random_subspace_pair
 from projfeas.sets import AffineSubspace
-from projfeas.solution import subspace_pair_solution
+from projfeas.solution import dr_fixed_point_frame, subspace_pair_solution
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 
@@ -136,8 +136,7 @@ def test_probe_finds_fixed_points_off_solution(lines3):
         assert abs(p[0]) <= 1e-8 and abs(p[1]) <= 1e-8
         assert d == pytest.approx(abs(p[2]), abs=1e-8)
     # exact fixed-point frame: {0} + meet of the normal spaces = the x3-axis
-    frame = res.fixed_point_frame
-    assert frame is not None
+    frame = dr_fixed_point_frame(a, b, sol.witness)
     assert frame.dim_subspace == 1
     np.testing.assert_allclose(np.abs(frame.basis[0]), [0.0, 0.0, 1.0], atol=1e-12)
 
@@ -147,7 +146,7 @@ def test_probe_all_limits_on_solution_when_regular(lines2):
     op = DouglasRachford(a, b)
     res = probe_fixed_points(op, Region(np.zeros(2), 2.0), 16, 5, sol, max_iters=500, tol=1e-9)
     assert all(d <= 1e-9 for _, d in res.limits)
-    assert res.fixed_point_frame.dim_subspace == 0
+    assert dr_fixed_point_frame(a, b, sol.witness).dim_subspace == 0
 
 
 def test_subspace_dr_rate_bound_random_pairs():

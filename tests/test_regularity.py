@@ -18,7 +18,7 @@ from projfeas.regularity import (
     verify_coercivity,
 )
 from projfeas.runner import random_subspace_pair
-from projfeas.sets import AffineSubspace, KinkedRegion, UnionOfSubspaces
+from projfeas.sets import AffineSubspace, Ball, KinkedRegion, UnionOfSubspaces
 from projfeas.solution import SolutionSet, singleton_solution, subspace_pair_solution
 
 from kernel_reference import PointMap, ref_friedrichs_cosine, ref_sol_distance, ref_step
@@ -134,6 +134,13 @@ def test_kappa_identical_sets_is_one():
     line = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
     sol = SolutionSet((line, line), np.zeros(2), exact=line)
     assert estimate_kappa(line, line, sol, 1.0, samples=512, seed=0) == pytest.approx(1.0)
+
+
+def test_kappa_is_zero_when_every_sample_lies_in_both_sets():
+    # a ball inside another: no sample has a gap, so the supremum is over no ratio
+    inner, outer = Ball(np.zeros(2), 2.0), Ball(np.zeros(2), 3.0)
+    sol = SolutionSet((inner, outer), np.zeros(2), exact=inner)
+    assert estimate_kappa(inner, outer, sol, 0.5, samples=256, seed=0) == 0.0
 
 
 def test_kappa_diverges_at_tangency(line_ball):

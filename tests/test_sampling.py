@@ -23,8 +23,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_reference import ref_ball_points, ref_ndtri, ref_qmc_unit
+from kernel_reference import (
+    ref_affine_chart,
+    ref_ball_chart,
+    ref_ball_points,
+    ref_boundary_chart,
+    ref_kinked_chart,
+    ref_ndtri,
+    ref_qmc_unit,
+)
+from projfeas.runner import random_subspace_pair
 from projfeas.sampling import _ndtri, ball_points, qmc_unit
+from projfeas.sets import AffineSubspace, Ball, KinkedRegion, Sphere, UnionOfSubspaces
 
 SEEDS = list(range(20)) + [int(s) for s in np.random.default_rng(1).integers(0, 2**31, 10)]
 DIMS = range(1, 7)
@@ -92,6 +102,72 @@ def test_golden_rows():
         ["0x1.301bfe76a5f24p-1", "-0x1.bfe9c88bb865cp+0"],
         ["-0x1.92fe471ac87b8p-1", "-0x1.21b5b893304b6p-2"],
     ]
+
+
+@pytest.mark.parametrize("n", [1, 7, 4096, 5000])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_one_halton_column_is_the_first_of_two(n, seed):
+    # base 2's permutations are drawn first, so the kinked chart may draw
+    # the one column it reads
+    assert qmc_unit(n, 1, seed)[:, 0].tobytes() == qmc_unit(n, 2, seed)[:, 0].tobytes()
+
+
+HALF_SQRT2 = math.sqrt(2.0) / 2.0
+LINE = AffineSubspace([0.0, 0.5], [[1.0, 0.0]])
+DIAGONAL = AffineSubspace.from_span([0.0, 0.0], [[1.0, 1.0]])
+PLANE = AffineSubspace.from_span([0.0, 0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+SUBSPACE_5D = random_subspace_pair(2030, (3, 3))[0]
+DISC = Ball([0.0, 0.0], 1.0)
+CIRCLE = Sphere([0.0, 0.0], 1.0)
+# (chart owner, anchor, delta); `_ref_chart` builds the reference of each
+CHARTS = {
+    "2-D line": (LINE, [0.3, 0.1], 1.0),
+    "2-D diagonal": (DIAGONAL, [0.0, 0.0], 0.5),
+    "3-D plane": (PLANE, [0.2, -0.1, 1.3], 0.75),
+    "5-D subspace, k = 3": (SUBSPACE_5D, np.zeros(5), 1.0),
+    "ball, anchor inside": (DISC, [0.3, -0.2], 0.5),
+    "ball, anchor at the centre": (DISC, [0.0, 0.0], 0.5),
+    "ball, anchor outside": (DISC, [1.5, 0.5], 1.0),
+    "3-D ball": (Ball([1.0, 0.0, -1.0], 2.0), [1.0, 2.0, -1.0], 0.5),
+    "unit circle, delta 0.1": (CIRCLE, [HALF_SQRT2, HALF_SQRT2], 0.1),
+    "unit circle, delta 2.5": (CIRCLE, [HALF_SQRT2, HALF_SQRT2], 2.5),
+    "3-D sphere": (Sphere([0.0, 1.0, 0.0], 1.5), [0.0, 1.0, 1.5], 0.3),
+    "cross": (UnionOfSubspaces.cross(), [0.0, 0.0], 1.0),
+    "kinked region": (KinkedRegion(), [0.0, 0.0], 1.0),
+}
+
+
+def _ref_chart(s, anchor, delta, n, seed):
+    if isinstance(s, AffineSubspace):
+        return ref_affine_chart(s, anchor, delta, n, seed)
+    if isinstance(s, Ball):
+        return ref_ball_chart(s, anchor, delta, n, seed)
+    if isinstance(s, Sphere):
+        return ref_boundary_chart(s.center, s.radius, anchor, delta, n, seed)
+    if isinstance(s, UnionOfSubspaces):
+        per = max(1, n // len(s.frames))
+        return np.vstack([ref_affine_chart(f, anchor, delta, per, seed + 911 * i) for i, f in enumerate(s.frames)])
+    return ref_kinked_chart(s, anchor, delta, n, seed)
+
+
+@pytest.mark.parametrize("case", sorted(CHARTS))
+@pytest.mark.parametrize("n", [1, 300, 4096])
+def test_chart_rows_match_the_per_point_ladder(case, n):
+    """Each chart holds the rows of its per-point reference, bit for bit,
+    as a multiset: the quasirandom rows and the dyadic ladder alike."""
+    s, anchor, delta = CHARTS[case]
+    anchor = np.asarray(anchor, dtype=float)
+    got, want = s.chart(anchor, delta, n, 5), _ref_chart(s, anchor, delta, n, 5)
+    assert got.shape == want.shape
+    if n == 1:
+        # numpy took the reference's one quasirandom row through a
+        # vector-matrix product, which can round a sum of three or more terms
+        # one ulp apart from the chart's one product of all its rows
+        assert len({r.tobytes() for r in got} - {r.tobytes() for r in want}) <= 1
+        ulps = 2 * np.finfo(float).eps * np.abs(want).max()
+        np.testing.assert_allclose(sorted(got.tolist()), sorted(want.tolist()), rtol=0.0, atol=ulps)
+        return
+    assert sorted(row.tobytes() for row in got) == sorted(row.tobytes() for row in want)
 
 
 @settings(max_examples=60, deadline=None)
