@@ -46,7 +46,6 @@ from functools import partial
 from operator import methodcaller
 
 import numpy as np
-import yaml
 
 from .linalg import as_point
 from .operators import AlternatingProjections, DouglasRachford
@@ -355,6 +354,8 @@ def config_from_dict(data):
 def parse_config(text):
     """Parse a YAML experiment description; raises ``ConfigError`` with the
     field path on any problem."""
+    import yaml  # imported here: only YAML text needs it, no preset run does
+
     try:
         data = yaml.safe_load(text)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer past Python's 4300 digits
@@ -363,6 +364,8 @@ def parse_config(text):
 
 
 def serialize_config(cfg):
+    import yaml
+
     return yaml.safe_dump(cfg.to_dict(), sort_keys=False, default_flow_style=None)
 
 

@@ -246,17 +246,17 @@ class AffineSubspace(ClosedSet):
         if not _is_orthonormal(basis):
             raise ValueError("basis is not orthonormal; build via AffineSubspace.from_span")
         self.offset, self.basis, self.dim = offset, basis, offset.shape[0]
+        self.dim_subspace = basis.shape[0]
         self.normal_basis = complement_basis(basis, self.dim)
+        # views for project_many: numpy takes its faster same-shape path on
+        # a one-row batch when no operand is broadcast to a new axis
+        self._offset_row, self._basis_t = offset[None], basis.T
 
     @classmethod
     def from_span(cls, offset, vectors):
         """The subspace through ``offset`` spanning the given (not necessarily
         orthonormal, possibly dependent) direction vectors."""
         return cls(offset, orthonormalize(vectors))
-
-    @property
-    def dim_subspace(self):
-        return self.basis.shape[0]
 
     def distance_many(self, X):
         return row_norms(X - self.project_many(X))
@@ -267,8 +267,8 @@ class AffineSubspace(ClosedSet):
         whole matrices would round differently)."""
         if self.dim_subspace == 0:
             return np.full(X.shape, self.offset)
-        R = (X - self.offset)[:, :, None]
-        return self.offset + np.matmul(self.basis.T, np.matmul(self.basis, R))[:, :, 0]
+        R = (X - self._offset_row)[:, :, None]
+        return self._offset_row + np.matmul(self._basis_t, np.matmul(self.basis, R))[:, :, 0]
 
     def _normal_groups(self, X):
         return (NormalGroup(self.normal_basis, np.arange(X.shape[0])),)
@@ -305,6 +305,7 @@ class _Round(ClosedSet):
         if not 0 < self.radius < np.inf:
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
         self.dim = self.center.shape[0]
+        self._center_row = self.center[None]  # a view, as ``AffineSubspace._offset_row``
 
     def to_dict(self):
         return {
@@ -323,11 +324,11 @@ class Ball(_Round):
         return np.maximum(row_norms(X - self.center) - self.radius, 0.0)
 
     def project_many(self, X):
-        D = X - self.center
+        # a row outside divides by its own r; NaN passes through np.maximum
+        D = X - self._center_row
         r = row_norms(D)
-        inside = r <= self.radius
-        scale = self.radius / np.where(inside, 1.0, r)
-        return np.where(inside[:, None], X, self.center + scale[:, None] * D)
+        scale = self.radius / np.maximum(r, self.radius)
+        return np.where((r <= self.radius)[:, None], X, self._center_row + scale[:, None] * D)
 
     def _normal_groups(self, X):
         D = X - self.center
@@ -350,19 +351,24 @@ class Sphere(_Round):
 
     variant = "sphere"
 
+    def __init__(self, center, radius):
+        super().__init__(center, radius)
+        self._center_gap = CENTER_TOL * max(1.0, self.radius)
+        self._canonical = self._center_row.copy()
+        self._canonical[0, 0] += self.radius
+
     def distance_many(self, X):
         return np.abs(row_norms(X - self.center) - self.radius)
 
     def _nearest(self, X):
         """Selected projections of the rows of ``X`` and which of them sit
         at the center."""
-        D = X - self.center
+        # a row off the center divides by its own r; the quotient is at most 1e13
+        D = X - self._center_row
         r = row_norms(D)
-        at_center = r <= CENTER_TOL * max(1.0, self.radius)
-        scale = self.radius / np.where(at_center, 1.0, r)
-        canonical = self.center.copy()
-        canonical[0] += self.radius
-        return np.where(at_center[:, None], canonical, self.center + scale[:, None] * D), at_center
+        at_center = r <= self._center_gap
+        scale = self.radius / np.maximum(r, self._center_gap)
+        return np.where(at_center[:, None], self._canonical, self._center_row + scale[:, None] * D), at_center
 
     def project_many(self, X):
         return self._nearest(X)[0]

@@ -92,8 +92,12 @@ SETS = {
     "affine-line-3d": (_random_affine(2, 3, 1), []),
     "affine-plane-5d": (_random_affine(3, 5, 2), []),
     "affine-3-flat-5d": (_random_affine(4, 5, 3), []),
-    "ball": (Ball([0.5, -1.0], 1.5), [[0.5, -1.0], [2.0, -1.0]]),
-    "sphere": (Sphere([0.5, -1.0], 1.5), [[0.5, -1.0], [0.5 + 1e-14, -1.0], [2.0, -1.0]]),
+    # the last ball row is one ulp outside the boundary, past the guard of its divisor
+    "ball": (Ball([0.5, -1.0], 1.5), [[0.5, -1.0], [2.0, -1.0], [np.nextafter(2.0, 3.0), -1.0]]),
+    # the last two sphere rows lie about one and two center guards, 1.5e-13, from
+    # the center: the first rounds to 1.49991e-13, inside, the second is outside
+    "sphere": (Sphere([0.5, -1.0], 1.5), [[0.5, -1.0], [0.5 + 1e-14, -1.0], [2.0, -1.0],
+                                          [0.5 + 1.5e-13, -1.0], [0.5 + 3e-13, -1.0]]),
     "cross": (UnionOfSubspaces.cross(2), [[0.0, 0.0], [0.7, 0.7], [-0.7, 0.7], [0.7, -0.7]]),
     "union-3d": (_random_union(5), []),
     # the last three: a zero edge point whose sign np.minimum and np.maximum would flip

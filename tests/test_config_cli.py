@@ -496,6 +496,17 @@ def test_python_m_projfeas_lists_presets(subprocess_env):
     assert out.stdout.splitlines() == sorted(PRESETS) + [f"{name} (sweep)" for name in SWEEPS]
 
 
+def test_yaml_is_imported_only_to_read_or_write_yaml(subprocess_env):
+    code = ("import sys, projfeas, projfeas.cli; cfg = projfeas.presets.preset('example-iii'); "
+            "print('yaml' in sys.modules); projfeas.serialize_config(cfg); print('yaml' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        env=subprocess_env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
+
+
 def test_cli_suite_subset(tmp_path, capsys):
     code = main([
         "suite", "example-i", "kinked-regularity",

@@ -54,16 +54,37 @@ def test_main_exits_2_on_wrong_arguments(tool, tmp_path, capsys):
 
 def test_summary_row_reads_medians_quartiles_pairs_and_move():
     row = bench_pairs.summary_row("suite", WALL, [1.0, 2.0, 3.0, 4.0, 5.0], [1.1, 1.9, 2.9, 4.1, 4.9])
-    assert row == "| suite | wall_s | 3.000 [1.500–4.500] s | 2.900 [1.500–4.500] s | 3/5 | -3.3% |"
+    assert row == "| suite | wall_s | 3.000 [1.500–4.500] s | 2.900 [1.500–4.500] s | 3/5 | -3.3% | no gain |"
 
 
 def test_summary_row_flags_a_move_past_the_bound():
     within = bench_pairs.summary_row("w", WALL, [1.0, 1.0], [1.2, 1.2])
-    assert within.endswith("| 0/2 | +20.0% |")
+    assert within.endswith("| 0/2 | +20.0% | no gain |")
     past = bench_pairs.summary_row("w", WALL, [1.0, 1.0], [1.3, 1.3])
-    assert past.endswith("| 0/2 | +30.0%, worse than the 25% bound |")
+    assert past.endswith("| 0/2 | +30.0%, worse than the 25% bound | no gain |")
     higher = {**WALL, "better": "higher"}
-    assert bench_pairs.summary_row("w", higher, [1.0, 1.0], [0.7, 0.7]).endswith("worse than the 25% bound |")
+    lower = bench_pairs.summary_row("w", higher, [1.0, 1.0], [0.7, 0.7])
+    assert lower.endswith("worse than the 25% bound | no gain |")
+
+
+PARENT_RUNS = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # quartiles 1.0175–1.0725
+
+
+def test_summary_row_reads_gain_on_9_of_10_pairs_and_a_gap_past_the_quartiles():
+    change = [x - 0.5 for x in PARENT_RUNS[:9]] + [1.2]
+    assert bench_pairs.summary_row("w", WALL, PARENT_RUNS, change).endswith("| 9/10 | -47.8% | gain |")
+    higher = {**WALL, "better": "higher"}
+    assert bench_pairs.summary_row("w", higher, PARENT_RUNS, [x + 0.5 for x in PARENT_RUNS]).endswith("| gain |")
+
+
+def test_summary_row_reads_no_gain_on_8_of_10_pairs_or_a_gap_within_the_quartiles():
+    eight = [x - 0.5 for x in PARENT_RUNS[:8]] + [1.2, 1.2]
+    assert bench_pairs.summary_row("w", WALL, PARENT_RUNS, eight).endswith("| 8/10 | -47.8% | no gain |")
+    # every pair lower, but the medians 0.05 apart, within the parent's 0.055 quartile distance
+    close = [x - 0.05 for x in PARENT_RUNS]
+    assert bench_pairs.summary_row("w", WALL, PARENT_RUNS, close).endswith("| 10/10 | -4.8% | no gain |")
+    higher = {**WALL, "better": "higher"}
+    assert bench_pairs.summary_row("w", higher, PARENT_RUNS, [x - 0.5 for x in PARENT_RUNS]).endswith("| no gain |")
 
 
 STUB_RUN = """
@@ -100,5 +121,6 @@ def test_bench_pairs_alternates_the_trees_and_exits_1_on_a_failed_run(tmp_path, 
     assert all(r.endswith("--workload w --seed " + r.split()[1] + " --seconds 3 --trace 0") for r in runs)
     out = capsys.readouterr().out.splitlines()
     # seed 3's pair is left out of the table: 9 pairs, every one lower by half
-    assert out[2] == "| w | wall_s | 6.000 [3.000–8.500] s | 3.000 [1.500–4.250] s | 9/9 | -50.0% |"
+    # every pair lower, but the medians 3.0 apart, within the parent's 5.5 quartile distance
+    assert out[2] == "| w | wall_s | 6.000 [3.000–8.500] s | 3.000 [1.500–4.250] s | 9/9 | -50.0% | no gain |"
     assert out[3:] == ["FAILED w seed 3 CHANGE: exit status 1: perfbench: FAILED op: stub"]

@@ -14,9 +14,12 @@ The script prints one Markdown table row per workload and end-to-end metric:
 each side's median with its quartiles (``statistics.quantiles(n=4)``), in
 how many pairs the change reads lower, and the move of the median.  A row
 whose change median is worse than the parent's by more than the metric's
-``bound`` says so in its last cell.  Each run's metrics go to stderr as it
-ends.  The script exits 1 if any run fails or reports a failed operation,
-naming each, 2 on wrong arguments, and 0 otherwise.
+``bound`` says so in its move cell.  The last cell reads ``gain`` when the
+change is better in at least 9 of 10 pairs and its median is better than the
+parent's by more than the parent's quartile distance, and ``no gain``
+otherwise.  Each run's metrics go to stderr as it ends.  The script exits 1
+if any run fails or reports a failed operation, naming each, 2 on wrong
+arguments, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -52,14 +55,18 @@ def summary_row(workload, metric, old, new):
     paired values ``old`` (PARENT) and ``new`` (CHANGE) of one workload."""
     def spread(xs):
         q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
-        return statistics.median(xs), f"{statistics.median(xs):.3f} [{q1:.3f}–{q3:.3f}] {metric['unit']}"
+        m = statistics.median(xs)
+        return m, q3 - q1, f"{m:.3f} [{q1:.3f}–{q3:.3f}] {metric['unit']}"
 
-    (m_old, old_text), (m_new, new_text) = spread(old), spread(new)
+    (m_old, iqr_old, old_text), (m_new, _, new_text) = spread(old), spread(new)
     lower = sum(y < x for x, y in zip(old, new))
+    sign = 1 if metric["better"] == "lower" else -1  # a positive gap is a better change
+    better = sum(sign * (x - y) > 0 for x, y in zip(old, new))
     move = (m_new - m_old) / m_old
-    worse = move > metric["bound"] if metric["better"] == "lower" else -move > metric["bound"]
-    flag = f", worse than the {metric['bound']:.0%} bound" if worse else ""
-    return f"| {workload} | {metric['name']} | {old_text} | {new_text} | {lower}/{len(old)} | {move:+.1%}{flag} |"
+    flag = f", worse than the {metric['bound']:.0%} bound" if sign * move > metric["bound"] else ""
+    claim = "gain" if 10 * better >= 9 * len(old) and sign * (m_old - m_new) > iqr_old else "no gain"
+    return (f"| {workload} | {metric['name']} | {old_text} | {new_text} | {lower}/{len(old)} "
+            f"| {move:+.1%}{flag} | {claim} |")
 
 
 def main(argv=None):
@@ -70,7 +77,8 @@ def main(argv=None):
         return 2
     spec = json.loads((trees[0] / "BENCHMARK.json").read_text())
     failures = []
-    print("| workload | metric | parent | change | change lower | move |\n|---|---|---|---|---|---|", flush=True)
+    print("| workload | metric | parent | change | change lower | move | claim |\n|---|---|---|---|---|---|---|",
+          flush=True)
     for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
         for seed in range(1, PAIRS + 1):
