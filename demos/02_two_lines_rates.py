@@ -12,16 +12,16 @@ import numpy as np
 from projfeas import (
     AlternatingProjections,
     DouglasRachford,
+    SolutionSet,
     fit_rate,
     friedrichs_cosine,
     iterate,
-    singleton_solution,
 )
 from projfeas.driver import trace_to_csv
 from projfeas.presets import two_lines_2d
 
 a, b = two_lines_2d()
-sol = singleton_solution((a, b), [0.0, 0.0])
+sol = SolutionSet((a, b), [0.0, 0.0])
 
 for label, op, expected in (
     ("alternating projections (per cycle)", AlternatingProjections(a, b), 0.5),

@@ -22,6 +22,7 @@ from projfeas import (
     AlternatingProjections,
     DouglasRachford,
     KinkedRegion,
+    SolutionSet,
     estimate_c,
     estimate_kappa,
     estimate_pair_regularity,
@@ -29,7 +30,6 @@ from projfeas import (
     fit_rate,
     iterate,
     predicted_rates,
-    singleton_solution,
     point_set_solution,
 )
 from projfeas.presets import circle_and_line, cross_and_diagonal, two_lines_2d
@@ -38,9 +38,9 @@ HALF_SQRT2 = np.sqrt(2) / 2
 
 pairs = []
 a1, b1 = two_lines_2d()
-pairs.append(("two lines", a1, b1, singleton_solution((a1, b1), [0, 0]), 1.0, [1.0, 0.0]))
+pairs.append(("two lines", a1, b1, SolutionSet((a1, b1), [0, 0]), 1.0, [1.0, 0.0]))
 a4, b4 = cross_and_diagonal()
-pairs.append(("cross/diagonal", a4, b4, singleton_solution((a4, b4), [0, 0]), 1.0, [0.9, -0.4]))
+pairs.append(("cross/diagonal", a4, b4, SolutionSet((a4, b4), [0, 0]), 1.0, [0.9, -0.4]))
 a5, b5 = circle_and_line()
 w = np.array([HALF_SQRT2, HALF_SQRT2])
 sol5 = point_set_solution((a5, b5), [w, np.array([-HALF_SQRT2, HALF_SQRT2])], witness=w)
@@ -67,7 +67,7 @@ for name, a, b, sol, delta, x0 in pairs:
 
 print("== kinked region (single-set regularity) ==")
 k = KinkedRegion()
-print(f"  toward the corner: {estimate_subregularity(k, singleton_solution((k,), [0, 0]), 1.0, 2048, 0):.6f}"
+print(f"  toward the corner: {estimate_subregularity(k, SolutionSet((k,), [0, 0]), 1.0, 2048, 0):.6f}"
       "  (flat at 0: every boundary normal is orthogonal to its foot)")
 print(f"  between set points: {estimate_pair_regularity(k, [0, 0], 1.0, 4096, 0):.6f}"
       f"  (tends to sqrt(2)/2 = {HALF_SQRT2:.6f})")

@@ -19,17 +19,17 @@ from projfeas import (
     AlternatingProjections,
     DouglasRachford,
     Region,
+    SolutionSet,
     fit_rate,
     iterate,
     probe_fixed_points,
-    singleton_solution,
 )
 from projfeas.presets import line_and_ball, two_lines_3d
 from projfeas.solution import dr_fixed_point_frame
 
 print("== two lines embedded in three dimensions ==")
 a, b = two_lines_3d()
-sol = singleton_solution((a, b), [0.0, 0.0, 0.0])
+sol = SolutionSet((a, b), [0.0, 0.0, 0.0])
 stuck = iterate(DouglasRachford(a, b), [0.0, 0.0, 1.0], sol, max_iters=50, tol=1e-10)
 print(f"  start (0,0,1): stop={stuck.stop_reason}, distance {stuck.final_dist_to_s} (a fixed point)")
 inplane = iterate(DouglasRachford(a, b), [1.0, 0.5, 0.0], sol, max_iters=300, tol=1e-11)
@@ -44,7 +44,7 @@ print(f"  exact fixed-point subspace direction: {np.round(frame.basis, 6)}")
 
 print("\n== ball tangent to a line ==")
 line, ball = line_and_ball()
-sol2 = singleton_solution((line, ball), [0.0, 0.0])
+sol2 = SolutionSet((line, ball), [0.0, 0.0])
 tr = iterate(AlternatingProjections(line, ball), [1.0, 0.0], sol2, max_iters=20000, tol=1e-12)
 fit = fit_rate(tr)
 print(f"  alternating projections after {len(tr) - 1} cycles: distance {tr.final_dist_to_s:.5f}")

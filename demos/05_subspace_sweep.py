@@ -13,15 +13,15 @@ import numpy as np
 
 from projfeas import fit_rate, friedrichs_cosine, iterate, subspace_iff_sweep
 from projfeas.operators import DouglasRachford
-from projfeas.runner import random_subspace_pair
+from projfeas.runner import random_subspace_pair, sweep_config
 from projfeas.solution import subspace_pair_solution
 
-verdicts, details = subspace_iff_sweep()
-for v in verdicts:
+doc = subspace_iff_sweep(sweep_config())
+for v in doc.verdicts:
     print(f"[{'pass' if v.passed else 'FAIL'}] {v.claim_id}: {v.measured} ({v.bound})")
 
 print("\nper-pair details:")
-for d in details:
+for d in doc.sweep:
     line = (f"  dims {d['dims']}  regular={str(d['rank_regular']):5s}  "
             f"linear-to-S={str(d['converged_linearly']):5s}")
     if "observed_rate" in d:

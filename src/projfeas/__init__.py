@@ -31,7 +31,7 @@ from .sets import (
     Sphere,
     UnionOfSubspaces,
 )
-from .solution import SolutionSet, point_set_solution, singleton_solution, subspace_pair_solution
+from .solution import SolutionSet, point_set_solution, subspace_pair_solution
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "run_experiment",
     "run_suite",
     "serialize_config",
-    "singleton_solution",
     "subspace_iff_sweep",
     "subspace_pair_solution",
     "verify_coercivity",

@@ -3,7 +3,7 @@
 Verbs:
     run <config>      run one experiment (preset name or YAML config path)
     rates <config>    estimators only, no iteration
-    suite [names...]  run presets plus the subspace sweep (default: all)
+    suite [names...]  run presets and the subspace sweep, each with the flags (default: all)
     presets           list built-in presets
 
 Exit codes: 0 all verdicts pass, 1 verdict failure, 2 usage or config error.
@@ -17,8 +17,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .presets import PRESETS, SWEEPS, preset
-from .runner import run_experiment, run_suite
+from .presets import PRESETS, preset
+from .runner import RUNS, run_experiment, run_suite
 
 
 def _build_parser():
@@ -44,7 +44,7 @@ def _build_parser():
     _common(p_rates)
 
     p_suite = sub.add_parser("suite", help="run presets and the subspace sweep")
-    p_suite.add_argument("names", nargs="*", help="subset of presets/sweeps (default: all)")
+    p_suite.add_argument("names", nargs="*", help="subset of the runs `presets` lists (default: all)")
     _common(p_suite)
 
     sub.add_parser("presets", help="list built-in presets")
@@ -67,18 +67,15 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
+    overrides = {key: vars(args).get(key) for key in ("samples", "seed", "max_iters", "tol")}
     try:
         if args.verb == "presets":
-            for name in sorted(PRESETS):
-                print(name)
-            for name in SWEEPS:
-                print(f"{name} (sweep)")
+            for name in RUNS:
+                print(name if name in PRESETS else f"{name} (sweep)")
             return 0
 
         if args.verb in ("run", "rates"):
-            cfg = _resolve_config(args.config).with_overrides(
-                samples=args.samples, seed=args.seed, max_iters=args.max_iters, tol=args.tol
-            )
+            cfg = _resolve_config(args.config).with_overrides(**overrides)
             if args.verb == "rates":
                 cfg = replace(cfg, start=None)
             doc = run_experiment(cfg, out_dir=args.out_dir, with_claims=args.verb == "run")
@@ -86,17 +83,7 @@ def main(argv=None):
             return doc.exit_status
 
         if args.verb == "suite":
-            for name in args.names:
-                if name not in PRESETS and name not in SWEEPS:
-                    raise ConfigError("<suite>", f"unknown preset {name!r}")
-            return run_suite(
-                args.names,
-                out_dir=args.out_dir,
-                samples=args.samples,
-                seed=args.seed,
-                max_iters=args.max_iters,
-                tol=args.tol,
-            )
+            return run_suite(args.names, out_dir=args.out_dir, **overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -109,10 +109,6 @@ PRESETS = {
     "kinked-regularity": _Preset(lambda: (KinkedRegion(),), None, None, ORIGIN, 1000, 1e-10, (1.0,)),
 }
 
-# runs handled by the suite runner rather than a single config
-SWEEPS = ("subspace-iff",)
-
-
 def preset(name):
     """A fresh config of the preset ``name``: its sets and arrays are its own."""
     if name not in PRESETS:

@@ -3,8 +3,9 @@
 ``run_experiment`` executes the estimator sweep and the configured algorithm,
 writes the trace CSV and a report (human-readable text plus a machine JSON
 section), and attaches pass/fail verdicts for the claims registered for the
-experiment.  ``run_suite`` runs many experiments (plus the randomized
-subspace sweep) and aggregates their verdicts into an exit status.
+experiment.  ``subspace_iff_sweep`` is one more run: it reads its budget
+from a config and returns a ``ReportDocument`` too.  ``run_suite`` runs any
+of ``RUNS`` and aggregates their verdicts into an exit status.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from .driver import RateFit, fit_rate, iterate, iterate_many, trace_to_csv
 from .linalg import complement_basis  # noqa: F401  perfbench/tracing.py counts calls through it
 from .operators import DouglasRachford
-from .presets import HALF_SQRT2, PRESETS, SWEEPS, preset
+from .config import BudgetSpec, ConfigError, ExperimentConfig, OutputSpec, RegularitySpec
+from .presets import HALF_SQRT2, PRESETS, preset
 from .regularity import (
     SAFETY_INFLATION,
     check_strong_regularity,
@@ -61,9 +63,12 @@ class Missing:
 NO_TRACE = Missing("no trace: the config has no start")
 
 
-def _exit_status(verdicts):
-    """0 when every verdict passes (or there are none), else 1."""
-    return 0 if all(v.passed for v in verdicts) else 1
+def _fit(trace):
+    """The rate fit of ``trace``, or a ``Missing`` one if it is too short to fit."""
+    try:
+        return fit_rate(trace)
+    except ValueError as exc:
+        return Missing(f"no rate fit: {exc}")
 
 
 @dataclass
@@ -80,6 +85,7 @@ class ReportDocument:
     strongly_regular: bool | None = None
     verdicts: list = field(default_factory=list)
     generated: str = ""
+    seconds: float | None = None  # the sweep's wall time: it varies run to run, so no report prints it
 
     @property
     def trace(self):
@@ -88,7 +94,8 @@ class ReportDocument:
 
     @property
     def exit_status(self):
-        return _exit_status(self.verdicts)
+        """0 when every verdict passes (or there are none), else 1."""
+        return 0 if all(v.passed for v in self.verdicts) else 1
 
     def to_machine_dict(self):
         out = {
@@ -138,6 +145,12 @@ class ReportDocument:
                         pdf="" if rep["dr_certified"] else " (no guarantee)",
                     )
                 )
+            elif "rank_regular" in entry:  # a subspace sweep pair
+                line = ("seed {seed} dims {dims}: rank_regular={rank_regular} "
+                        "converged_linearly={converged_linearly} final_dist={final_dist:.3e}")
+                if "predicted" in entry:
+                    line += " observed_rate={observed_rate:.6f} predicted={predicted:.6f}"
+                lines.append(line.format(**entry))
             else:
                 lines.append(
                     "delta {delta:g}: eps_sub={eps_sub:.6f} eps_pair={eps_pair:.6f}".format(**entry)
@@ -227,20 +240,22 @@ def run_experiment(cfg, out_dir=None, with_claims=True):
         if cfg.start is not None:
             doc.traces = iterate_many(cfg.operator(), cfg.start.points(cfg.regularity.seed), sol,
                                       max_iters=cfg.budget.max_iters, tol=cfg.budget.tol)
-            try:
-                doc.fit = fit_rate(doc.trace)
-            except ValueError as exc:
-                doc.fit = Missing(f"no rate fit: {exc}")
+            doc.fit = _fit(doc.trace)
     if with_claims:
         doc.verdicts = _preset_claims(doc)
+    return _write(doc, out_dir)
+
+
+def _write(doc, out_dir):
+    """Stamp ``doc`` with the time, write the files its config's outputs name to ``out_dir``, return it."""
     doc.generated = datetime.now(timezone.utc).isoformat()
     if out_dir is not None:
-        out = Path(out_dir)
+        out, outputs = Path(out_dir), doc.cfg.outputs
         out.mkdir(parents=True, exist_ok=True)
-        if doc.traces and cfg.outputs.trace_csv:
-            trace_to_csv(doc.trace, out / cfg.outputs.trace_csv)
-        if cfg.outputs.report:
-            (out / cfg.outputs.report).write_text(doc.to_text())
+        if doc.traces and outputs.trace_csv:
+            trace_to_csv(doc.trace, out / outputs.trace_csv)
+        if outputs.report:
+            (out / outputs.report).write_text(doc.to_text())
     return doc
 
 
@@ -438,93 +453,100 @@ def random_subspace_pair(seed, dims, ambient=5):
 
 
 SWEEP_PAIRS = 20        # random subspace pairs, every other one strongly regular
-SWEEP_SAMPLES = 2048    # kappa's sample budget per strongly regular pair
-SWEEP_MAX_ITERS = 5000  # Douglas-Rachford budget per pair: steps ...
-SWEEP_TOL = 1e-9        # ... and the distance to the intersection that ends it
 SWEEP_RATE_SLACK = 0.02  # observed DR rate may exceed the predicted one by this
 SWEEP_SECONDS = 30.0    # wall time the whole sweep must stay under
 
 
-def subspace_iff_sweep(base_seed=2025):
+def sweep_config():
+    """The subspace sweep's config.  Pair ``i`` draws from ``regularity.seed
+    + i``, kappa takes ``regularity.samples`` samples within its first delta,
+    and each pair's Douglas-Rachford run has the ``budget``.  It holds no
+    sets: the sweep draws its own."""
+    return ExperimentConfig(name="subspace-iff", sets={}, solution=None, budget=BudgetSpec(5000, 1e-9),
+                            regularity=RegularitySpec((1.0,), 2048, 2025),
+                            outputs=OutputSpec(report="subspace-iff.report.txt"))
+
+
+def subspace_iff_sweep(cfg, out_dir=None):
     """Random subspace pairs in five dimensions, half built so the normal
     spaces meet nontrivially.  Checks that the reflection algorithm converges
     linearly to the intersection exactly when the exact rank test says the
     pair is strongly regular, and that observed rates stay below the
     predicted bound from the exact opposition constant and estimated modulus.
+    Returns the ``ReportDocument`` of ``cfg`` (see ``sweep_config``), with
+    one record per pair in its ``sweep``.
     """
     t0 = time.perf_counter()
+    seed, delta, origin = cfg.regularity.seed, cfg.regularity.deltas[0], np.zeros(5)
+    doc = ReportDocument(cfg=cfg, solution=None)
     matches = []
     bound_ok = []
-    details = []
     for idx in range(SWEEP_PAIRS):
-        regular_intended = idx % 2 == 0
-        dims = (3, 3) if regular_intended else (2, 2)
-        a, b, x0 = random_subspace_pair(base_seed + idx, dims)
-        sol = subspace_pair_solution(a, b, np.zeros(5))
-        rank_regular = check_strong_regularity(a, b, np.zeros(5))
-        trace = iterate(DouglasRachford(a, b), x0, sol, max_iters=SWEEP_MAX_ITERS, tol=SWEEP_TOL)
+        dims = (3, 3) if idx % 2 == 0 else (2, 2)  # strongly regular, or normals that meet
+        a, b, x0 = random_subspace_pair(seed + idx, dims)
+        sol = subspace_pair_solution(a, b, origin)
+        rank_regular = check_strong_regularity(a, b, origin)
+        trace = iterate(DouglasRachford(a, b), x0, sol, max_iters=cfg.budget.max_iters, tol=cfg.budget.tol)
         # a run cut off by the budget is judged by its fitted rate, like one
-        # that reached tol: a rate close to 1 needs more than SWEEP_MAX_ITERS steps
-        fitted = trace.stop_reason in ("tolerance", "max_iters")
-        linear = False
-        if fitted:
-            fit = fit_rate(trace)
-            linear = fit.linear
+        # that reached tol: a rate close to 1 needs more than the budget's steps
+        fit = _fit(trace) if trace.stop_reason in ("tolerance", "max_iters") else NO_TRACE
+        linear = isinstance(fit, RateFit) and fit.linear
         matches.append(linear == rank_regular)
-        detail = {
-            "seed": base_seed + idx,
+        record = {
+            "seed": seed + idx,
             "dims": list(dims),
             "rank_regular": bool(rank_regular),
             "converged_linearly": bool(linear),
             "final_dist": trace.final_dist_to_s,
         }
-        if fitted and rank_regular:
-            c_exact = estimate_c(a, b, np.zeros(5), 1.0)
-            kappa = estimate_kappa(a, b, sol, 1.0, samples=SWEEP_SAMPLES, seed=base_seed + idx)
+        if isinstance(fit, RateFit) and rank_regular:
+            c_exact = estimate_c(a, b, origin, delta)
+            kappa = estimate_kappa(a, b, sol, delta, samples=cfg.regularity.samples, seed=seed + idx)
             # eps = 0 on subspaces; the exact c stays uninflated, the sampled kappa does not
             predicted = predicted_rates(0.0, 0.0, kappa * SAFETY_INFLATION, c_exact, a_convex=True,
-                                        b_convex=True, b_affine=True, delta=1.0).predicted_rate_dr
-            ok = fit.observed_rate <= predicted + SWEEP_RATE_SLACK
-            bound_ok.append(ok)
-            detail.update(
+                                        b_convex=True, b_affine=True, delta=delta).predicted_rate_dr
+            bound_ok.append(fit.observed_rate <= predicted + SWEEP_RATE_SLACK)
+            record.update(
                 observed_rate=fit.observed_rate, c_exact=c_exact, kappa=kappa, predicted=predicted
             )
-        details.append(detail)
-    elapsed = time.perf_counter() - t0
-    verdicts = [
+        doc.sweep.append(record)
+    doc.seconds = time.perf_counter() - t0
+    doc.verdicts = [
         _all_pass("subspace-iff-rank-test-match", matches,
                   "linear convergence to the intersection iff the exact rank test passes"),
         _all_pass("subspace-dr-rate-bound", bound_ok,
                   f"observed rate <= sqrt(1-(1-c)/({_num(SAFETY_INFLATION)}*kappa)^2) + {_num(SWEEP_RATE_SLACK)}"),
-        # the seconds vary from run to run, so they stay out of the measured
-        # value that suite output and reports print
-        _claim("subspace-sweep-runtime", elapsed < SWEEP_SECONDS, bool, f"< {_num(SWEEP_SECONDS)} s",
-               detail=f"{elapsed:.2f} s"),
+        _claim("subspace-sweep-runtime", doc.seconds < SWEEP_SECONDS, bool, f"< {_num(SWEEP_SECONDS)} s"),
     ]
-    return verdicts, details
+    return _write(doc, out_dir)
+
+
+# the suite's runs, in the order it runs them: every preset, then the subspace sweep
+RUNS = (*PRESETS, "subspace-iff")
 
 
 def run_suite(names=None, out_dir=None, samples=None, seed=None,
               max_iters=None, tol=None, echo=print):
-    """Run the named presets (default: all of them plus the subspace sweep)
-    one after another, each with the values given here in place of its own
-    (``ExperimentConfig.with_overrides``), and aggregate verdicts; returns
-    process exit status (0 pass, 1 failure).  The subspace sweep takes none
-    of ``samples``, ``seed``, ``max_iters`` or ``tol``: it runs its own.
+    """Run the named runs of ``RUNS`` (default: all of them) one after
+    another, each with the values given here in place of its config's own
+    (``ExperimentConfig.with_overrides``, so each is range-checked), and
+    aggregate verdicts; returns process exit status (0 pass, 1 failure).
+    A preset runs through ``run_experiment``; the subspace sweep through
+    ``subspace_iff_sweep``, with ``sweep_config()``.  Each writes its report
+    into ``out_dir``.  A name not in ``RUNS`` is a ``ConfigError``.
     """
-    if not names:
-        names = list(PRESETS) + list(SWEEPS)
+    for name in names or ():
+        if name not in RUNS:  # before any run starts
+            raise ConfigError("<suite>", f"unknown preset {name!r}")
     status = 0
-    for name in names:
-        if name in SWEEPS:
-            verdicts, _ = subspace_iff_sweep()
-        else:
-            cfg = preset(name).with_overrides(samples=samples, seed=seed, max_iters=max_iters, tol=tol)
-            verdicts = run_experiment(cfg, out_dir=out_dir).verdicts
-        for v in verdicts:
+    for name in names or RUNS:
+        cfg, run = (preset(name), run_experiment) if name in PRESETS else (sweep_config(), subspace_iff_sweep)
+        doc = run(cfg.with_overrides(samples=samples, seed=seed, max_iters=max_iters, tol=tol), out_dir)
+        for v in doc.verdicts:
             mark = "pass" if v.passed else "FAIL"
             echo(f"[{mark}] {name} :: {v.claim_id} (measured={v.measured}, bound={v.bound})")
-        if not verdicts:
+        if not doc.verdicts:
             echo(f"[pass] {name} :: no claims registered (report only)")
-        status = max(status, _exit_status(verdicts))
+        status = max(status, doc.exit_status)
+        del doc  # a record held through the next run raised the suite's peak RSS by about 2 MB
     return status

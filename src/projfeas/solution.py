@@ -68,10 +68,6 @@ class SolutionSet:
         return pts
 
 
-def singleton_solution(members, point):
-    return SolutionSet(tuple(members), point)
-
-
 def point_set_solution(members, points, witness=None):
     exact = UnionOfSubspaces(AffineSubspace(p) for p in points)
     w = points[0] if witness is None else witness

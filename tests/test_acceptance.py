@@ -40,7 +40,7 @@ from projfeas.regularity import (
     friedrichs_cosine,
     predicted_rates,
 )
-from projfeas.runner import random_subspace_pair, run_experiment, subspace_iff_sweep
+from projfeas.runner import random_subspace_pair, run_experiment, subspace_iff_sweep, sweep_config
 from projfeas.sampling import ball_points
 from projfeas.sets import AffineSubspace, KinkedRegion
 from projfeas.solution import subspace_pair_solution
@@ -387,9 +387,9 @@ def test_criterion_8_inequality_suite():
 
 def test_criterion_9_subspace_sweep():
     t0 = time.perf_counter()
-    verdicts, details = subspace_iff_sweep()
+    doc = subspace_iff_sweep(sweep_config())
     elapsed = time.perf_counter() - t0
-    by_id = {v.claim_id: v for v in verdicts}
+    by_id = {v.claim_id: v for v in doc.verdicts}
     ok = (
         by_id["subspace-iff-rank-test-match"].passed
         and by_id["subspace-dr-rate-bound"].passed
@@ -405,31 +405,31 @@ def test_criterion_9_subspace_sweep():
 
 def test_subspace_sweep_verdicts_repeat():
     # suite output prints claim, pass/fail, measured value and bound; the
-    # sweep's seconds go to the runtime verdict's detail, which it does not print
-    def printed(verdicts):
-        return [(v.claim_id, v.passed, v.measured, v.bound) for v in verdicts]
+    # sweep's seconds go to the record's ``seconds``, which no output prints
+    def printed(doc):
+        return [(v.claim_id, v.passed, v.measured, v.bound) for v in doc.verdicts]
 
-    first, _ = subspace_iff_sweep()
-    second, _ = subspace_iff_sweep()
+    first = subspace_iff_sweep(sweep_config())
+    second = subspace_iff_sweep(sweep_config())
     assert printed(first) == printed(second)
-    runtime = {v.claim_id: v for v in first}["subspace-sweep-runtime"]
-    assert runtime.passed and runtime.measured is True and runtime.detail.endswith(" s")
+    runtime = {v.claim_id: v for v in first.verdicts}["subspace-sweep-runtime"]
+    assert runtime.passed and runtime.measured is True and 0 < first.seconds < 30
 
 
 def test_criterion_9_budget_stop_judged_by_rate():
     # the strongly regular 3+3 pair of base seed 52834893 contracts at its
     # Friedrichs cosine 0.9959 per step and needs ~5,300 steps to reach tol,
     # so it stops on the sweep's max_iters=5000 while converging linearly
-    base_seed = 52834893
-    a, b, x0 = random_subspace_pair(base_seed, (3, 3))
+    seed = 52834893
+    a, b, x0 = random_subspace_pair(seed, (3, 3))
     sol = subspace_pair_solution(a, b, np.zeros(5))
     trace = iterate(DouglasRachford(a, b), x0, sol, max_iters=5000, tol=1e-9)
-    verdicts, details = subspace_iff_sweep(base_seed=base_seed)
-    by_id = {v.claim_id: v for v in verdicts}
-    rate_error = abs(details[0]["observed_rate"] - friedrichs_cosine(a, b))
+    doc = subspace_iff_sweep(sweep_config().with_overrides(seed=seed))
+    by_id = {v.claim_id: v for v in doc.verdicts}
+    rate_error = abs(doc.sweep[0]["observed_rate"] - friedrichs_cosine(a, b))
     ok = (
         trace.stop_reason == "max_iters"
-        and details[0]["converged_linearly"]
+        and doc.sweep[0]["converged_linearly"]
         and rate_error <= 1e-9
         and by_id["subspace-iff-rank-test-match"].measured == "20/20"
         and by_id["subspace-dr-rate-bound"].passed

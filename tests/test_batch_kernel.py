@@ -52,7 +52,7 @@ from projfeas.sets import (
     Sphere,
     UnionOfSubspaces,
 )
-from projfeas.solution import SolutionSet, singleton_solution, subspace_pair_solution
+from projfeas.solution import SolutionSet, subspace_pair_solution
 
 from kernel_reference import (
     PointMap,
@@ -337,7 +337,7 @@ def test_one_batch_mixes_every_stop_reason():
     # outside the radius maps as r -> |4 - 3 r|
     ball = Ball([0.0, 0.0], 1.0)
     op = PointMap(2, lambda x, P: 2.0 * (2.0 * P(ball, x) - x) - x)
-    sol = singleton_solution((ball,), [0.0, 0.0])
+    sol = SolutionSet((ball,), [0.0, 0.0])
     starts = np.array([[0.0, 0.0], [4.0 / 3.0, 0.0], [0.5, 0.0], [2.0, 0.0], [3.0, 0.0]])
     stops = _assert_batch_matches_reference(op, starts, sol, max_iters=60, tol=1e-9)
     assert list(stops) == ["tolerance", "tolerance", "stagnation", "max_iters", "divergence"]
@@ -355,7 +355,7 @@ def test_stop_precedence_after_a_step():
     # STAGNATION_STEP that lands within tol stops on tolerance
     axis = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
     op = PointMap(2, lambda x, P: P(axis, x))
-    sol = singleton_solution((axis,), [0.0, 0.0])
+    sol = SolutionSet((axis,), [0.0, 0.0])
     starts = np.array([[2e12, 0.0], [1e-9 * (1 - 2e-15), 1e-16], [3.0, 1.0]])
     stops = _assert_batch_matches_reference(op, starts, sol, max_iters=10, tol=1e-9)
     assert list(stops) == ["divergence", "tolerance", "stagnation"]
@@ -427,7 +427,7 @@ def test_iterate_matches_reference_trace(name):
 # ---------------------------------------------------------------------------
 
 AXIS = AffineSubspace.from_span([0.0, 0.0], [[1.0, 0.0]])
-ORIGIN_SOL = singleton_solution((AXIS,), [0.0, 0.0])
+ORIGIN_SOL = SolutionSet((AXIS,), [0.0, 0.0])
 
 
 def _shrink(w):

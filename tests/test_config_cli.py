@@ -15,8 +15,8 @@ from projfeas import config
 from projfeas.cli import main
 from projfeas.config import ConfigError, PointStart, config_from_dict, parse_config, serialize_config
 from projfeas.driver import RateFit, fit_rate, iterate
-from projfeas.presets import PRESETS, SWEEPS, preset
-from projfeas.runner import run_experiment
+from projfeas.presets import PRESETS, preset
+from projfeas.runner import run_experiment, run_suite
 from projfeas.sets import Ball
 
 MINIMAL = """
@@ -493,7 +493,7 @@ def test_python_m_projfeas_lists_presets(subprocess_env):
         env=subprocess_env, capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == sorted(PRESETS) + [f"{name} (sweep)" for name in SWEEPS]
+    assert out.stdout.splitlines() == sorted(PRESETS) + ["subspace-iff (sweep)"]
 
 
 def test_yaml_is_imported_only_to_read_or_write_yaml(subprocess_env):
@@ -521,6 +521,54 @@ def test_cli_suite_subset(tmp_path, capsys):
 def test_cli_suite_unknown_name(capsys):
     assert main(["suite", "bogus"]) == 2
     capsys.readouterr()
+
+
+def test_suite_refuses_an_unknown_name_before_any_run(tmp_path):
+    lines = []
+    with pytest.raises(ConfigError, match="<suite>: unknown preset 'bogus'"):
+        run_suite(["example-i", "bogus"], out_dir=tmp_path, echo=lines.append)
+    assert lines == [] and not any(tmp_path.iterdir())
+
+
+def _machine(report):
+    return json.loads(report.read_text().split("--- machine ---\n")[1])
+
+
+def test_cli_sweep_runs_from_the_seed_flag(tmp_path, capsys):
+    assert main(["suite", "subspace-iff", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    assert "[pass] subspace-iff :: subspace-iff-rank-test-match" in capsys.readouterr().out
+    sweep = _machine(tmp_path / "subspace-iff.report.txt")["sweep"]
+    assert [pair["seed"] for pair in sweep] == list(range(3, 23))
+
+
+@pytest.mark.parametrize("flag, path", [
+    ("--samples", "regularity.samples"), ("--max-iters", "budget.max_iters"), ("--tol", "budget.tol"),
+])
+def test_cli_sweep_range_checks_its_flags(flag, path, tmp_path, capsys):
+    assert main(["suite", "subspace-iff", flag, "0", "--out-dir", str(tmp_path)]) == 2
+    assert f"config error: {path}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "subspace-iff.report.txt").exists()
+
+
+def test_cli_sweep_too_short_to_fit_reads_fail(tmp_path, capsys):
+    # a trace too short to fit a rate reads as not linear: a FAIL verdict, not a traceback
+    assert main(["suite", "subspace-iff", "--max-iters", "1", "--out-dir", str(tmp_path)]) == 1
+    assert "[FAIL] subspace-iff :: subspace-iff-rank-test-match (measured=10/20," in capsys.readouterr().out
+
+
+def test_sweep_reports_differ_only_in_their_timestamp(tmp_path, capsys):
+    texts = []
+    for run in ("first", "second"):
+        assert main(["suite", "subspace-iff", "--out-dir", str(tmp_path / run)]) == 0
+        lines = (tmp_path / run / "subspace-iff.report.txt").read_text().splitlines()
+        assert lines[0].startswith("# generated: ")
+        texts.append(lines[1:])
+    capsys.readouterr()
+    assert texts[0] == texts[1]
+    verdicts = {v["claim_id"]: v for v in _machine(tmp_path / "first" / "subspace-iff.report.txt")["verdicts"]}
+    assert verdicts["subspace-sweep-runtime"] == {
+        "claim_id": "subspace-sweep-runtime", "passed": True, "measured": True, "bound": "< 30 s", "detail": "",
+    }
 
 
 def test_cli_suite_failing_verdict_exit_1(tmp_path, capsys):

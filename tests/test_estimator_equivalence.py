@@ -34,7 +34,7 @@ from projfeas.sets import (
     Sphere,
     UnionOfSubspaces,
 )
-from projfeas.solution import point_set_solution, singleton_solution
+from projfeas.solution import SolutionSet, point_set_solution
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 ULP_BOUND = 1e-15
@@ -160,8 +160,8 @@ def _variant_cases():
     plane = AffineSubspace.from_span([0.0, 0.0, 1.0], [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
     kink = KinkedRegion()
     return [
-        ("Affine", plane, singleton_solution((plane,), [0.0, 0.0, 1.0]), 1.0),
-        ("Ball", ball, singleton_solution((line, ball), [0.0, 0.0]), 1.0),
+        ("Affine", plane, SolutionSet((plane,), [0.0, 0.0, 1.0]), 1.0),
+        ("Ball", ball, SolutionSet((line, ball), [0.0, 0.0]), 1.0),
         (
             "Sphere",
             circle,
@@ -171,11 +171,11 @@ def _variant_cases():
             ),
             0.5,
         ),
-        ("Union", cross, singleton_solution((cross, diag), [0.0, 0.0]), 1.0),
-        ("Kinked", kink, singleton_solution((kink,), [0.0, 0.0]), 1.0),
+        ("Union", cross, SolutionSet((cross, diag), [0.0, 0.0]), 1.0),
+        ("Kinked", kink, SolutionSet((kink,), [0.0, 0.0]), 1.0),
         # near the corner, samples of each edge align positively with samples
         # of the other edge only slightly above them along the edge normal
-        ("Kinked-off-corner", kink, singleton_solution((kink,), [0.02, 0.0]), 0.05),
+        ("Kinked-off-corner", kink, SolutionSet((kink,), [0.02, 0.0]), 0.05),
     ]
 
 

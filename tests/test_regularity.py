@@ -19,7 +19,7 @@ from projfeas.regularity import (
 )
 from projfeas.runner import random_subspace_pair
 from projfeas.sets import AffineSubspace, Ball, KinkedRegion, UnionOfSubspaces
-from projfeas.solution import SolutionSet, singleton_solution, subspace_pair_solution
+from projfeas.solution import SolutionSet, subspace_pair_solution
 
 from kernel_reference import PointMap, ref_friedrichs_cosine, ref_sol_distance, ref_step
 
@@ -39,7 +39,7 @@ def test_cross_subregular_constant_zero(cross_diag):
 
 def test_kink_subregular_constant_zero():
     k = KinkedRegion()
-    sol = singleton_solution((k,), [0.0, 0.0])
+    sol = SolutionSet((k,), [0.0, 0.0])
     assert estimate_subregularity(k, sol, 1.0, samples=1024, seed=0) <= 1e-9
 
 
@@ -93,7 +93,7 @@ def test_estimator_monotonic_in_samples():
 
 def test_subregularity_no_samples_error():
     circle, line = circle_and_line()
-    sol = singleton_solution((line,), [5.0, HALF_SQRT2])
+    sol = SolutionSet((line,), [5.0, HALF_SQRT2])
     # a ball far from the circle contains no circle points
     with pytest.raises(ValueError):
         estimate_subregularity(circle, sol, 0.5, samples=128, seed=0)
