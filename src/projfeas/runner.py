@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import BudgetSpec, ConfigError, ExperimentConfig, OutputSpec, RegularitySpec
 from .driver import RateFit, fit_rate, iterate, iterate_many, trace_to_csv
 from .linalg import complement_basis  # noqa: F401  perfbench/tracing.py counts calls through it
 from .operators import DouglasRachford
-from .config import BudgetSpec, ConfigError, ExperimentConfig, OutputSpec, RegularitySpec
 from .presets import HALF_SQRT2, PRESETS, preset
 from .regularity import (
     SAFETY_INFLATION,
@@ -73,8 +73,8 @@ def _fit(trace):
 
 @dataclass
 class ReportDocument:
-    """One run: what ``run_experiment`` computed, the verdicts read from
-    it, and when it was generated.  Its name is ``cfg.name``."""
+    """One run of ``run_experiment`` or ``subspace_iff_sweep``: what it computed,
+    the verdicts read from it, and when.  Its name is ``cfg.name``."""
 
     cfg: object
     solution: object
