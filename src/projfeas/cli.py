@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Verbs:
-    run <config>      run one experiment (preset name or YAML config path)
-    rates <config>    estimators only, no iteration
+    run <config>      run one experiment (preset name or YAML config path; not the sweep)
+    rates <config>    estimators only, no iteration (not the sweep)
     suite [names...]  run presets and the subspace sweep, each with the flags (default: all)
     presets           list built-in presets
 
@@ -54,6 +54,8 @@ def _build_parser():
 def _resolve_config(ref):
     if ref in PRESETS:
         return preset(ref)
+    if ref in RUNS:
+        raise ConfigError("<config>", f"{ref!r} is a sweep of many experiments: run it with `projfeas suite {ref}`")
     path = Path(ref)
     if not path.exists():
         raise ConfigError("<config>", f"{ref!r} is neither a preset nor an existing file")

@@ -95,7 +95,7 @@ class DouglasRachford(FixedPointOperator):
 
     def _stages(self, X, project=_selected):
         Z = project(self.b, X)
-        R = 2.0 * Z - X
+        R = Z + Z - X  # 2z - x to the bit: doubling is exact, and no scalar is broadcast
         W = project(self.a, R)
         return {"project_b": Z, "reflect_b": R, "project_a_reflect_b": W}, W - Z + X
 

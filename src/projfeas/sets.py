@@ -43,8 +43,25 @@ from .sampling import _boundary_chart, _in_ball, chart_coords, dyadic_ladder, qm
 MEMBERSHIP_TOL = 1e-9   # iterates land on sets only up to floating error
 TIE_TOL = 1e-10         # branch distances within this slack count as tied
 CENTER_TOL = 1e-13      # relative radius below which a point sits at a sphere center
+# A numpy call on a few rows costs about twice as much when an operand is
+# broadcast to their shape, so each set keeps its per-call constants as
+# read-only tiles of this many rows and a batch of up to this many rows reads
+# their first rows; past it a tile's first row broadcasts
+SAME_SHAPE_ROWS = 512
 
 INFINITE = math.inf
+
+
+def _tile(value):
+    """``value`` repeated on ``SAME_SHAPE_ROWS`` rows of a new, read-only array."""
+    tile = np.repeat(np.asarray(value, dtype=float)[None], SAME_SHAPE_ROWS, axis=0)
+    tile.flags.writeable = False
+    return tile
+
+
+def _rows_read(X):
+    """How many rows of each constant's tile a batch ``X`` reads."""
+    return X.shape[0] if X.shape[0] <= SAME_SHAPE_ROWS else 1
 
 
 @dataclass(frozen=True)
@@ -248,9 +265,7 @@ class AffineSubspace(ClosedSet):
         self.offset, self.basis, self.dim = offset, basis, offset.shape[0]
         self.dim_subspace = basis.shape[0]
         self.normal_basis = complement_basis(basis, self.dim)
-        # views for project_many: numpy takes its faster same-shape path on
-        # a one-row batch when no operand is broadcast to a new axis
-        self._offset_row, self._basis_t = offset[None], basis.T
+        self._offset_tile, self._basis_t = _tile(offset), basis.T
 
     @classmethod
     def from_span(cls, offset, vectors):
@@ -267,8 +282,9 @@ class AffineSubspace(ClosedSet):
         whole matrices would round differently)."""
         if self.dim_subspace == 0:
             return np.full(X.shape, self.offset)
-        R = (X - self._offset_row)[:, :, None]
-        return self._offset_row + np.matmul(self._basis_t, np.matmul(self.basis, R))[:, :, 0]
+        offset = self._offset_tile[:_rows_read(X)]
+        R = (X - offset)[:, :, None]
+        return offset + np.matmul(self._basis_t, np.matmul(self.basis, R))[:, :, 0]
 
     def _normal_groups(self, X):
         return (NormalGroup(self.normal_basis, np.arange(X.shape[0])),)
@@ -305,7 +321,7 @@ class _Round(ClosedSet):
         if not 0 < self.radius < np.inf:
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
         self.dim = self.center.shape[0]
-        self._center_row = self.center[None]  # a view, as ``AffineSubspace._offset_row``
+        self._center_tile, self._radius_tile = _tile(self.center), _tile(self.radius)
 
     def to_dict(self):
         return {
@@ -325,10 +341,12 @@ class Ball(_Round):
 
     def project_many(self, X):
         # a row outside divides by its own r; NaN passes through np.maximum
-        D = X - self._center_row
+        k = _rows_read(X)
+        center, radius = self._center_tile[:k], self._radius_tile[:k]
+        D = X - center
         r = row_norms(D)
-        scale = self.radius / np.maximum(r, self.radius)
-        return np.where((r <= self.radius)[:, None], X, self._center_row + scale[:, None] * D)
+        scale = radius / np.maximum(r, radius)
+        return np.where((r <= radius)[:, None], X, center + scale[:, None] * D)
 
     def _normal_groups(self, X):
         D = X - self.center
@@ -353,9 +371,9 @@ class Sphere(_Round):
 
     def __init__(self, center, radius):
         super().__init__(center, radius)
-        self._center_gap = CENTER_TOL * max(1.0, self.radius)
-        self._canonical = self._center_row.copy()
-        self._canonical[0, 0] += self.radius
+        canonical = self.center.copy()
+        canonical[0] += self.radius
+        self._gap_tile, self._canonical_tile = _tile(CENTER_TOL * max(1.0, self.radius)), _tile(canonical)
 
     def distance_many(self, X):
         return np.abs(row_norms(X - self.center) - self.radius)
@@ -364,11 +382,13 @@ class Sphere(_Round):
         """Selected projections of the rows of ``X`` and which of them sit
         at the center."""
         # a row off the center divides by its own r; the quotient is at most 1e13
-        D = X - self._center_row
+        k = _rows_read(X)
+        center, radius, gap = self._center_tile[:k], self._radius_tile[:k], self._gap_tile[:k]
+        D = X - center
         r = row_norms(D)
-        at_center = r <= self._center_gap
-        scale = self.radius / np.maximum(r, self._center_gap)
-        return np.where(at_center[:, None], self._canonical, self._center_row + scale[:, None] * D), at_center
+        at_center = r <= gap
+        scale = radius / np.maximum(r, gap)
+        return np.where(at_center[:, None], self._canonical_tile[:k], center + scale[:, None] * D), at_center
 
     def project_many(self, X):
         return self._nearest(X)[0]

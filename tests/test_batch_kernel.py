@@ -45,6 +45,7 @@ from projfeas.operators import (
 from projfeas.regularity import Region
 from projfeas.runner import random_subspace_pair
 from projfeas.sets import (
+    SAME_SHAPE_ROWS,
     TIE_TOL,
     AffineSubspace,
     Ball,
@@ -111,6 +112,21 @@ def _rows(dim):
                   elements=st.floats(-4.0, 4.0, allow_nan=False))
 
 
+# a batch of up to SAME_SHAPE_ROWS rows reads the first rows of each set's
+# constant tiles, a longer one broadcasts their first row
+TILE_CUT = (SAME_SHAPE_ROWS, SAME_SHAPE_ROWS + 1)
+
+
+def _held_arrays(s):
+    """Every array a set holds, its frames' too, with its attribute name."""
+    for name, v in vars(s).items():
+        if isinstance(v, np.ndarray):
+            yield name, v
+        elif isinstance(v, tuple):
+            for f in v:
+                yield from _held_arrays(f)
+
+
 @pytest.mark.parametrize("name", sorted(SETS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -127,6 +143,16 @@ def test_project_many_matches_project(name, data):
         assert same_bits(out.distance, ref.distance), (x, out.distance, ref.distance)
         assert out.branch_count == ref.branch_count, (x, out.branch_count, ref.branch_count)
         assert same_bits(out.branches, ref.branches), (x, out.branches, ref.branches)
+    # the same rows cycled to either side of the tile cut: each matches its
+    # row of P, which matched the reference
+    outputs = [P]
+    for m in TILE_CUT:
+        outputs.append(s.project_many(np.resize(X, (m, s.dim))))
+        assert same_bits(outputs[-1], np.resize(P, (m, s.dim))), m
+    # every output is a new array, and the constant tiles are read-only
+    held = list(_held_arrays(s))
+    assert not any(np.shares_memory(Q, v) for Q in outputs for _, v in held)
+    assert not any(v.flags.writeable for name, v in held if name.endswith("_tile"))
 
 
 def test_tie_points_keep_their_rules():
@@ -179,7 +205,10 @@ def test_projection_is_idempotent_and_measures_the_distance(name, data):
 def _operators():
     cross, diag = presets.cross_and_diagonal()
     circle, line = presets.circle_and_line()
-    return {"map": AlternatingProjections(circle, line), "dr": DouglasRachford(cross, diag)}
+    ball, line_iii = presets.line_and_ball()[::-1]  # example-iii-dr's pair
+    # every set variant meets a step
+    return {"map": AlternatingProjections(circle, line), "dr": DouglasRachford(cross, diag),
+            "dr-ball": DouglasRachford(ball, line_iii), "map-kinked": AlternatingProjections(KinkedRegion(), line)}
 
 
 @pytest.mark.parametrize("name", sorted(_operators()))
@@ -191,6 +220,10 @@ def test_step_many_matches_per_point_formula(name):
     for x, y in zip(X, Y):
         assert same_bits(y, ref_step(op, x)), (x, y)
         assert same_bits(op.step(x), y) and same_bits(op.apply(x).selected, y)
+    # the same rows cycled to either side of the tile cut
+    for m in TILE_CUT:
+        Xm = np.resize(X, (m, 2))
+        assert same_bits(op.step_many(Xm), [ref_step(op, x) for x in Xm]), m
 
 
 def _branching_operators():

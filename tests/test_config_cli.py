@@ -550,6 +550,14 @@ def test_cli_sweep_range_checks_its_flags(flag, path, tmp_path, capsys):
     assert not (tmp_path / "subspace-iff.report.txt").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "rates"])
+def test_cli_sweep_runs_only_through_suite(verb, tmp_path, capsys):
+    # the sweep is no one experiment: `run` and `rates` refuse it and name `suite`
+    assert main([verb, "subspace-iff", "--out-dir", str(tmp_path)]) == 2
+    assert "is a sweep of many experiments: run it with `projfeas suite subspace-iff`" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_sweep_too_short_to_fit_reads_fail(tmp_path, capsys):
     # a trace too short to fit a rate reads as not linear: a FAIL verdict, not a traceback
     assert main(["suite", "subspace-iff", "--max-iters", "1", "--out-dir", str(tmp_path)]) == 1
