@@ -45,23 +45,29 @@ TIE_TOL = 1e-10         # branch distances within this slack count as tied
 CENTER_TOL = 1e-13      # relative radius below which a point sits at a sphere center
 # A numpy call on a few rows costs about twice as much when an operand is
 # broadcast to their shape, so each set keeps its per-call constants as
-# read-only tiles of this many rows and a batch of up to this many rows reads
-# their first rows; past it a tile's first row broadcasts
+# read-only tiles of this many rows (``_Constants``)
 SAME_SHAPE_ROWS = 512
 
 INFINITE = math.inf
 
 
-def _tile(value):
-    """``value`` repeated on ``SAME_SHAPE_ROWS`` rows of a new, read-only array."""
-    tile = np.repeat(np.asarray(value, dtype=float)[None], SAME_SHAPE_ROWS, axis=0)
-    tile.flags.writeable = False
-    return tile
+class _Constants(dict):
+    """A set's per-call constants, each repeated on ``SAME_SHAPE_ROWS`` rows
+    of a read-only tile.  ``consts[m]`` is the tuple of the tiles' first
+    ``m`` rows, which a batch of ``m`` rows meets without broadcasting, made
+    once per ``m``; past the tiles it is their first rows, which broadcast."""
 
+    def __init__(self, *values):
+        super().__init__()
+        self.tiles = tuple(np.repeat(np.asarray(v, dtype=float)[None], SAME_SHAPE_ROWS, axis=0) for v in values)
+        for tile in self.tiles:
+            tile.flags.writeable = False
 
-def _rows_read(X):
-    """How many rows of each constant's tile a batch ``X`` reads."""
-    return X.shape[0] if X.shape[0] <= SAME_SHAPE_ROWS else 1
+    def __missing__(self, m):
+        if m > SAME_SHAPE_ROWS:
+            return self[1]
+        views = self[m] = tuple(tile[:m] for tile in self.tiles)
+        return views
 
 
 @dataclass(frozen=True)
@@ -265,7 +271,7 @@ class AffineSubspace(ClosedSet):
         self.offset, self.basis, self.dim = offset, basis, offset.shape[0]
         self.dim_subspace = basis.shape[0]
         self.normal_basis = complement_basis(basis, self.dim)
-        self._offset_tile, self._basis_t = _tile(offset), basis.T
+        self._consts, self._basis_t = _Constants(offset), basis.T
 
     @classmethod
     def from_span(cls, offset, vectors):
@@ -282,7 +288,7 @@ class AffineSubspace(ClosedSet):
         whole matrices would round differently)."""
         if self.dim_subspace == 0:
             return np.full(X.shape, self.offset)
-        offset = self._offset_tile[:_rows_read(X)]
+        (offset,) = self._consts[X.shape[0]]
         R = (X - offset)[:, :, None]
         return offset + np.matmul(self._basis_t, np.matmul(self.basis, R))[:, :, 0]
 
@@ -321,7 +327,11 @@ class _Round(ClosedSet):
         if not 0 < self.radius < np.inf:
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
         self.dim = self.center.shape[0]
-        self._center_tile, self._radius_tile = _tile(self.center), _tile(self.radius)
+        self._consts = _Constants(*self._constants())
+
+    def _constants(self):
+        """The per-call constants of ``project_many``, in the order it reads them."""
+        return self.center, self.radius
 
     def to_dict(self):
         return {
@@ -341,8 +351,7 @@ class Ball(_Round):
 
     def project_many(self, X):
         # a row outside divides by its own r; NaN passes through np.maximum
-        k = _rows_read(X)
-        center, radius = self._center_tile[:k], self._radius_tile[:k]
+        center, radius = self._consts[X.shape[0]]
         D = X - center
         r = row_norms(D)
         scale = radius / np.maximum(r, radius)
@@ -369,11 +378,11 @@ class Sphere(_Round):
 
     variant = "sphere"
 
-    def __init__(self, center, radius):
-        super().__init__(center, radius)
+    def _constants(self):
+        # the center guard, and the canonical point a row at the center takes
         canonical = self.center.copy()
         canonical[0] += self.radius
-        self._gap_tile, self._canonical_tile = _tile(CENTER_TOL * max(1.0, self.radius)), _tile(canonical)
+        return self.center, self.radius, CENTER_TOL * max(1.0, self.radius), canonical
 
     def distance_many(self, X):
         return np.abs(row_norms(X - self.center) - self.radius)
@@ -382,13 +391,12 @@ class Sphere(_Round):
         """Selected projections of the rows of ``X`` and which of them sit
         at the center."""
         # a row off the center divides by its own r; the quotient is at most 1e13
-        k = _rows_read(X)
-        center, radius, gap = self._center_tile[:k], self._radius_tile[:k], self._gap_tile[:k]
+        center, radius, gap, canonical = self._consts[X.shape[0]]
         D = X - center
         r = row_norms(D)
         at_center = r <= gap
         scale = radius / np.maximum(r, gap)
-        return np.where(at_center[:, None], self._canonical_tile[:k], center + scale[:, None] * D), at_center
+        return np.where(at_center[:, None], canonical, center + scale[:, None] * D), at_center
 
     def project_many(self, X):
         return self._nearest(X)[0]

@@ -118,13 +118,16 @@ TILE_CUT = (SAME_SHAPE_ROWS, SAME_SHAPE_ROWS + 1)
 
 
 def _held_arrays(s):
-    """Every array a set holds, its frames' too, with its attribute name."""
-    for name, v in vars(s).items():
+    """Every array a set holds, its frames' and its constant tiles too, and
+    whether it is a tile."""
+    for v in vars(s).values():
         if isinstance(v, np.ndarray):
-            yield name, v
-        elif isinstance(v, tuple):
+            yield v, False
+        elif isinstance(v, tuple):  # a union's frames
             for f in v:
                 yield from _held_arrays(f)
+        elif hasattr(v, "tiles"):
+            yield from ((t, True) for t in v.tiles)
 
 
 @pytest.mark.parametrize("name", sorted(SETS))
@@ -151,8 +154,9 @@ def test_project_many_matches_project(name, data):
         assert same_bits(outputs[-1], np.resize(P, (m, s.dim))), m
     # every output is a new array, and the constant tiles are read-only
     held = list(_held_arrays(s))
-    assert not any(np.shares_memory(Q, v) for Q in outputs for _, v in held)
-    assert not any(v.flags.writeable for name, v in held if name.endswith("_tile"))
+    assert not any(np.shares_memory(Q, v) for Q in outputs for v, _ in held)
+    assert not any(v.flags.writeable for v, tile in held if tile)
+    assert any(tile for _, tile in held) != isinstance(s, KinkedRegion)
 
 
 def test_tie_points_keep_their_rules():
