@@ -260,7 +260,9 @@ def estimate_kappa(a, b, sol: SolutionSet, delta, samples=DEFAULT_SAMPLES, seed=
     ])
     d_s = sol.distance_many(X)
     gap = np.maximum(a.distance_many(X), b.distance_many(X))
-    mask = gap > 1e-12
+    # relative to the samples' largest coordinate, as COINCIDENT is: an
+    # absolute floor drops every sample once delta is near it
+    mask = gap > 1e-12 * float(np.max(np.abs(X)))
     return float(np.max(d_s[mask] / gap[mask], initial=0.0))
 
 

@@ -6,7 +6,13 @@ given seed are a prefix of the first ``2n``.  The scramble is Owen's
 random-permutation Halton (A. B. Owen, "A randomized Halton algorithm in R",
 arXiv:1706.02808); ``qmc_unit`` computes it with numpy in the order of
 ``scipy.stats.qmc.Halton(d, scramble=True, seed=s).random(n)``, and the
-tests pin the two to the same bytes.  ``ball_points`` turns the sequence into
+tests pin the two to the same bytes.  Its digit permutations are projfeas's
+own draws, in plain Python integers: ``_pcg64_draws`` and ``_shuffled`` write
+out numpy's ``default_rng(seed).shuffle`` (its ``SeedSequence``, ``PCG64``
+and Fisher-Yates), so drawing a sequence loads no ``numpy.random``, and no
+numpy release can move it through a ``Generator`` method, which numpy's RNG
+policy (NEP 19) lets change.  The tests hold the draws to numpy's.
+``ball_points`` turns the sequence into
 Gaussian directions through ``_ndtri``, S. L. Moshier's Cephes rational
 approximation of the inverse normal CDF, written in numpy in the same form
 and order of operations as the C ``ndtri`` that ``scipy.special`` ships; its
@@ -40,7 +46,96 @@ def _first_primes(k):
     return primes
 
 
-def _digit_terms(base, rng):
+_MASK32 = 2**32 - 1
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+
+
+def _hashmix(value, const, mult=0x931E8875):
+    """``SeedSequence``'s ``hashmix`` of a 32-bit word: the mixed word and
+    the multiplier it leaves for the next call.  ``generate_state`` runs the
+    same hash with its own ``mult``."""
+    value ^= const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _seed_state(seed):
+    """``numpy.random.SeedSequence(seed).generate_state(4, np.uint64)`` as
+    four ints.  The seed's 32-bit words (least significant first, ``[0]``
+    for 0) are hashed into a pool of four words, the pool words are mixed
+    with each other and then with each word past the fourth, and the pool
+    is hashed out into eight 32-bit words, paired low word first."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    const = 0x43B0D7E5
+    pool = []
+    for i in range(4):
+        word, const = _hashmix(entropy[i] if i < len(entropy) else 0, const)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[4:]:
+        for dst in range(4):
+            word, const = _hashmix(extra, const)
+            pool[dst] = _mix(pool[dst], word)
+    const = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        word, const = _hashmix(pool[i % 4], const, 0x58F38DED)
+        out.append(word)
+    return [out[2 * k] | out[2 * k + 1] << 32 for k in range(4)]
+
+
+def _pcg64_draws(seed):
+    """The 32-bit draws of ``numpy.random.PCG64(seed)``, in the order numpy
+    hands them out: the low, then the high half of each 64-bit XSL-RR
+    output, as its buffered ``next_uint32`` does.  Seeded as ``PCG64``
+    seeds: ``state = 0``, ``inc = 2 * initseq + 1``, a step, ``state +=
+    initstate``, a step."""
+    words = _seed_state(seed)
+    initstate = words[0] << 64 | words[1]
+    inc = (words[2] << 64 | words[3]) << 1 & _MASK128 | 1
+    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+    while True:
+        state = (state * _PCG_MULT + inc) & _MASK128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _MASK64
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        yield x & _MASK32
+        yield x >> 32
+
+
+def _shuffled(n, draws):
+    """``arange(n)`` after ``Generator.shuffle``: Fisher-Yates from the last
+    slot down, each swap index drawn by ``random_interval``'s masked
+    rejection.  Only its 32-bit branch is written: the bases are small
+    primes, so every bound is below ``2**32``."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = next(draws) & mask
+        while j > i:
+            j = next(draws) & mask
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def _digit_terms(base, draws):
     """``terms[j, k]``: what digit ``j`` adds to a coordinate when it is ``k``.
 
     One shuffled ``arange(base)`` per digit that a double resolves:
@@ -49,16 +144,14 @@ def _digit_terms(base, rng):
     ``base**-(j+1)`` is divided down digit by digit, as scipy rounds it.
     """
     count = math.ceil(54 / math.log2(base)) - 1
-    perms = np.repeat(np.arange(base)[None], count, axis=0)
-    for perm in perms:
-        rng.shuffle(perm)
+    perms = [_shuffled(base, draws) for _ in range(count)]
     b2r = [1.0 / base]
     while len(b2r) < count:
         b2r.append(b2r[-1] / base)
-    return perms * np.array(b2r)[:, None]
+    return np.array(perms) * np.array(b2r)[:, None]
 
 
-QMC_CACHE = 32  # distinct (n, dim, seed) sequences kept; one suite of presets draws 9
+QMC_CACHE = 32  # distinct (n, dim, seed) sequences kept; every preset together draws 24
 
 
 @functools.lru_cache(maxsize=QMC_CACHE)
@@ -77,10 +170,10 @@ def qmc_unit(n, dim, seed):
         out.flags.writeable = False
         return out
     n = int(n)
-    rng = np.random.default_rng(int(seed))
+    draws = _pcg64_draws(int(seed))
     out = np.zeros((dim, n))
     for seq, base in zip(out, _first_primes(dim)):
-        terms = _digit_terms(base, rng)
+        terms = _digit_terms(base, draws)
         live = 0  # digits of the largest index, n - 1
         while base**live <= n - 1:
             live += 1

@@ -206,7 +206,7 @@ class ClosedSet:
     def normal_components(self, X):
         """Proximal normal cones at every row of ``X``: the limiting cones,
         save that a row more than one piece holds has the zero cone.  Raises
-        if a row is not in the set to ``MEMBERSHIP_TOL``.
+        if a row is not in the set to ``MEMBERSHIP_TOL * max(1, |x|)``.
         """
         X = self._check_members(X)
         groups = self._normal_groups(X)
@@ -216,7 +216,7 @@ class ClosedSet:
     def limiting_normals(self, X):
         """Limiting normal cones at every row of ``X``, as ``normal_components``
         gives the proximal ones: the normals of every piece that holds a row.
-        Raises if a row is not in the set to ``MEMBERSHIP_TOL``.
+        Raises if a row is not in the set to ``MEMBERSHIP_TOL * max(1, |x|)``.
         """
         return _cones(*self._normal_groups(self._check_members(X)))
 
@@ -233,9 +233,10 @@ class ClosedSet:
 
     def _check_members(self, X):
         X = as_points(X, self.dim)
-        off = ~(self.distance_many(X) <= MEMBERSHIP_TOL)
+        # relative past |x| = 1: a far point lands on the set only to its own rounding
+        off = ~(self.distance_many(X) <= MEMBERSHIP_TOL * np.maximum(1.0, row_norms(X)))
         if off.any():
-            raise ValueError(f"point {X[np.argmax(off)]} is not in the set (tol {MEMBERSHIP_TOL})")
+            raise ValueError(f"point {X[np.argmax(off)]} is not in the set (tol {MEMBERSHIP_TOL} * max(1, |x|))")
         return X
 
     def to_dict(self):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -430,6 +431,24 @@ def test_cli_nested_balls_read_kappa_zero(tmp_path, verb, subprocess_env):
     assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
     machine = json.loads(out.stdout.rsplit("--- machine ---\n", 1)[1])
     assert [row["kappa"] for row in machine["sweep"]] == [0.0]
+
+
+@pytest.mark.parametrize("delta", [1e-13, 1e-12, 1e8, 1e12, 1e150])
+def test_cli_rates_read_kappa_at_every_scale(delta, tmp_path, subprocess_env):
+    # example-i's two lines are a cone: kappa is 1/sin(pi/8) at every delta.
+    # An absolute gap floor read 0 below 1e-11, and an absolute membership
+    # tolerance rejected the sampled points from 1e8 on
+    cfg = preset("example-i")
+    path = tmp_path / "example-i.yaml"
+    path.write_text(serialize_config(replace(cfg, regularity=replace(cfg.regularity, deltas=(delta,)))))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "projfeas", "rates", str(path), "--out-dir", str(tmp_path)],
+        env=subprocess_env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
+    machine = json.loads(out.stdout.rsplit("--- machine ---\n", 1)[1])
+    assert [row["delta"] for row in machine["sweep"]] == [delta]
+    assert machine["sweep"][0]["kappa"] >= 0.999 / math.sin(math.pi / 8)
 
 
 def test_cli_rates_only(tmp_path, capsys):

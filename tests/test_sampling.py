@@ -11,7 +11,10 @@ sample.  Before, the package called ``scipy.stats.qmc.Halton``,
 ``kernel_reference``, and every estimate, start region and report reads the
 same bytes as it did with them.  The golden rows and values pin the sequence
 and the inverse CDF even if a later scipy changes its own, and fresh
-interpreters check that the package loads no scipy module at all.
+interpreters check that the package loads no scipy module at all.  The
+scramble's digit permutations are the package's own draws, held here to
+``numpy.random.default_rng(seed).shuffle``, which they replaced; a fresh
+interpreter checks that only the subspace sweep loads ``numpy.random``.
 """
 import math
 
@@ -33,7 +36,7 @@ from kernel_reference import (
     ref_qmc_unit,
 )
 from projfeas.runner import random_subspace_pair
-from projfeas.sampling import _ndtri, ball_points, qmc_unit
+from projfeas.sampling import _first_primes, _ndtri, _pcg64_draws, _shuffled, ball_points, qmc_unit
 from projfeas.sets import AffineSubspace, Ball, KinkedRegion, Sphere, UnionOfSubspaces
 
 SEEDS = list(range(20)) + [int(s) for s in np.random.default_rng(1).integers(0, 2**31, 10)]
@@ -72,6 +75,9 @@ def test_ball_points_matches_norm_ppf_form(seed):
 
 def test_empty_request():
     assert qmc_unit(0, 3, 5).shape == (0, 3)
+    # a negative seed is refused, as numpy's SeedSequence refuses it
+    with pytest.raises(ValueError, match="non-negative"):
+        qmc_unit(4, 1, -1)
 
 
 @pytest.mark.parametrize("n", [0, 64])
@@ -110,6 +116,20 @@ def test_one_halton_column_is_the_first_of_two(n, seed):
     # base 2's permutations are drawn first, so the kinked chart may draw
     # the one column it reads
     assert qmc_unit(n, 1, seed)[:, 0].tobytes() == qmc_unit(n, 2, seed)[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 5])
+def test_permutation_draws_match_numpy_shuffle(seed):
+    """The scramble's own draws against ``default_rng(seed).shuffle``: seeds
+    of one to five 32-bit words, and consecutive shuffles from one
+    generator, whose buffered 32-bit half carries from one call to the next."""
+    rng, draws = np.random.default_rng(seed), _pcg64_draws(seed)
+    for base in _first_primes(12):
+        for _ in range(5):
+            want = np.arange(base)
+            rng.shuffle(want)
+            got = _shuffled(base, draws)
+            assert got == want.tolist(), (base, got)
 
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
@@ -204,6 +224,27 @@ def test_runtime_loads_no_scipy(argv, subprocess_env):
         env=subprocess_env, capture_output=True, text=True, check=True,
     )
     assert [line for line in out.stderr.splitlines() if "scipy" in line] == []
+
+
+def test_numpy_random_is_imported_only_for_the_sweep(tmp_path, subprocess_env):
+    # the presets and probes draw their Halton scrambles from projfeas's own
+    # generator; only the sweep's Gaussian subspace pairs take numpy's
+    code = (
+        "import sys; from projfeas import Region, probe_fixed_points, run_suite; "
+        "from projfeas.presets import preset; out = sys.argv[1]; "
+        "run_suite(['example-iv', 'kinked-regularity'], out_dir=out, echo=lambda line: None); "
+        "cfg = preset('example-iii-dr'); sol = cfg.solution_set(); "
+        "probe_fixed_points(cfg.operator(), Region(sol.witness, 0.5), 30, 7, sol); "
+        "print('numpy.random' in sys.modules); "
+        "run_suite(['subspace-iff'], out_dir=out, echo=lambda line: None); "
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code, str(tmp_path)],
+        env=subprocess_env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_ndtri_matches_cephes_on_a_million_uniforms():
