@@ -12,18 +12,17 @@ out numpy's ``default_rng(seed).shuffle`` (its ``SeedSequence``, ``PCG64``
 and Fisher-Yates), so drawing a sequence loads no ``numpy.random``, and no
 numpy release can move it through a ``Generator`` method, which numpy's RNG
 policy (NEP 19) lets change.  The tests hold the draws to numpy's.
-``ball_points`` turns the sequence into
-Gaussian directions through ``_ndtri``, S. L. Moshier's Cephes rational
-approximation of the inverse normal CDF, written in numpy in the same form
-and order of operations as the C ``ndtri`` that ``scipy.special`` ships; its
-logarithms go through ``math.log``, which is the C library's ``log`` that
-the C code calls, because numpy's vectorised ``np.log`` can differ from it
-in the last bit.  Every chart maps the coordinates of ``chart_coords``,
-quasirandom rows followed by a dyadic radius ladder ``delta * 2**-j`` whose
-depth grows with ``log2(n)``, so suprema attained in shrinking-ratio limits
-(points sliding into a corner or a tangency) are approached at a fixed rate
-per doubling of the sample budget, and doubling the budget never decreases
-an estimate.
+``ball_points`` turns the sequence into Gaussian directions through
+``_ndtri``, S. L. Moshier's Cephes rational approximation of the inverse
+normal CDF, written in numpy in the same form and order of operations as the
+C ``ndtri`` that ``scipy.special`` ships; its logarithms go through
+``math.log``, which is the C library's ``log`` that the C code calls, because
+numpy's vectorised ``np.log`` can differ from it in the last bit.  Every
+chart maps the coordinates of ``chart_coords``, quasirandom rows followed by
+a dyadic radius ladder ``delta * 2**-j`` whose depth grows with ``log2(n)``,
+so suprema attained in shrinking-ratio limits (points sliding into a corner
+or a tangency) are approached at a fixed rate per doubling of the sample
+budget, and doubling the budget never decreases an estimate.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ def _hashmix(value, const, mult=0x931E8875):
 
 
 def _mix(x, y):
+    """``SeedSequence``'s ``mix`` of two 32-bit words."""
     r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
     return r ^ r >> 16
 
