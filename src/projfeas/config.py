@@ -62,10 +62,11 @@ MAGNITUDE = math.sqrt(sys.float_info.max) / 2
 
 # The largest ``regularity.samples`` and ``start.count``: 256 times the
 # default 4096 samples, and about 10,000 times the most starts a preset
-# draws.  Each is the row count of arrays a run holds at once, and a sampled
-# estimator run peaks near 200 bytes a sample, so a run at this many samples
-# fits in a few hundred MB; a far larger count would end in numpy's
-# allocation error, a traceback, instead of a ``ConfigError``.
+# draws.  Each is the row count of arrays a run holds at once.  An estimator
+# sweep peaks near 190 bytes a sample on two balls and 940 on the kinked
+# region (six chart points a sample), so a run at this many samples fits in
+# about 1 GB; a far larger count would end in numpy's allocation error, a
+# traceback, instead of a ``ConfigError``.
 MAX_COUNT = 2**20
 
 

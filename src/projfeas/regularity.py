@@ -25,7 +25,7 @@ from .linalg import (  # noqa: F401  complement_basis: perfbench/tracing.py coun
     subspace_intersection,
 )
 from .sampling import ball_points, on_set_points
-from .sets import AffineSubspace, ClosedSet
+from .sets import ClosedSet
 from .solution import SolutionSet
 
 DEFAULT_SAMPLES = 4096
@@ -267,35 +267,29 @@ def estimate_kappa(a, b, sol: SolutionSet, delta, samples=DEFAULT_SAMPLES, seed=
 
 
 def _opposition(cone_a, cone_b):
-    """Worst opposition ``sup -<u, v>`` over unit normals ``u``, ``v`` taken
-    from one component of each cone (a tuple of normal groups), floored at
-    zero.  The groups meet pair by pair: two rays by ``-<u, v>``, a ray and a
-    span by the norm of the ray's coordinates in it, two spans by their
-    largest principal cosine.  ``Sa`` and ``Sb`` stack a group's bases as
-    ``(m, k, dim)``, and a ray group's rays are ``S[:, 0]``."""
+    """Worst opposition ``sup -<u, v>`` over unit normals ``u``, ``v`` of one
+    component of each cone (a tuple of normal groups), floored at zero.  Two
+    ray groups meet by ``-<u, v>``, summed over coordinate planes as in
+    ``_block_sup``, so a chunk's shape moves no bit; a ray and a span by the
+    norm of the ray's coordinates in it; two spans by their largest principal
+    cosine.  ``S`` (a span group, if either is) and ``T`` stack the bases as
+    ``(m, k, dim)``, a ray's in ``[:, 0]``, and each chunk of ``S`` meets at
+    most ``BLOCK_PAIRS`` bases of the whole ``T``."""
     best = 0.0
     for ga in cone_a:
         for gb in cone_b:
-            Sa, Sb = (g.basis if g.per_row else g.basis[None] for g in (ga, gb))
-            if ga.one_sided and gb.one_sided:
-                best = max(best, float(np.max(-(Sa[:, 0] @ Sb[:, 0].T))))
-            elif ga.one_sided or gb.one_sided:
-                rays, S = (Sa[:, 0], Sb) if ga.one_sided else (Sb[:, 0], Sa)
-                step = max(1, BLOCK_PAIRS // rays.shape[0])
-                for i in range(0, S.shape[0], step):
-                    coords = rays @ S[i : i + step].swapaxes(-1, -2)
-                    best = max(best, float(np.max(np.linalg.norm(coords, axis=-1))))
-            else:
-                best = max(best, _largest_cosine(Sa, Sb))
-    return best
-
-
-def _largest_cosine(Sa, Sb):
-    """Largest principal cosine over all pairs of subspaces from two stacks."""
-    step = max(1, BLOCK_PAIRS // Sb.shape[0])
-    best = 0.0
-    for i in range(0, Sa.shape[0], step):
-        best = max(best, float(np.max(principal_cosines(Sa[i : i + step, None], Sb[None])[..., 0])))
+            gs, gt = (gb, ga) if ga.one_sided and not gb.one_sided else (ga, gb)
+            S, T = (g.basis if g.per_row else g.basis[None] for g in (gs, gt))
+            step = max(1, BLOCK_PAIRS // T.shape[0])
+            for i in range(0, S.shape[0], step):
+                chunk = S[i : i + step]
+                if gs.one_sided:
+                    value = -_dot(chunk[:, 0].T[:, :, None], T[:, 0].T[:, None])
+                elif gt.one_sided:
+                    value = np.linalg.norm(T[:, 0] @ chunk.swapaxes(-1, -2), axis=-1)
+                else:
+                    value = principal_cosines(chunk[:, None], T[None])[..., 0]
+                best = max(best, float(np.max(value)))
     return best
 
 
@@ -307,7 +301,7 @@ def estimate_c(a, b, anchor, delta, samples=DEFAULT_SAMPLES, seed=0):
     cosine between the two normal spaces.
     """
     anchor = np.asarray(anchor, dtype=float)
-    if isinstance(a, AffineSubspace) and isinstance(b, AffineSubspace):
+    if a.is_affine() and b.is_affine():
         return largest_principal_cosine(a.normal_basis, b.normal_basis)
     Xa = on_set_points(a, anchor, delta, samples, seed)
     Xb = on_set_points(b, anchor, delta, samples, seed + 1)
@@ -327,7 +321,7 @@ def check_strong_regularity(a, b, point):
     """
     point = np.asarray(point, dtype=float)[None]
     cone_a, cone_b = a.limiting_normals(point), b.limiting_normals(point)
-    if isinstance(a, AffineSubspace) and isinstance(b, AffineSubspace):
+    if a.is_affine() and b.is_affine():
         # normal spaces meet trivially iff the direction spans fill the space
         stacked = np.vstack([a.basis, b.basis])
         rank = orthonormalize(stacked).shape[0] if stacked.size else 0

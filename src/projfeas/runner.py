@@ -231,7 +231,7 @@ def run_experiment(cfg, out_dir=None, with_claims=True):
     pair = cfg.pair()
     if pair is not None:
         a, b = pair
-        if isinstance(a, AffineSubspace) and isinstance(b, AffineSubspace):
+        if a.is_affine() and b.is_affine():
             doc.friedrichs = friedrichs_cosine(a, b)
         try:
             doc.strongly_regular = check_strong_regularity(a, b, sol.witness)
@@ -247,14 +247,17 @@ def run_experiment(cfg, out_dir=None, with_claims=True):
 
 
 def _write(doc, out_dir):
-    """Stamp ``doc`` with the time, write the files its config's outputs name to ``out_dir``, return it."""
+    """Stamp ``doc`` with the time, write the files its config's outputs name to ``out_dir``, return it.
+    Each is unlinked first: on ext4, truncating a file written moments before stalls 80-220 ms for a flush."""
     doc.generated = datetime.now(timezone.utc).isoformat()
     if out_dir is not None:
         out, outputs = Path(out_dir), doc.cfg.outputs
         out.mkdir(parents=True, exist_ok=True)
         if doc.traces and outputs.trace_csv:
+            (out / outputs.trace_csv).unlink(missing_ok=True)
             trace_to_csv(doc.trace, out / outputs.trace_csv)
         if outputs.report:
+            (out / outputs.report).unlink(missing_ok=True)
             (out / outputs.report).write_text(doc.to_text())
     return doc
 
@@ -278,6 +281,7 @@ def _preset_claims(doc):
 
 
 # Each claim kind builds its check and its bound text from the same numbers.
+LINEAR_R2, LINEAR_RATE = 0.98, 0.99  # a linear rate fit's least r_squared and largest rate
 
 
 def _claim(claim_id, x, check, bound, measured=None, detail=""):
@@ -324,10 +328,10 @@ def _all_pass(claim_id, oks, bound):
     return _claim(claim_id, oks, lambda o: bool(o) and all(o), bound, lambda o: f"{sum(o)}/{len(o)}")
 
 
-def _linear_fit(claim_id, fit, r2=0.98, rate=0.99):
-    """The rate fit reads linear: ``r_squared >= r2`` and ``observed_rate <= rate``."""
-    return _claim(claim_id, fit, lambda f: f.r_squared >= r2 and f.observed_rate <= rate,
-                  f"r2 >= {_num(r2)} and rate <= {_num(rate)}",
+def _linear_fit(claim_id, fit):
+    """The rate fit reads linear: ``r_squared >= LINEAR_R2`` and ``observed_rate <= LINEAR_RATE``."""
+    return _claim(claim_id, fit, lambda f: f.r_squared >= LINEAR_R2 and f.observed_rate <= LINEAR_RATE,
+                  f"r2 >= {_num(LINEAR_R2)} and rate <= {_num(LINEAR_RATE)}",
                   lambda f: (round(f.observed_rate, 6), round(f.r_squared, 6)))
 
 
@@ -444,17 +448,18 @@ CLAIMS = {
 # --------------------------------------------------------------------------
 
 
-def random_subspace_pair(seed, dims, ambient=5):
-    rng = np.random.default_rng(seed)
-    a = AffineSubspace.from_span(np.zeros(ambient), rng.normal(size=(dims[0], ambient)))
-    b = AffineSubspace.from_span(np.zeros(ambient), rng.normal(size=(dims[1], ambient)))
-    x0 = rng.normal(size=ambient)
-    return a, b, x0
-
-
+SWEEP_DIM = 5           # the ambient dimension of the sweep's subspaces
 SWEEP_PAIRS = 20        # random subspace pairs, every other one strongly regular
 SWEEP_RATE_SLACK = 0.02  # observed DR rate may exceed the predicted one by this
 SWEEP_SECONDS = 30.0    # wall time the whole sweep must stay under
+
+
+def random_subspace_pair(seed, dims):
+    rng = np.random.default_rng(seed)
+    a = AffineSubspace.from_span(np.zeros(SWEEP_DIM), rng.normal(size=(dims[0], SWEEP_DIM)))
+    b = AffineSubspace.from_span(np.zeros(SWEEP_DIM), rng.normal(size=(dims[1], SWEEP_DIM)))
+    x0 = rng.normal(size=SWEEP_DIM)
+    return a, b, x0
 
 
 def sweep_config():
@@ -477,7 +482,7 @@ def subspace_iff_sweep(cfg, out_dir=None):
     one record per pair in its ``sweep``.
     """
     t0 = time.perf_counter()
-    seed, delta, origin = cfg.regularity.seed, cfg.regularity.deltas[0], np.zeros(5)
+    seed, delta, origin = cfg.regularity.seed, cfg.regularity.deltas[0], np.zeros(SWEEP_DIM)
     doc = ReportDocument(cfg=cfg, solution=None)
     matches = []
     bound_ok = []

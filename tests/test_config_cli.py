@@ -458,6 +458,23 @@ def test_cli_rates_only(tmp_path, capsys):
     assert "eps_pair" in out
 
 
+def test_runs_into_one_out_dir_replace_only_their_own_files(tmp_path, capsys):
+    # each run replaces the files it writes: `rates` writes no trace, so the
+    # trace CSV of the `run` before it stays byte for byte, and a second `run`
+    # writes the first one's report apart from the timestamp
+    args = ["example-i", "--out-dir", str(tmp_path), "--samples", "256"]
+    csv, report = tmp_path / "example-i.trace.csv", tmp_path / "example-i.report.txt"
+    assert main(["run", *args]) == 0
+    trace, first = csv.read_bytes(), report.read_text().splitlines()
+    assert main(["rates", *args]) == 0
+    assert csv.read_bytes() == trace
+    assert main(["run", *args]) == 0
+    second = report.read_text().splitlines()
+    capsys.readouterr()
+    assert first[0].startswith("# generated: ") and second[0].startswith("# generated: ")
+    assert first[1:] == second[1:]
+
+
 def test_cli_config_error_exit_2(tmp_path, capsys):
     assert main(["run", "no-such-preset"]) == 2
     capsys.readouterr()

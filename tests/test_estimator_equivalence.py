@@ -232,6 +232,8 @@ def _c_cases():
         # the kinked region's two ray groups as the second cone too
         ("Affine-Kinked", through_origin, KinkedRegion(), np.zeros(2), 1.0),
         ("Ball-Kinked", Ball([0.0, -1.0], 1.0), KinkedRegion(), np.zeros(2), 1.0),
+        # two per-row ray groups
+        ("Ball-Ball", Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0), np.array([0.5, math.sqrt(0.75)]), 0.5),
     ]
 
 
@@ -245,8 +247,9 @@ def test_c_matches_reference(name, a, b, anchor, delta, samples):
 
 @pytest.mark.parametrize("name, a, b, anchor, delta", _c_cases(), ids=[c[0] for c in _c_cases()])
 def test_block_size_does_not_change_c(monkeypatch, name, a, b, anchor, delta):
-    # rays against a stack of per-row lines (Sphere-Ball, Sphere-Union) and
-    # stacks against stacks are walked in chunks of the stack
+    # rays against a stack of per-row lines (Sphere-Ball, Sphere-Union),
+    # stacks against stacks and rays against rays (Ball-Ball) are walked in
+    # chunks of the first stack
     want = estimate_c(a, b, anchor, delta, samples=256, seed=11)
     monkeypatch.setattr(regularity, "BLOCK_PAIRS", 97)
     assert estimate_c(a, b, anchor, delta, samples=256, seed=11) == want, name

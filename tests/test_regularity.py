@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from projfeas.linalg import complement_basis, largest_principal_cosine, orthonor
 from projfeas.presets import circle_and_line
 from projfeas.regularity import (
     Region,
-    _largest_cosine,
+    _opposition,
     check_strong_regularity,
     estimate_c,
     estimate_kappa,
@@ -18,7 +19,7 @@ from projfeas.regularity import (
     verify_coercivity,
 )
 from projfeas.runner import random_subspace_pair
-from projfeas.sets import AffineSubspace, Ball, KinkedRegion, UnionOfSubspaces
+from projfeas.sets import AffineSubspace, Ball, KinkedRegion, NormalGroup, UnionOfSubspaces
 from projfeas.solution import SolutionSet, subspace_pair_solution
 
 from kernel_reference import PointMap, ref_friedrichs_cosine, ref_sol_distance, ref_step
@@ -209,6 +210,22 @@ def test_c_sampled_vs_exact_on_subspaces(lines2):
     assert sampled >= exact - 1e-9  # the opposing-arm pair realizes it
 
 
+def test_c_of_two_balls_stays_in_bounded_memory():
+    # two per-row ray groups of about 4096 rays each: their whole (m_a, m_b)
+    # matrix of inner products would take 134 MB, a chunk of BLOCK_PAIRS 0.5 MB
+    a, b = Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)
+    anchor = [0.5, math.sqrt(0.75)]
+    estimate_c(a, b, anchor, 0.5, samples=64)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        c = estimate_c(a, b, anchor, 0.5, samples=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < c < 1.0
+    assert peak < 16e6, peak
+
+
 def test_strong_regularity_on_presets(lines2, lines3, line_ball, cross_diag, circle_line):
     a1, b1, _ = lines2
     assert check_strong_regularity(a1, b1, [0.0, 0.0]) is True
@@ -312,7 +329,8 @@ def test_largest_cosine_of_one_pair_is_the_largest_principal_cosine():
         k, l = rng.integers(1, 5, size=2)
         a = orthonormalize(rng.normal(size=(k, 4)))
         b = orthonormalize(rng.normal(size=(l, 4)))
-        assert _largest_cosine(a[None], b[None]) == largest_principal_cosine(a, b)
+        cone_a, cone_b = (NormalGroup(a, np.arange(1)),), (NormalGroup(b, np.arange(1)),)
+        assert _opposition(cone_a, cone_b) == largest_principal_cosine(a, b)
 
 
 # ---------------------------------------------------------------------------
