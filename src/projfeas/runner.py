@@ -248,7 +248,7 @@ def run_experiment(cfg, out_dir=None, with_claims=True):
 
 def _write(doc, out_dir):
     """Stamp ``doc`` with the time, write the files its config's outputs name to ``out_dir``, return it.
-    Each is unlinked first: on ext4, truncating a file written moments before stalls 80-220 ms for a flush."""
+    Each is unlinked first: on ext4, truncating a file written moments before stalls for a flush, for 0.1-0.4 s."""
     doc.generated = datetime.now(timezone.utc).isoformat()
     if out_dir is not None:
         out, outputs = Path(out_dir), doc.cfg.outputs

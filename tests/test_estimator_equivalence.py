@@ -249,7 +249,7 @@ def test_c_matches_reference(name, a, b, anchor, delta, samples):
 def test_block_size_does_not_change_c(monkeypatch, name, a, b, anchor, delta):
     # rays against a stack of per-row lines (Sphere-Ball, Sphere-Union),
     # stacks against stacks and rays against rays (Ball-Ball) are walked in
-    # chunks of the first stack
+    # chunks of one stack
     want = estimate_c(a, b, anchor, delta, samples=256, seed=11)
     monkeypatch.setattr(regularity, "BLOCK_PAIRS", 97)
     assert estimate_c(a, b, anchor, delta, samples=256, seed=11) == want, name
