@@ -31,7 +31,7 @@ from .solution import SolutionSet
 DEFAULT_SAMPLES = 4096
 SAFETY_INFLATION = 1.05
 STRONG_REGULARITY_TOL = 1e-6
-BLOCK_PAIRS = 1 << 16  # sample x target pairs per kernel block: bounds its scratch memory
+BLOCK_PAIRS = 1 << 14  # sample x target pairs per kernel block: bounds its scratch memory
 PRUNE_ROWS = 64        # rows per bounded block of a group: the unit the pruning bound covers
 COINCIDENT = 1e-14     # pairs this close, relative to the largest coordinate, are skipped
 
@@ -268,13 +268,13 @@ def estimate_kappa(a, b, sol: SolutionSet, delta, samples=DEFAULT_SAMPLES, seed=
 
 def _opposition(cone_a, cone_b):
     """Worst opposition ``sup -<u, v>`` over unit normals ``u``, ``v`` of one
-    component of each cone (a tuple of normal groups), floored at zero.  Two
-    ray groups meet by ``-<u, v>``, summed over coordinate planes as in
-    ``_block_sup``, so a chunk's shape moves no bit; a ray and a span by the
-    norm of the ray's coordinates in it; two spans by their largest principal
-    cosine.  ``S`` (a span group, if either is) and ``T`` stack the bases as
-    ``(m, k, dim)``, a ray's in ``[:, 0]``, and each chunk of ``S`` meets at
-    most ``BLOCK_PAIRS`` bases of the whole ``T``."""
+    component of each cone (a tuple of normal groups), floored at zero.  ``S``
+    (a span group, if either is) and ``T`` stack the bases as ``(m, k, dim)``;
+    each chunk of ``S`` meets at most ``BLOCK_PAIRS`` bases of the whole
+    ``T``.  A one-row ``T`` that is a ray or meets one-row bases takes their
+    stacked product ``p``, per chunk item, so a chunk's shape moves no bit:
+    ``-p`` for two rays, else ``|p|`` (a ray's coordinates in a span, or two
+    lines' principal cosine).  Other pairs take the largest principal cosine."""
     best = 0.0
     for ga in cone_a:
         for gb in cone_b:
@@ -283,10 +283,9 @@ def _opposition(cone_a, cone_b):
             step = max(1, BLOCK_PAIRS // T.shape[0])
             for i in range(0, S.shape[0], step):
                 chunk = S[i : i + step]
-                if gs.one_sided:
-                    value = -_dot(chunk[:, 0].T[:, :, None], T[:, 0].T[:, None])
-                elif gt.one_sided:
-                    value = np.linalg.norm(T[:, 0] @ chunk.swapaxes(-1, -2), axis=-1)
+                if T.shape[1] == 1 and (gt.one_sided or chunk.shape[1] == 1):
+                    p = T[:, 0] @ chunk.swapaxes(-1, -2)
+                    value = -p[..., 0] if gs.one_sided else np.linalg.norm(p, axis=-1)
                 else:
                     value = principal_cosines(chunk[:, None], T[None])[..., 0]
                 best = max(best, float(np.max(value)))

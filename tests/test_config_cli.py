@@ -57,6 +57,17 @@ solution:
   exact: {variant: ball, center: [0.0, 0.0], radius: 2.0}
 regularity: {deltas: [0.5]}
 """
+# two unit circles meeting at (0.5, +-sqrt(3)/2): both sets are nonconvex
+TWO_CIRCLES = """
+name: two-circles
+sets:
+  A: {variant: sphere, center: [0.0, 0.0], radius: 1.0}
+  B: {variant: sphere, center: [1.0, 0.0], radius: 1.0}
+algorithm: {kind: map, a: A, b: B}
+start: {point: [0.55, 0.9]}
+solution: {witness: [0.5, 0.8660254037844386], members: [A, B]}
+regularity: {deltas: [0.1, 0.05]}
+"""
 LINE_B = "B: {variant: affine, offset: [0.0, 0.0], basis: [[1.0, 1.0]]}"
 # the line y = 5, 5 from the witness: no sample of it lies within delta
 FAR_LINE = MINIMAL.replace(LINE_B, "B: {variant: affine, offset: [0.0, 5.0], basis: [[1.0, 0.0]]}").replace(
@@ -431,6 +442,19 @@ def test_cli_nested_balls_read_kappa_zero(tmp_path, verb, subprocess_env):
     assert out.returncode == 0 and "Traceback" not in out.stderr, out.stderr
     machine = json.loads(out.stdout.rsplit("--- machine ---\n", 1)[1])
     assert [row["kappa"] for row in machine["sweep"]] == [0.0]
+
+
+def test_two_circles_run_in_the_both_nonconvex_regime():
+    # MAP is certified at both deltas and DR at neither (B is not affine);
+    # the iterates contract at cF**2 = 1/4, the squared cosine of the
+    # 60-degree angle between the circles' tangents at the witness
+    machine = run_experiment(parse_config(TWO_CIRCLES)).to_machine_dict()
+    reports = [row["report"] for row in machine["sweep"]]
+    assert [r["regime"] for r in reports] == ["both_nonconvex"] * 2
+    assert [r["map_certified"] for r in reports] == [True, True]
+    assert [round(r["predicted_rate_map"], 4) for r in reports] == [0.8838, 0.8269]
+    assert not any(r["dr_certified"] for r in reports)
+    assert abs(machine["fit"]["observed_rate"] - 0.25) <= 1e-3
 
 
 @pytest.mark.parametrize("delta", [1e-13, 1e-12, 1e8, 1e12, 1e150])

@@ -234,6 +234,8 @@ def _c_cases():
         ("Ball-Kinked", Ball([0.0, -1.0], 1.0), KinkedRegion(), np.zeros(2), 1.0),
         # two per-row ray groups
         ("Ball-Ball", Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0), np.array([0.5, math.sqrt(0.75)]), 0.5),
+        # two per-row line groups
+        ("Sphere-Sphere", Sphere([0.0, 0.0], 1.0), Sphere([1.0, 0.0], 1.0), np.array([0.5, math.sqrt(0.75)]), 0.5),
     ]
 
 
@@ -248,11 +250,23 @@ def test_c_matches_reference(name, a, b, anchor, delta, samples):
 @pytest.mark.parametrize("name, a, b, anchor, delta", _c_cases(), ids=[c[0] for c in _c_cases()])
 def test_block_size_does_not_change_c(monkeypatch, name, a, b, anchor, delta):
     # rays against a stack of per-row lines (Sphere-Ball, Sphere-Union),
-    # stacks against stacks and rays against rays (Ball-Ball) are walked in
-    # chunks of one stack
+    # stacks against stacks, rays against rays (Ball-Ball) and lines against
+    # lines (Sphere-Sphere) are walked in chunks of one stack
     want = estimate_c(a, b, anchor, delta, samples=256, seed=11)
     monkeypatch.setattr(regularity, "BLOCK_PAIRS", 97)
     assert estimate_c(a, b, anchor, delta, samples=256, seed=11) == want, name
+
+
+def test_two_lines_take_no_svd(monkeypatch):
+    # two spheres' radial lines meet at |u . v|, one stacked product per
+    # chunk: an SVD per pair of 1 x 1 matrices is about 100 times slower
+    def refuse(*args):
+        raise AssertionError("principal_cosines called on two lines")
+
+    monkeypatch.setattr(regularity, "principal_cosines", refuse)
+    anchor = np.array([0.5, math.sqrt(0.75)])
+    c = estimate_c(Sphere([0.0, 0.0], 1.0), Sphere([1.0, 0.0], 1.0), anchor, 0.5, samples=256, seed=7)
+    assert 0.0 < c <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_c_sampled_vs_exact_on_subspaces(lines2):
 
 def test_c_of_two_balls_stays_in_bounded_memory():
     # two per-row ray groups of about 4096 rays each: their whole (m_a, m_b)
-    # matrix of inner products would take 134 MB, a chunk of BLOCK_PAIRS 0.5 MB
+    # matrix of inner products would take 134 MB, a chunk of BLOCK_PAIRS 0.13 MB
     a, b = Ball([0.0, 0.0], 1.0), Ball([1.0, 0.0], 1.0)
     anchor = [0.5, math.sqrt(0.75)]
     estimate_c(a, b, anchor, 0.5, samples=64)  # first-call imports and caches stay out of the peak
